@@ -13,28 +13,24 @@ import datetime as dt
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
 from .detector import DetectorConfig, detect_corpus
-from .features import compute_features, daily_series
+from .features import TAIL_STATS, compute_features, tail_samples
 from .ingest import (StockMeta, load_corpus, parse_transactions,
                      read_stock_meta, write_transactions)
-from .network import (build_network, degree_sequences, strength_sequences,
-                      write_edge_list)
+from .network import build_network, write_edge_list
 from .powerlaw import GofConfig, ccdf_points, fit_tail
 from .sim import CorpusSpec, GroupSpec, SimConfig, generate_corpus
 
 DEFAULTS = {
     "seed": 0,
     "bootstrap": 1000,
-    "significance": 0.01,
     "min_tail": 50,
     "corr_threshold": 0.2,
     "elevation_factor": 1.25,
     "decision_threshold": 0.5,
-    "jobs": 1,
     "honest": 10,
     "manipulated": 2,
     "partial": 0,
@@ -46,9 +42,6 @@ DEFAULTS = {
     "bucket": "mid",
     "sector": "industrials",
 }
-
-STAT_SAMPLES = ("degree_in", "degree_out", "strength_in", "strength_out",
-                "strength_total")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -91,40 +84,17 @@ def _write_manifest(out: Path, subcommand: str, cfg: dict, inputs: list[str]) ->
     _atomic_write(out / "manifest.json", _dump_json(manifest))
 
 
-def _gof_config(cfg: dict) -> tuple[GofConfig, bool]:
+def _gof_config(cfg: dict) -> GofConfig:
     """Map CLI numbers onto GofConfig; bootstrap 0 means skip p-values."""
-    replicas = int(cfg["bootstrap"])
-    with_pvalue = replicas > 0
-    return GofConfig(bootstrap_replicas=max(replicas, 1),
-                     significance=float(cfg["significance"]),
+    return GofConfig(bootstrap_replicas=int(cfg["bootstrap"]),
                      rng_seed=int(cfg["seed"]),
-                     min_tail_size=int(cfg["min_tail"])), with_pvalue
+                     min_tail_size=int(cfg["min_tail"]))
 
 
 def _detector_config(cfg: dict) -> DetectorConfig:
     return DetectorConfig(corr_threshold=float(cfg["corr_threshold"]),
                           elevation_factor=float(cfg["elevation_factor"]),
                           decision_threshold=float(cfg["decision_threshold"]))
-
-
-def _stat_samples(log):
-    net = build_network(log)
-    deg = degree_sequences(net)
-    stren = strength_sequences(net)
-    return {
-        "degree_in": (deg.in_deg[deg.in_deg > 0], None),
-        "degree_out": (deg.out_deg[deg.out_deg > 0], None),
-        "strength_in": (stren.s_in[stren.s_in > 0], 160),
-        "strength_out": (stren.s_out[stren.s_out > 0], 160),
-        "strength_total": (stren.s_tot, 160),
-    }
-
-
-def _map_jobs(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------- simulate
@@ -221,29 +191,21 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- fit
 
-def _fit_stock(task):
-    sym, log, gof_cfg, with_pvalue = task
-    fits = {}
-    for stat, (samples, max_cands) in _stat_samples(log).items():
-        fit = fit_tail(samples, gof_cfg, with_pvalue=with_pvalue,
-                       max_candidates=max_cands)
-        fits[stat] = fit.to_dict()
-    return sym, fits
-
-
 def _cmd_fit(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     out = Path(args.out)
-    gof_cfg, with_pvalue = _gof_config(cfg)
+    gof_cfg = _gof_config(cfg)
     logs = load_corpus(args.corpus)
-    tasks = [(sym, logs[sym], gof_cfg, with_pvalue) for sym in sorted(logs)]
-    for sym, fits in _map_jobs(_fit_stock, tasks, int(cfg["jobs"])):
+    for sym in sorted(logs):
+        tails = tail_samples(build_network(logs[sym]))
+        fits = {stat: fit_tail(sample, gof_cfg, max_candidates=cap).to_dict()
+                for stat, (sample, cap) in tails.items()}
         _atomic_write(out / "fits" / f"{sym}.json",
                       _dump_json({"symbol": sym, "fits": fits}))
         if args.verbose:
             print(f"{sym}: fitted {len(fits)} statistics", file=sys.stderr)
     _write_manifest(out, "fit", cfg, [str(args.corpus)])
-    print(f"wrote fits for {len(tasks)} stocks to {out / 'fits'}")
+    print(f"wrote fits for {len(logs)} stocks to {out / 'fits'}")
     return 0
 
 
@@ -251,7 +213,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _feature_columns() -> list[str]:
     cols = ["symbol", "n_days", "avg_degree", "return_ratio_corr"]
-    for stat in STAT_SAMPLES:
+    for stat in TAIL_STATS:
         for field in ("xmin", "alpha", "ccdf_exponent", "ks_distance",
                       "p_value", "n_tail", "levy_stable"):
             cols.append(f"{stat}_{field}")
@@ -270,13 +232,8 @@ def _feature_row(feats) -> list[str]:
 
     row = [feats.symbol, str(feats.n_days), repr(feats.avg_degree),
            cell(feats.return_ratio_corr)]
-    fit_map = {"degree_in": feats.degree_fits.get("in"),
-               "degree_out": feats.degree_fits.get("out"),
-               "strength_in": feats.strength_fits.get("in"),
-               "strength_out": feats.strength_fits.get("out"),
-               "strength_total": feats.strength_fits.get("total")}
-    for stat in STAT_SAMPLES:
-        fit = fit_map[stat]
+    for stat in TAIL_STATS:
+        fit = feats.fits.get(stat)
         if fit is None:
             row.extend([""] * 7)
         else:
@@ -284,11 +241,6 @@ def _feature_row(feats) -> list[str]:
                         repr(fit.ks_distance), cell(fit.p_value),
                         str(fit.n_tail), str(fit.levy_stable).lower()])
     return row
-
-
-def _features_stock(task):
-    sym, log, gof_cfg, with_pvalue = task
-    return sym, compute_features(log, gof_cfg, with_pvalue=with_pvalue)
 
 
 def _write_features_csv(path: Path, features_by_symbol: dict) -> None:
@@ -301,22 +253,20 @@ def _write_features_csv(path: Path, features_by_symbol: dict) -> None:
 def _cmd_features(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     out = Path(args.out)
-    gof_cfg, with_pvalue = _gof_config(cfg)
+    gof_cfg = _gof_config(cfg)
     logs = load_corpus(args.corpus)
-    tasks = [(sym, logs[sym], gof_cfg, with_pvalue) for sym in sorted(logs)]
-    feats = dict(_map_jobs(_features_stock, tasks, int(cfg["jobs"])))
+    feats = {sym: compute_features(logs[sym], gof_cfg) for sym in sorted(logs)}
     _write_features_csv(out / "features.csv", feats)
 
-    for sym in sorted(logs):
-        log = logs[sym]
-        for stat, (samples, _) in _stat_samples(log).items():
+    for sym, stock in feats.items():
+        for stat, samples in stock.samples.items():
             if samples.size == 0:
                 continue
             xs, cc = ccdf_points(samples)
             lines = ["x,ccdf"] + [f"{x},{float(c)!r}" for x, c in zip(xs, cc)]
             _atomic_write(out / "plotdata" / f"{sym}_ccdf_{stat}.csv",
                           "\n".join(lines) + "\n")
-        series = daily_series(log)
+        series = stock.series
         lines = ["date,avg_price,n_sellers,n_buyers"]
         for i, day in enumerate(series.days):
             lines.append(f"{day.isoformat()},{float(series.avg_price[i])!r},"
@@ -333,10 +283,9 @@ def _cmd_features(args: argparse.Namespace) -> int:
 def _cmd_detect(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     out = Path(args.out)
-    gof_cfg, with_pvalue = _gof_config(cfg)
+    gof_cfg = _gof_config(cfg)
     logs = load_corpus(args.corpus)
-    reports = detect_corpus(logs, gof_cfg, _detector_config(cfg),
-                            with_pvalue=with_pvalue)
+    reports = detect_corpus(logs, gof_cfg, _detector_config(cfg))
     _atomic_write(out / "reports.json",
                   _dump_json([r.to_dict() for r in reports]))
     _write_manifest(out, "detect", cfg, [str(args.corpus)])
@@ -353,7 +302,6 @@ def _add_common(p: argparse.ArgumentParser, *, out_required: bool = True) -> Non
     p.add_argument("--dump-config", action="store_true",
                    help="print the effective configuration and exit")
     p.add_argument("--seed", type=int, help="master RNG seed")
-    p.add_argument("--jobs", type=int, help="parallel workers for per-stock work")
     p.add_argument("-v", "--verbose", action="store_true")
     if out_required:
         p.add_argument("--out", required=True, help="output directory")
@@ -361,8 +309,8 @@ def _add_common(p: argparse.ArgumentParser, *, out_required: bool = True) -> Non
 
 def _add_gof(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bootstrap", type=int,
-                   help="bootstrap replicas for p-values (0 skips them)")
-    p.add_argument("--significance", type=float, help="GoF test level")
+                   help="bootstrap replicas for p-values (0 skips them; "
+                        "detect never computes p-values)")
     p.add_argument("--min-tail", dest="min_tail", type=int,
                    help="minimum tail size for the x_min scan")
 

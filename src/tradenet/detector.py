@@ -11,20 +11,14 @@ single dissenting feature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from .features import StockFeatures, compute_features
+from .features import TAIL_STATS, StockFeatures, compute_features
 from .ingest import StockMeta, TransactionLog, filter_period
 from .powerlaw import GofConfig
 
-XMIN_FEATURES = (
-    "degree_in_xmin",
-    "degree_out_xmin",
-    "strength_in_xmin",
-    "strength_out_xmin",
-    "strength_total_xmin",
-)
+XMIN_FEATURES = tuple(f"{name}_xmin" for name in TAIL_STATS)
 FEATURE_KEYS = XMIN_FEATURES + ("avg_degree", "return_ratio_corr")
 
 
@@ -94,18 +88,13 @@ class ManipulationReport:
 
 def feature_vector(features: StockFeatures) -> dict[str, float | None]:
     """Flatten StockFeatures to the scalar features the detector compares."""
-    def xmin(fit):
-        return float(fit.x_min) if fit is not None else None
-
-    return {
-        "degree_in_xmin": xmin(features.degree_fits.get("in")),
-        "degree_out_xmin": xmin(features.degree_fits.get("out")),
-        "strength_in_xmin": xmin(features.strength_fits.get("in")),
-        "strength_out_xmin": xmin(features.strength_fits.get("out")),
-        "strength_total_xmin": xmin(features.strength_fits.get("total")),
-        "avg_degree": features.avg_degree,
-        "return_ratio_corr": features.return_ratio_corr,
-    }
+    vector: dict[str, float | None] = {}
+    for name, key in zip(TAIL_STATS, XMIN_FEATURES):
+        fit = features.fits.get(name)
+        vector[key] = float(fit.x_min) if fit is not None else None
+    vector["avg_degree"] = features.avg_degree
+    vector["return_ratio_corr"] = features.return_ratio_corr
+    return vector
 
 
 def select_reference(target: StockMeta, universe: Mapping[str, StockMeta] | list[StockMeta]) -> ReferenceGroup:
@@ -182,28 +171,32 @@ def evaluate(target_features: StockFeatures, reference: ReferenceValues | Mappin
 
 def detect_corpus(logs: Mapping[str, TransactionLog],
                   gof_cfg: GofConfig | None = None,
-                  det_cfg: DetectorConfig | None = None, *,
-                  with_pvalue: bool = False) -> list[ManipulationReport]:
+                  det_cfg: DetectorConfig | None = None) -> list[ManipulationReport]:
     """Run the full comparison over a corpus of per-stock logs.
 
     Labeled manipulated stocks are analyzed over their declared manipulation
     window, and their reference stocks are re-featurized over the same
-    window; unlabeled stocks use their full period.  Returns one report per
-    stock, sorted by symbol.
+    window; unlabeled stocks use their full period, as does any stock whose
+    log the window covers whole.  Tails are fitted without p-values, which
+    no report carries.  Returns one report per stock, sorted by symbol.
     """
-    gof_cfg = gof_cfg or GofConfig()
+    gof_cfg = replace(gof_cfg or GofConfig(), bootstrap_replicas=0)
     det_cfg = det_cfg or DetectorConfig()
     metas = {sym: log.meta for sym, log in logs.items()}
 
     cache: dict[tuple[str, tuple | None], StockFeatures] = {}
 
     def features_for(symbol: str, window) -> StockFeatures:
+        log = logs[symbol]
+        if window is not None and log.n_records:
+            first, last = log.date_range()
+            if window[0] <= first and last <= window[1]:
+                window = None  # keeps every record: the full-period features
         key = (symbol, window)
         if key not in cache:
-            log = logs[symbol]
             if window is not None:
                 log = filter_period(log, window)
-            cache[key] = compute_features(log, gof_cfg, with_pvalue=with_pvalue)
+            cache[key] = compute_features(log, gof_cfg)
         return cache[key]
 
     reports = []

@@ -9,13 +9,18 @@ return and the seller-buyer ratio r(t) = N_s(t) / N_b(t).
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ingest import TransactionLog
-from .network import average_degree, build_network, degree_sequences, strength_sequences
+from .network import (TradingNetwork, average_degree, build_network,
+                      degree_sequences, strength_sequences)
 from .powerlaw import GofConfig, TailFit, fit_tail
+
+# The five tail statistics fitted per stock, in report column order.
+TAIL_STATS = ("degree_in", "degree_out", "strength_in", "strength_out",
+              "strength_total")
 
 # Distinct strength values can approach the node count; a geometric grid of
 # this many lower-bound candidates keeps the scan cheap without visibly
@@ -45,28 +50,20 @@ class DailySeries:
 class StockFeatures:
     """Detection features of one stock over one analysis window.
 
-    Tail fits or the correlation may be None when a component could not be
-    computed (tiny tails, constant series); consumers treat None as missing.
+    ``fits`` is keyed by TAIL_STATS.  Tail fits or the correlation may be
+    None when a component could not be computed (tiny tails, constant
+    series); consumers treat None as missing.  ``samples`` (the positive
+    tail samples) and ``series`` are the data the features came from.
     """
 
     symbol: str
-    degree_fits: dict[str, TailFit | None]
-    strength_fits: dict[str, TailFit | None]
+    fits: dict[str, TailFit | None]
     avg_degree: float
     return_ratio_corr: float | None
     n_days: int
-
-    def to_dict(self) -> dict:
-        return {
-            "symbol": self.symbol,
-            "n_days": self.n_days,
-            "avg_degree": self.avg_degree,
-            "return_ratio_corr": self.return_ratio_corr,
-            "degree_fits": {k: (f.to_dict() if f else None)
-                            for k, f in self.degree_fits.items()},
-            "strength_fits": {k: (f.to_dict() if f else None)
-                              for k, f in self.strength_fits.items()},
-        }
+    samples: dict[str, np.ndarray] = field(default_factory=dict, repr=False,
+                                           compare=False)
+    series: DailySeries | None = field(default=None, repr=False, compare=False)
 
 
 def daily_series(log: TransactionLog, *, weighted: bool = True) -> DailySeries:
@@ -150,41 +147,38 @@ def return_ratio_correlation(series: DailySeries, *, lag: int = 0,
     return pearson_corr(pr[t[valid] - 1], ratio[t[valid] - lag])
 
 
-def _try_fit(samples, cfg: GofConfig, with_pvalue: bool,
-             max_candidates: int | None) -> TailFit | None:
+def tail_samples(net: TradingNetwork) -> dict[str, tuple[np.ndarray, int | None]]:
+    """Each tail statistic's positive sample and its x_min candidate cap."""
+    deg = degree_sequences(net)
+    stren = strength_sequences(net)
+    cap = STRENGTH_XMIN_CANDIDATES
+    columns = ((deg.in_deg, None), (deg.out_deg, None), (stren.s_in, cap),
+               (stren.s_out, cap), (stren.s_tot, cap))
+    return {name: (values[values > 0], max_candidates)
+            for name, (values, max_candidates) in zip(TAIL_STATS, columns)}
+
+
+def _try_fit(samples, cfg: GofConfig, max_candidates: int | None) -> TailFit | None:
     try:
-        return fit_tail(samples, cfg, with_pvalue=with_pvalue,
-                        max_candidates=max_candidates)
+        return fit_tail(samples, cfg, max_candidates=max_candidates)
     except ValueError:
         return None
 
 
 def compute_features(log: TransactionLog, cfg: GofConfig | None = None, *,
-                     with_pvalue: bool = True, corr_lag: int = 0,
-                     log_ratio: bool = False,
+                     corr_lag: int = 0, log_ratio: bool = False,
                      weighted_price: bool = True) -> StockFeatures:
     """Assemble the full per-stock feature vector.
 
-    Component failures (degenerate tails, constant series, too few days)
-    leave the corresponding feature as None instead of aborting the stock.
+    The fits carry p-values unless cfg.bootstrap_replicas is 0.  Component
+    failures (degenerate tails, constant series, too few days) leave the
+    corresponding feature as None instead of aborting the stock.
     """
     cfg = cfg or GofConfig()
     net = build_network(log)
-    deg = degree_sequences(net)
-    stren = strength_sequences(net)
-
-    degree_fits = {
-        "in": _try_fit(deg.in_deg[deg.in_deg > 0], cfg, with_pvalue, None),
-        "out": _try_fit(deg.out_deg[deg.out_deg > 0], cfg, with_pvalue, None),
-    }
-    strength_fits = {
-        "in": _try_fit(stren.s_in[stren.s_in > 0], cfg, with_pvalue,
-                       STRENGTH_XMIN_CANDIDATES),
-        "out": _try_fit(stren.s_out[stren.s_out > 0], cfg, with_pvalue,
-                        STRENGTH_XMIN_CANDIDATES),
-        "total": _try_fit(stren.s_tot, cfg, with_pvalue,
-                          STRENGTH_XMIN_CANDIDATES),
-    }
+    tails = tail_samples(net)
+    fits = {name: _try_fit(sample, cfg, max_candidates)
+            for name, (sample, max_candidates) in tails.items()}
 
     series = daily_series(log, weighted=weighted_price)
     corr: float | None
@@ -193,7 +187,8 @@ def compute_features(log: TransactionLog, cfg: GofConfig | None = None, *,
     except ValueError:
         corr = None
 
-    return StockFeatures(symbol=log.meta.symbol, degree_fits=degree_fits,
-                         strength_fits=strength_fits,
+    return StockFeatures(symbol=log.meta.symbol, fits=fits,
                          avg_degree=average_degree(net),
-                         return_ratio_corr=corr, n_days=series.n_days)
+                         return_ratio_corr=corr, n_days=series.n_days,
+                         samples={name: sample for name, (sample, _) in tails.items()},
+                         series=series)

@@ -33,18 +33,18 @@ class DegenerateSampleError(ValueError):
 
 @dataclass(frozen=True)
 class GofConfig:
-    """Knobs for tail fitting and the bootstrap goodness-of-fit test."""
+    """Knobs for tail fitting and the bootstrap goodness-of-fit test.
+
+    ``bootstrap_replicas=0`` fits without a p-value.
+    """
 
     bootstrap_replicas: int = 1000
-    significance: float = 0.01
     rng_seed: int = 0
     min_tail_size: int = 50
 
     def __post_init__(self) -> None:
-        if self.bootstrap_replicas < 1:
-            raise ValueError("bootstrap_replicas must be >= 1")
-        if not 0.0 < self.significance < 1.0:
-            raise ValueError("significance must lie in (0, 1)")
+        if self.bootstrap_replicas < 0:
+            raise ValueError("bootstrap_replicas must be >= 0")
         if self.min_tail_size < 1:
             raise ValueError("min_tail_size must be >= 1")
 
@@ -349,12 +349,13 @@ def gof_pvalue(samples, fit: TailFit, cfg: GofConfig, *,
     return hits / cfg.bootstrap_replicas
 
 
-def fit_tail(samples, cfg: GofConfig | None = None, *, with_pvalue: bool = True,
+def fit_tail(samples, cfg: GofConfig | None = None, *,
              max_candidates: int | None = None) -> TailFit:
-    """Full calibration: x_min scan, MLE exponent, optional bootstrap p-value."""
+    """Full calibration: x_min scan, MLE exponent, and a bootstrap p-value
+    unless cfg.bootstrap_replicas is 0."""
     cfg = cfg or GofConfig()
     fit = select_xmin(samples, cfg, max_candidates=max_candidates)
-    if with_pvalue:
+    if cfg.bootstrap_replicas:
         p = gof_pvalue(samples, fit, cfg, max_candidates=max_candidates)
         fit = replace(fit, p_value=p)
     return fit

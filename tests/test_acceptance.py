@@ -34,8 +34,8 @@ def test_criterion_1_fitter_recovery():
     for trial in range(50):
         rng = np.random.default_rng(90_000 + trial)
         x = model.sample(rng, 10_000)
-        fit = fit_tail(x, GofConfig(rng_seed=trial, min_tail_size=50),
-                       with_pvalue=False)
+        fit = fit_tail(x, GofConfig(rng_seed=trial, min_tail_size=50,
+                                    bootstrap_replicas=0))
         hits += (abs(fit.alpha - 2.5) <= 0.1 and 3 <= fit.x_min <= 10)
     elapsed = time.perf_counter() - t0
     ok = hits >= 45 and elapsed < 60.0

@@ -76,6 +76,34 @@ def test_fit_writes_reports(corpus, tmp_path):
         assert 0.0 <= entry["p_value"] <= 1.0
 
 
+def test_detect_never_bootstraps(corpus, tmp_path, monkeypatch):
+    def no_bootstrap(*args, **kwargs):
+        raise AssertionError("detect computed a bootstrap p-value")
+
+    monkeypatch.setattr("tradenet.powerlaw.gof_pvalue", no_bootstrap)
+    rc = main(["detect", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+               "--min-tail", "30"])
+    assert rc == 1
+
+
+def test_fit_and_features_agree(corpus, tmp_path):
+    out = tmp_path / "agree"
+    args = ["--corpus", str(corpus), "--out", str(out), "--bootstrap", "0",
+            "--min-tail", "30"]
+    assert main(["fit", *args]) == 0
+    assert main(["features", *args]) == 0
+    header, *rows = (out / "features.csv").read_text().strip().split("\n")
+    assert len(rows) == 12
+    for line in rows:
+        row = dict(zip(header.split(","), line.split(",")))
+        doc = json.loads((out / "fits" / f"{row['symbol']}.json").read_text())
+        assert len(doc["fits"]) == 5
+        for stat, fit in doc["fits"].items():
+            assert int(row[f"{stat}_xmin"]) == fit["x_min"]
+            assert float(row[f"{stat}_alpha"]) == fit["alpha"]
+            assert row[f"{stat}_p_value"] == "" and fit["p_value"] is None
+
+
 def test_fit_degenerate_sample_diagnostic(tmp_path, capsys):
     corpus = tmp_path / "tiny"
     corpus.mkdir()
@@ -157,6 +185,19 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
     rc = main(["detect", "--corpus", "unused", "--out", "unused",
+               "--config", str(cfg), "--dump-config"])
+    assert rc != 0
+    assert "unknown config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["jobs", "significance"])
+def test_removed_options_rejected(tmp_path, capsys, key):
+    with pytest.raises(SystemExit):
+        main(["fit", "--corpus", "unused", "--out", "unused",
+              f"--{key}", "1", "--dump-config"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    rc = main(["fit", "--corpus", "unused", "--out", "unused",
                "--config", str(cfg), "--dump-config"])
     assert rc != 0
     assert "unknown config" in capsys.readouterr().err

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from tradenet import detector
 from tradenet.detector import (DetectorConfig, ReferenceValues, detect_corpus,
                                evaluate, feature_vector, reference_values,
                                select_reference, FEATURE_KEYS)
-from tradenet.features import StockFeatures
+from tradenet.features import TAIL_STATS, StockFeatures
 from tradenet.ingest import StockMeta
 from tradenet.powerlaw import GofConfig, TailFit
 from tradenet.sim import CorpusSpec, GroupSpec, SimConfig, generate_corpus
@@ -24,9 +25,9 @@ def tail(x_min, alpha=2.0):
 def features(symbol, deg_xmin=10, stren_xmin=1000, avg_degree=40.0, corr=0.5):
     return StockFeatures(
         symbol=symbol,
-        degree_fits={"in": tail(deg_xmin), "out": tail(deg_xmin)},
-        strength_fits={"in": tail(stren_xmin), "out": tail(stren_xmin),
-                       "total": tail(stren_xmin)},
+        fits={"degree_in": tail(deg_xmin), "degree_out": tail(deg_xmin),
+              "strength_in": tail(stren_xmin), "strength_out": tail(stren_xmin),
+              "strength_total": tail(stren_xmin)},
         avg_degree=avg_degree, return_ratio_corr=corr, n_days=250)
 
 
@@ -111,8 +112,7 @@ class TestReferenceValues:
 
     def test_missing_features_excluded_pairwise(self):
         f1 = features("A", avg_degree=2.0)
-        f2 = StockFeatures(symbol="B", degree_fits={"in": None, "out": None},
-                           strength_fits={"in": None, "out": None, "total": None},
+        f2 = StockFeatures(symbol="B", fits=dict.fromkeys(TAIL_STATS),
                            avg_degree=4.0, return_ratio_corr=None, n_days=2)
         group = select_reference(meta("T"), [meta("T"), meta("A"), meta("B")])
         vals = reference_values(group, {"A": f1, "B": f2})
@@ -121,8 +121,7 @@ class TestReferenceValues:
         assert vals.means["degree_in_xmin"] == pytest.approx(10.0)
 
     def test_all_missing_feature_errors(self):
-        f = StockFeatures(symbol="A", degree_fits={"in": None, "out": None},
-                          strength_fits={"in": None, "out": None, "total": None},
+        f = StockFeatures(symbol="A", fits=dict.fromkeys(TAIL_STATS),
                           avg_degree=None, return_ratio_corr=None, n_days=1)
         group = select_reference(meta("T"), [meta("T"), meta("A")])
         with pytest.raises(ValueError):
@@ -156,8 +155,9 @@ class TestEvaluate:
     def test_missing_features_shrink_denominator(self):
         f = features("T", deg_xmin=40, stren_xmin=8000, avg_degree=120.0,
                      corr=0.02)
-        f = StockFeatures(symbol="T", degree_fits={"in": None, "out": None},
-                          strength_fits=f.strength_fits, avg_degree=f.avg_degree,
+        f = StockFeatures(symbol="T",
+                          fits={**f.fits, "degree_in": None, "degree_out": None},
+                          avg_degree=f.avg_degree,
                           return_ratio_corr=f.return_ratio_corr, n_days=f.n_days)
         rep = evaluate(f, self.REF)
         assert rep.flags["degree_in_xmin_elevated"] is None
@@ -223,3 +223,25 @@ class TestDetectCorpus:
         logs = {r.log.meta.symbol: r.log for r in results}
         reports = detect_corpus(logs, GofConfig(min_tail_size=30, rng_seed=1))
         assert [r.symbol for r in reports] == sorted(logs)
+
+    def test_whole_log_window_reuses_full_period_features(self, monkeypatch):
+        spec = CorpusSpec(
+            groups=(GroupSpec("mid", "tech", honest=3, manipulated=2, partial=1),),
+            master_seed=5,
+            base=SimConfig(n_traders=300, n_days=50, trades_per_day=50.0,
+                           n_colluders=40))
+        logs = {r.log.meta.symbol: r.log for r in generate_corpus(spec)}
+        computed = []
+        real = detector.compute_features
+
+        def counting(log, *args, **kwargs):
+            computed.append(log.meta.symbol)
+            return real(log, *args, **kwargs)
+
+        monkeypatch.setattr(detector, "compute_features", counting)
+        reports = detect_corpus(logs, GofConfig(min_tail_size=30, rng_seed=1))
+        assert len(reports) == 5
+        # 3 honest stocks over their full period; the full-window stock's
+        # window covers its log and theirs, so it adds one computation; the
+        # partial-window stock and its 3 members are featurized anew.
+        assert len(computed) == 3 + 1 + 4

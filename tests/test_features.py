@@ -148,31 +148,33 @@ class TestAlignment:
 
 
 class TestComputeFeatures:
-    CFG = GofConfig(bootstrap_replicas=1, rng_seed=0, min_tail_size=30)
+    CFG = GofConfig(bootstrap_replicas=0, rng_seed=0, min_tail_size=30)
 
     def test_two_day_log_has_no_correlation(self, make_log):
         rows = [("2004-01-05", "09:30:00", "1", "B", "A", 100, 10.0),
                 ("2004-01-06", "09:30:00", "1", "C", "A", 100, 10.5)]
-        feats = compute_features(make_log(rows), self.CFG, with_pvalue=False)
+        feats = compute_features(make_log(rows), self.CFG)
         assert feats.return_ratio_corr is None
         assert feats.n_days == 2
 
     def test_small_log_marks_fits_missing(self, make_log):
         rows = [("2004-01-05", "09:30:00", "1", "B", "A", 100, 10.0)]
-        feats = compute_features(make_log(rows), self.CFG, with_pvalue=False)
-        assert feats.degree_fits["out"] is None
-        assert feats.strength_fits["total"] is None
+        feats = compute_features(make_log(rows), self.CFG)
+        assert feats.fits["degree_out"] is None
+        assert feats.fits["strength_total"] is None
         assert feats.avg_degree == 1.0
 
     def test_full_feature_vector_on_simulation(self):
         res = simulate(SimConfig(rng_seed=1, n_traders=800, n_days=120,
                                  trades_per_day=120.0))
-        feats = compute_features(res.log, GofConfig(min_tail_size=50),
-                                 with_pvalue=False)
+        feats = compute_features(res.log, GofConfig(min_tail_size=50,
+                                                    bootstrap_replicas=0))
         assert feats.symbol == res.log.meta.symbol
-        for fit in feats.degree_fits.values():
+        for stat in ("degree_in", "degree_out"):
+            fit = feats.fits[stat]
             assert fit is not None and fit.x_min >= 1
-        for fit in feats.strength_fits.values():
+        for stat in ("strength_in", "strength_out", "strength_total"):
+            fit = feats.fits[stat]
             assert fit is not None and fit.n_tail >= 50
         assert feats.return_ratio_corr is not None
         assert feats.n_days == 120
