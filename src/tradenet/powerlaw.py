@@ -13,15 +13,21 @@ independent of scheduling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import zeta
 
 ALPHA_MIN = 1.0 + 1e-6
 ALPHA_MAX = 20.0
+
+# Exponent solver: stop when the step or the bracket is this narrow (bounded
+# Brent stops at 1e-6); the cap leaves room for bisecting the whole bracket.
+ALPHA_XTOL = 1e-10
+_SOLVE_MAX_ITER = 100
+
+# Flat support values per block of the KS pass over all candidates.
+KS_BLOCK = 1 << 16
 
 # Exponents in (0, 2) on the CCDF scale fall in the Levy-stable regime.
 LEVY_UPPER = 2.0
@@ -56,6 +62,8 @@ class TailFit:
     ``alpha`` is the PDF exponent; ``ccdf_exponent = alpha - 1`` is the
     exponent of the cumulative (CCDF) decay, the value quoted alongside
     reference exponents.  ``p_value`` is None until a bootstrap has run.
+    ``alpha_at_bound`` marks an exponent pinned at ALPHA_MIN or ALPHA_MAX,
+    where the likelihood had no interior maximum.
     """
 
     x_min: int
@@ -65,6 +73,7 @@ class TailFit:
     p_value: float | None
     n_tail: int
     levy_stable: bool
+    alpha_at_bound: bool
 
     def to_dict(self) -> dict:
         return {
@@ -75,6 +84,7 @@ class TailFit:
             "p_value": self.p_value,
             "n_tail": self.n_tail,
             "levy_stable": self.levy_stable,
+            "alpha_at_bound": self.alpha_at_bound,
         }
 
 
@@ -95,22 +105,67 @@ def _as_int_array(samples) -> np.ndarray:
     return arr
 
 
-def _mle_from_stats(log_sum: float, n: int, x_min: int) -> float:
-    """Maximize the zeta log-likelihood given sufficient statistics."""
+def _solve_alpha(log_sums, n_tail, x_min) -> np.ndarray:
+    """Per row, the a maximizing -a * sum(ln x) - n * ln zeta(a, x_min).
 
-    def nll(a: float) -> float:
-        return a * log_sum + n * math.log(zeta(a, x_min))
+    Newton steps on the derivative, from the closed form 1 + n / sum(ln(x /
+    (x_min - 0.5))), inside a bracket kept by the derivative's sign and
+    bisected when a step leaves it.  A row stops at ALPHA_XTOL and is then left
+    alone, so it depends on its own inputs; no interior maximum ends on a bound.
+    """
+    mean_log = np.atleast_1d(np.asarray(log_sums, dtype=float) / n_tail)
+    q = np.broadcast_to(np.asarray(x_min, dtype=float), mean_log.shape)
+    alpha = np.clip(1.0 + 1.0 / (mean_log - np.log(q - 0.5)), ALPHA_MIN, ALPHA_MAX)
+    lo, hi = np.full(alpha.size, ALPHA_MIN), np.full(alpha.size, ALPHA_MAX)
+    rows = np.arange(alpha.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_SOLVE_MAX_ITER):
+            if rows.size == 0:
+                break
+            a, xq = alpha[rows], q[rows]
+            # Central differences of ln zeta; h shrinks as a -> 1, a pole.
+            h = 1e-4 * (a - 1.0)
+            up, mid, down = (np.log(zeta(a + d, xq)) for d in (h, 0.0, -h))
+            grad = mean_log[rows] + (up - down) / (2.0 * h)
+            curv = (up - 2.0 * mid + down) / (h * h)
+            rising = grad < 0.0  # likelihood still rising: optimum above a
+            lo[rows] = np.where(rising, a, lo[rows])
+            hi[rows] = np.where(rising, hi[rows], a)
+            left, right = lo[rows], hi[rows]
+            step = a - grad / curv
+            nxt = np.where((step > left) & (step < right), step, 0.5 * (left + right))
+            alpha[rows] = nxt
+            rows = rows[(np.abs(nxt - a) > ALPHA_XTOL) & (right - left > ALPHA_XTOL)]
+    return alpha
 
-    res = minimize_scalar(nll, bounds=(ALPHA_MIN, ALPHA_MAX), method="bounded",
-                          options={"xatol": 1e-6})
-    return float(res.x)
 
+def _ks_scan(uniq: np.ndarray, cum_counts: np.ndarray, first: np.ndarray,
+             x_mins: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """KS distance of each fit (x_mins, alphas) over its support uniq[first:].
 
-def _ks_from_tail(uniq: np.ndarray, cum_counts: np.ndarray, n: int,
-                  x_min: int, alpha: float) -> float:
-    ecdf = cum_counts / n
-    model = 1.0 - zeta(alpha, uniq + 1.0) / zeta(alpha, float(x_min))
-    return float(np.abs(ecdf - model).max())
+    The supports are laid end to end, evaluated with one zeta call and
+    reduced per fit by np.maximum.reduceat, in blocks of about KS_BLOCK
+    values so memory does not grow with fits x distinct values.
+    """
+    lengths = uniq.size - first
+    ends = np.cumsum(lengths)
+    cum0 = np.concatenate(([0], cum_counts))
+    ks = np.empty(first.size)
+    start = 0
+    while start < first.size:
+        base = ends[start] - lengths[start]
+        stop = max(start + 1, int(np.searchsorted(ends, base + KS_BLOCK, side="right")))
+        blk = slice(start, stop)
+        offsets = ends[blk] - lengths[blk] - base
+        rows = np.repeat(np.arange(stop - start), lengths[blk])
+        pos = first[blk][rows] + np.arange(rows.size) - offsets[rows]
+        below = cum0[first[blk]][rows]
+        ecdf = (cum0[pos + 1] - below) / (cum0[-1] - below)
+        a = alphas[blk]
+        model = 1.0 - zeta(a[rows], uniq[pos] + 1.0) / zeta(a, x_mins[blk])[rows]
+        ks[blk] = np.maximum.reduceat(np.abs(ecdf - model), offsets)
+        start = stop
+    return ks
 
 
 def mle_alpha(samples, x_min: int) -> float:
@@ -130,14 +185,14 @@ def mle_alpha(samples, x_min: int) -> float:
         raise ValueError("need at least 2 samples")
     if np.all(arr == arr[0]):
         raise DegenerateSampleError("all samples equal; exponent is undetermined")
-    return _mle_from_stats(float(np.log(arr).sum()), arr.size, int(x_min))
+    return float(_solve_alpha(np.log(arr).sum(), arr.size, int(x_min))[0])
 
 
 def continuous_mle_alpha(samples, x_min: float) -> float:
     """Continuous-variant estimator alpha = 1 + n / sum(ln(x / x_min)).
 
-    Accepts real-valued samples; used for cross-checks and scale-identity
-    properties, not for the discrete calibration itself.
+    Accepts real-valued samples; used for cross-checks, not for the discrete
+    calibration itself.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
@@ -164,22 +219,8 @@ def ks_distance(samples, x_min: int, alpha: float) -> float:
     if arr.min() < x_min:
         raise ValueError("all samples must be >= x_min")
     uniq, counts = np.unique(arr, return_counts=True)
-    return _ks_from_tail(uniq.astype(float), np.cumsum(counts), arr.size,
-                         int(x_min), float(alpha))
-
-
-def continuous_ks_distance(samples, x_min: float, alpha: float) -> float:
-    """KS distance against the continuous Pareto CDF 1 - (x/x_min)^(1-alpha)."""
-    arr = np.sort(np.asarray(samples, dtype=float))
-    if alpha <= 1.0:
-        raise ValueError("alpha must exceed 1")
-    if x_min <= 0 or arr[0] < x_min:
-        raise ValueError("all samples must be >= x_min > 0")
-    n = arr.size
-    model = 1.0 - (arr / x_min) ** (1.0 - alpha)
-    upper = np.arange(1, n + 1) / n
-    lower = np.arange(0, n) / n
-    return float(max(np.abs(upper - model).max(), np.abs(model - lower).max()))
+    return float(_ks_scan(uniq.astype(float), np.cumsum(counts), np.zeros(1, int),
+                          np.array([x_min], float), np.array([alpha], float))[0])
 
 
 def _candidate_indices(uniq: np.ndarray, tail_sizes: np.ndarray,
@@ -218,22 +259,10 @@ def scan_xmin(samples, cfg: GofConfig | None = None, *,
             "with at least 2 distinct values")
 
     uniq_f = uniq.astype(float)
-    log_uniq = np.log(uniq_f)
-    suffix_logsum = np.cumsum((counts * log_uniq)[::-1])[::-1]
-    cum_counts = np.cumsum(counts)
-
-    cands = np.empty(usable.size, dtype=np.int64)
-    alphas = np.empty(usable.size)
-    ks = np.empty(usable.size)
-    for row, i in enumerate(usable):
-        x0 = int(uniq[i])
-        n_tail = int(tail_sizes[i])
-        a = _mle_from_stats(float(suffix_logsum[i]), n_tail, x0)
-        tail_cum = cum_counts[i:] - (cum_counts[i - 1] if i > 0 else 0)
-        cands[row] = x0
-        alphas[row] = a
-        ks[row] = _ks_from_tail(uniq_f[i:], tail_cum, n_tail, x0, a)
-    return cands, alphas, ks
+    suffix_logsum = np.cumsum((counts * np.log(uniq_f))[::-1])[::-1]
+    alphas = _solve_alpha(suffix_logsum[usable], tail_sizes[usable], uniq_f[usable])
+    ks = _ks_scan(uniq_f, np.cumsum(counts), usable, uniq_f[usable], alphas)
+    return uniq[usable], alphas, ks
 
 
 def select_xmin(samples, cfg: GofConfig | None = None, *,
@@ -242,7 +271,6 @@ def select_xmin(samples, cfg: GofConfig | None = None, *,
     cfg = cfg or GofConfig()
     cands, alphas, ks = scan_xmin(samples, cfg, max_candidates=max_candidates)
     best = int(np.argmin(ks))  # first minimum = smallest x_min on ties
-    arr = _as_int_array(samples)
     x_min = int(cands[best])
     alpha = float(alphas[best])
     return TailFit(
@@ -251,8 +279,10 @@ def select_xmin(samples, cfg: GofConfig | None = None, *,
         ccdf_exponent=alpha - 1.0,
         ks_distance=float(ks[best]),
         p_value=None,
-        n_tail=int((arr >= x_min).sum()),
+        # The scan accepted the samples as integers to within 1e-9.
+        n_tail=int(np.count_nonzero(np.asarray(samples) > x_min - 0.5)),
         levy_stable=0.0 < alpha - 1.0 < LEVY_UPPER,
+        alpha_at_bound=min(alpha - ALPHA_MIN, ALPHA_MAX - alpha) <= ALPHA_XTOL,
     )
 
 
@@ -359,36 +389,6 @@ def fit_tail(samples, cfg: GofConfig | None = None, *,
         p = gof_pvalue(samples, fit, cfg, max_candidates=max_candidates)
         fit = replace(fit, p_value=p)
     return fit
-
-
-def select_xmin_continuous(samples, min_tail_size: int = 50) -> tuple[float, float, float]:
-    """Continuous-variant scan: returns (x_min, alpha, ks).
-
-    Secondary machinery for real-valued cross-checks; candidates are the
-    distinct sample values, exponent from continuous_mle_alpha.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("samples must be positive")
-    uniq = np.unique(arr)
-    if uniq.size < 2:
-        raise DegenerateSampleError("all samples equal; exponent is undetermined")
-    best = None
-    for x0 in uniq[:-1]:
-        tail = arr[arr >= x0]
-        if tail.size < min_tail_size:
-            continue
-        try:
-            a = continuous_mle_alpha(tail, x0)
-        except DegenerateSampleError:
-            continue
-        ks = continuous_ks_distance(tail, x0, a)
-        if best is None or ks < best[2]:
-            best = (float(x0), a, ks)
-    if best is None:
-        raise ValueError(
-            f"no candidate x_min leaves a tail of >= {min_tail_size} samples")
-    return best
 
 
 def ls_ccdf_exponent(samples, x_min: int) -> float:

@@ -1,8 +1,14 @@
 import datetime as dt
 
 import pytest
+from hypothesis import settings
 
 from tradenet.ingest import StockMeta, build_log
+
+# Property tests draw the same examples on every run and carry no per-example
+# deadline, so a slow or shared host cannot make them flake.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def _log_from_rows(rows, meta=None):

@@ -13,7 +13,7 @@ from scipy.special import zeta
 
 from tradenet.cli import main
 from tradenet.detector import DetectorConfig, detect_corpus
-from tradenet.features import pearson_corr
+from tradenet.features import pearson_corr, tail_samples
 from tradenet.ingest import build_log
 from tradenet.network import (build_network, degree_sequences,
                               strength_sequences)
@@ -166,16 +166,8 @@ def test_criterion_5_honest_tails_power_law():
                         min_tail_size=50)
         res = simulate(SimConfig(rng_seed=seed, n_traders=1500,
                                  trades_per_day=220.0))
-        net = build_network(res.log)
-        deg = degree_sequences(net)
-        stren = strength_sequences(net)
-        samples = [(deg.out_deg[deg.out_deg > 0], None),
-                   (deg.in_deg[deg.in_deg > 0], None),
-                   (stren.s_in[stren.s_in > 0], 160),
-                   (stren.s_out[stren.s_out > 0], 160),
-                   (stren.s_tot, 160)]
         pvals = []
-        for s, max_cands in samples:
+        for s, max_cands in tail_samples(build_network(res.log)).values():
             fit = fit_tail(s, cfg, max_candidates=max_cands)
             pvals.append(fit.p_value)
             levy += fit.levy_stable

@@ -74,6 +74,7 @@ def test_fit_writes_reports(corpus, tmp_path):
         assert entry["alpha"] > 1.0
         assert entry["ccdf_exponent"] == pytest.approx(entry["alpha"] - 1.0)
         assert 0.0 <= entry["p_value"] <= 1.0
+        assert entry["alpha_at_bound"] is False
 
 
 def test_detect_never_bootstraps(corpus, tmp_path, monkeypatch):

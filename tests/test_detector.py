@@ -19,7 +19,7 @@ def meta(symbol, bucket="mid", sector="tech", manipulated=False, period=None):
 def tail(x_min, alpha=2.0):
     return TailFit(x_min=x_min, alpha=alpha, ccdf_exponent=alpha - 1.0,
                    ks_distance=0.02, p_value=None, n_tail=100,
-                   levy_stable=0.0 < alpha - 1.0 < 2.0)
+                   levy_stable=0.0 < alpha - 1.0 < 2.0, alpha_at_bound=False)
 
 
 def features(symbol, deg_xmin=10, stren_xmin=1000, avg_degree=40.0, corr=0.5):

@@ -3,13 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta
 
-from tradenet.powerlaw import (DegenerateSampleError, DiscretePowerLaw,
-                               GofConfig, ccdf_points, continuous_mle_alpha,
-                               fit_tail, gof_pvalue, ks_distance,
-                               ls_ccdf_exponent, mle_alpha, scan_xmin,
-                               select_xmin, select_xmin_continuous)
+from brent_oracle import brent_scan_xmin, nll
+from tradenet import powerlaw
+from tradenet.powerlaw import (ALPHA_MAX, DegenerateSampleError,
+                               DiscretePowerLaw, GofConfig, ccdf_points,
+                               continuous_mle_alpha, fit_tail, gof_pvalue,
+                               ks_distance, ls_ccdf_exponent, mle_alpha,
+                               scan_xmin, select_xmin)
 
 
 class TestMleAlpha:
@@ -164,17 +168,6 @@ class TestSelectXmin:
             medians.append(np.median(errs))
         assert medians[0] > medians[1] > medians[2]
 
-    def test_scale_identity_continuous(self):
-        """Scaling all samples by c shifts the continuous x_min by ~c and
-        leaves the continuous exponent unchanged."""
-        rng = np.random.default_rng(77)
-        x = DiscretePowerLaw(2.5, 5).sample(rng, 4000).astype(float)
-        c = 7
-        x0, a0, _ = select_xmin_continuous(x, 50)
-        x1, a1, _ = select_xmin_continuous(x * c, 50)
-        assert x1 == pytest.approx(c * x0)
-        assert abs(a1 - a0) <= 0.05
-
     def test_levy_regime_flag(self):
         rng = np.random.default_rng(15)
         inside = select_xmin(DiscretePowerLaw(2.7, 2).sample(rng, 6000),
@@ -194,6 +187,95 @@ class TestSelectXmin:
         binned = select_xmin(x, cfg, max_candidates=120)
         assert binned.ks_distance <= 2.0 * full.ks_distance
         assert abs(binned.alpha - full.alpha) <= 0.2
+
+    def test_exponent_pinned_at_upper_bound_is_flagged(self):
+        """A tail of 1000 tens and 10 elevens is steeper than alpha = 20
+        allows: the likelihood still rises at ALPHA_MAX."""
+        x = np.array([10] * 1000 + [11] * 10)
+        assert nll(ALPHA_MAX, x, 10) < nll(ALPHA_MAX - 0.01, x, 10)
+        fit = select_xmin(x, GofConfig(min_tail_size=50))
+        assert fit.x_min == 10
+        assert fit.alpha == pytest.approx(ALPHA_MAX, abs=1e-9)
+        assert fit.alpha_at_bound
+        assert fit.to_dict()["alpha_at_bound"] is True
+
+    def test_interior_exponent_not_flagged(self):
+        rng = np.random.default_rng(21)
+        fit = select_xmin(DiscretePowerLaw(2.5, 3).sample(rng, 3000),
+                          GofConfig(min_tail_size=50))
+        assert not fit.alpha_at_bound
+        assert fit.to_dict()["alpha_at_bound"] is False
+
+
+def power_law_sample(alpha, x_min, n, body_frac, seed):
+    """Discrete power law from x_min, plus a uniform body below it."""
+    rng = np.random.default_rng(seed)
+    tail = DiscretePowerLaw(alpha, x_min).sample(rng, n)
+    body = rng.integers(1, x_min, size=int(body_frac * n)) if x_min > 1 else []
+    return np.concatenate([tail, body]).astype(np.int64)
+
+
+samples_strategy = st.builds(
+    power_law_sample,
+    alpha=st.floats(1.3, 6.0), x_min=st.integers(1, 40),
+    n=st.integers(100, 1500), body_frac=st.sampled_from([0.0, 0.5, 1.5]),
+    seed=st.integers(0, 2**32 - 1))
+
+
+class TestBatchedScanMatchesBrent:
+    """The batched scan against the scalar bounded-Brent reference."""
+
+    CFG = GofConfig(min_tail_size=50)
+
+    @settings(max_examples=100)
+    @given(x=samples_strategy, cap=st.sampled_from([None, 160]))
+    def test_scan_matches_oracle(self, x, cap):
+        ref_cands, ref_alphas, ref_ks = brent_scan_xmin(x, 50, cap)
+        if ref_cands.size == 0:
+            with pytest.raises(ValueError, match="no candidate"):
+                scan_xmin(x, self.CFG, max_candidates=cap)
+            return
+        cands, alphas, ks = scan_xmin(x, self.CFG, max_candidates=cap)
+        np.testing.assert_array_equal(cands, ref_cands)
+        assert np.abs(alphas - ref_alphas).max() <= 2e-6
+        assert np.abs(ks - ref_ks).max() <= 1e-6
+        for x0, a, ref_a in zip(cands, alphas, ref_alphas):
+            tail = x[x >= x0]
+            ref = nll(ref_a, tail, int(x0))
+            assert nll(a, tail, int(x0)) <= ref + 1e-12 * abs(ref)
+        assert cands[np.argmin(ks)] == ref_cands[np.argmin(ref_ks)]
+
+    @settings(max_examples=25)
+    @given(x=samples_strategy)
+    def test_candidate_independent_of_batch(self, x):
+        """Scanning a candidate's tail with min_tail_size = its size leaves it
+        the only candidate; its alpha and KS match the full batch exactly."""
+        try:
+            cands, alphas, ks = scan_xmin(x, self.CFG)
+        except ValueError:
+            return
+        for x0, a, d in zip(cands, alphas, ks):
+            tail = x[x >= x0]
+            alone = scan_xmin(tail, GofConfig(min_tail_size=tail.size))
+            assert alone[0].tolist() == [x0]
+            assert alone[1][0] == a
+            assert alone[2][0] == d
+
+    def test_large_uncapped_sample_spans_ks_blocks(self, monkeypatch):
+        """Candidate supports add up to several KS blocks; the blocked pass
+        matches the oracle and a single-block pass."""
+        rng = np.random.default_rng(8)
+        x = DiscretePowerLaw(1.3, 1).sample(rng, 5000)
+        cands, alphas, ks = scan_xmin(x, self.CFG)
+        uniq = np.unique(x)
+        flat = int((uniq.size - np.searchsorted(uniq, cands)).sum())
+        assert flat > 4 * powerlaw.KS_BLOCK
+        ref_cands, ref_alphas, ref_ks = brent_scan_xmin(x, 50)
+        np.testing.assert_array_equal(cands, ref_cands)
+        assert np.abs(alphas - ref_alphas).max() <= 2e-6
+        assert np.abs(ks - ref_ks).max() <= 1e-6
+        monkeypatch.setattr(powerlaw, "KS_BLOCK", flat)
+        np.testing.assert_array_equal(scan_xmin(x, self.CFG)[2], ks)
 
 
 class TestGof:
