@@ -18,11 +18,12 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 CSV_HEADER = ("date", "time", "txn_id", "buyer_id", "seller_id", "volume", "price")
+_HEADER_LINE = ",".join(CSV_HEADER).encode()
 
 
 class TransactionParseError(ValueError):
@@ -176,38 +177,63 @@ def _canonicalize(meta: StockMeta, dates, times, txn_ids, buyer_ids, seller_ids,
                   volumes, prices) -> TransactionLog:
     """Sort by (date, time, txn_id) and assign dense account indices in
     first-appearance order (buyer before seller) over the sorted sequence."""
+    txn_ids = np.asarray(txn_ids, dtype=np.str_)
+    ids = np.concatenate((np.asarray(buyer_ids, dtype=np.str_),
+                          np.asarray(seller_ids, dtype=np.str_)))
+    names, codes = np.unique(ids, return_inverse=True)
+    n = txn_ids.size
+    return _sorted_log(meta, dates, times, txn_ids, txn_ids, codes[:n], codes[n:],
+                       names, volumes, prices)
+
+
+def _sorted_log(meta: StockMeta, dates, times, txn_ids, txn_keys, buyers, sellers,
+                names, volumes, prices) -> TransactionLog:
+    """The log of these records in (date, time, txn_id) order.
+
+    ``txn_keys`` sort like ``txn_ids`` (the ids themselves, or their ranks);
+    ``buyers``/``sellers`` index the account ids ``names``.
+    """
     dates = np.asarray(dates, dtype=np.int64)
     times = np.asarray(times, dtype=np.int64)
-    txn_ids = np.asarray(txn_ids, dtype=np.str_)
-    volumes = np.asarray(volumes, dtype=np.int64)
-    prices = np.asarray(prices, dtype=np.float64)
-    buyer_ids = np.asarray(buyer_ids, dtype=np.str_)
-    seller_ids = np.asarray(seller_ids, dtype=np.str_)
+    keys = (txn_keys, times, dates)
+    # Files written by write_transactions are already in order, and a check
+    # is far cheaper than a sort.
+    order = np.arange(dates.size) if _lexsorted(keys) else np.lexsort(keys)
+    kept, buyers, sellers = _first_appearance(buyers[order], sellers[order])
+    return TransactionLog(meta=meta, dates=dates[order], times=times[order],
+                          txn_ids=txn_ids[order], buyers=buyers, sellers=sellers,
+                          volumes=np.asarray(volumes, dtype=np.int64)[order],
+                          prices=np.asarray(prices, dtype=np.float64)[order],
+                          accounts=tuple(str(a) for a in names[kept]))
 
-    order = np.lexsort((txn_ids, times, dates))
-    dates, times, txn_ids = dates[order], times[order], txn_ids[order]
-    volumes, prices = volumes[order], prices[order]
-    buyer_ids, seller_ids = buyer_ids[order], seller_ids[order]
 
-    n = dates.size
-    if buyer_ids.dtype != seller_ids.dtype:
-        width = max(buyer_ids.dtype.itemsize, seller_ids.dtype.itemsize) // 4
-        buyer_ids = buyer_ids.astype(f"U{width}")
-        seller_ids = seller_ids.astype(f"U{width}")
-    interleaved = np.empty(2 * n, dtype=buyer_ids.dtype)
-    interleaved[0::2] = buyer_ids
-    interleaved[1::2] = seller_ids
-    uniq, first_pos, inverse = np.unique(interleaved, return_index=True,
-                                         return_inverse=True)
-    appearance = np.argsort(first_pos)
-    rank = np.argsort(appearance)  # uniq index -> dense appearance index
-    accounts = tuple(str(a) for a in uniq[appearance])
-    buyers = rank[inverse[0::2]].astype(np.int64)
-    sellers = rank[inverse[1::2]].astype(np.int64)
+def _lexsorted(keys) -> bool:
+    """Whether rows are already in ``np.lexsort(keys)`` order (the last key
+    is the primary one)."""
+    after = np.zeros(max(len(keys[0]) - 1, 0), bool)  # row i + 1 sorts after row i
+    tied = ~after
+    for key in reversed(keys):
+        after |= tied & (key[1:] > key[:-1])
+        tied &= key[1:] == key[:-1]
+    return bool((after | tied).all())
 
-    return TransactionLog(meta=meta, dates=dates, times=times, txn_ids=txn_ids,
-                          buyers=buyers, sellers=sellers, volumes=volumes,
-                          prices=prices, accounts=accounts)
+
+def _first_appearance(buyers: np.ndarray, sellers: np.ndarray):
+    """Renumber non-negative integer account codes densely in order of first
+    appearance (buyer before seller) over the record sequence.
+
+    Returns the codes in that order and the renumbered buyers and sellers.
+    """
+    interleaved = np.empty(2 * buyers.size, dtype=np.int64)
+    interleaved[0::2] = buyers
+    interleaved[1::2] = sellers
+    first_pos = np.full(int(interleaved.max(initial=-1)) + 1, interleaved.size)
+    np.minimum.at(first_pos, interleaved, np.arange(interleaved.size))
+    # Absent codes keep first_pos == interleaved.size and sort last.
+    appearance = np.argsort(first_pos)[:np.count_nonzero(first_pos < interleaved.size)]
+    rank = np.empty(first_pos.size, dtype=np.int64)
+    rank[appearance] = np.arange(appearance.size)
+    return appearance, rank[buyers], rank[sellers]
 
 
 def build_log(meta: StockMeta, dates, times, txn_ids, buyer_ids, seller_ids,
@@ -232,26 +258,181 @@ def _parse_time(text: str) -> int:
     return h * 3600 + m * 60 + s
 
 
-def _open_text(source) -> io.TextIOBase:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
+def _read_source(source) -> tuple[bytes | None, Callable[[], Iterable[str]]]:
+    """Read a source once.
+
+    Returns its bytes for the column pass (None when that pass cannot take
+    it) and a callable giving its lines as the line loop reads them:
+    universal newlines for a path or binary stream, ``"\\n"`` for bytes, and
+    a text stream's own lines.  Only a file opened here is closed here.
+    """
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
+        return source, lambda: io.StringIO(source.decode("utf-8"))
     if isinstance(source, io.TextIOBase):
-        return source
-    # binary stream
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
+        lines = source.readlines()
+        text = "".join(lines)
+        # The column pass cuts lines after each "\n"; it takes the text only
+        # when the stream cut it there too (not so for newline="\r", say).
+        cut_at_newline = (all(line.endswith("\n") for line in lines[:-1])
+                          and text.count("\n") == len(lines) - (not text.endswith("\n")))
+        data = text.encode("utf-8", "surrogatepass") if cut_at_newline else None
+        return data, lambda: lines
+    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
+    return data, lambda: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
 
 def parse_transactions(source, meta: StockMeta) -> TransactionLog:
     """Parse one stock's transaction CSV into a sorted, validated log.
 
-    ``source`` may be a path, bytes, or an open text/binary stream.  Every
-    malformed line raises TransactionParseError with its line number; no
-    record is dropped silently.
+    ``source`` may be a path, bytes, or an open text/binary stream; a stream
+    is read to its end and left open.  Every malformed line raises
+    TransactionParseError with its line number; no record is dropped
+    silently.
+
+    A well-formed file is parsed in whole-column passes (``_parse_columns``).
+    Any file that pass declines goes through the line loop
+    (``_parse_lines``), which names the first bad line or parses the unusual
+    file; both give the same log for every file they accept.
     """
-    stream = _open_text(source)
-    header = stream.readline().rstrip("\r\n")
+    data, lines = _read_source(source)
+    log = None if data is None else _parse_columns(data, meta)
+    return _parse_lines(lines(), meta) if log is None else log
+
+
+def _cut(buf: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Copy the fields ``buf[lo[i]:lo[i] + width[i]]`` into one ``S`` array.
+
+    ``buf`` must extend at least ``width.max()`` bytes past every ``lo``.
+    """
+    w = max(int(width.max()), 1)
+    rows = np.lib.stride_tricks.sliding_window_view(buf, w)[lo]
+    rows *= np.arange(w) < width[:, None]
+    return rows.view(f"S{w}")[:, 0]
+
+
+def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank each field of a bytes column among its distinct fields, in byte
+    order; also return the index of one field of each rank."""
+    w = col.dtype.itemsize
+    padded = np.zeros((col.size, -(-w // 8) * 8), np.uint8)
+    padded[:, :w] = col.view(np.uint8).reshape(col.size, w)
+    # Big-endian 8-byte words compare as the bytes they hold, and integer
+    # sorts are much faster than string sorts.
+    words = padded.view(">u8").astype(np.uint64)
+    keys = list(words.T)
+    order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0])
+    new = np.zeros(col.size, bool)
+    new[0] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    rank = np.empty(col.size, np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank, order[new]
+
+
+def _map_distinct(col: np.ndarray, convert, dtype) -> np.ndarray:
+    """Apply ``convert`` to each distinct field of a bytes column."""
+    rank, first = _distinct(col)
+    return np.array([convert(col[i].decode("utf-8")) for i in first], dtype)[rank]
+
+
+def _clock_seconds(col: np.ndarray) -> np.ndarray:
+    """Seconds since midnight of a time column.  Fields strictly of the form
+    ``HH:MM:SS`` are read by digit arithmetic; any other column goes
+    through ``_parse_time`` one distinct field at a time."""
+    if col.dtype.itemsize == 8:
+        chars = col.view(np.uint8).reshape(col.size, 8)
+        digits = chars[:, [0, 1, 3, 4, 6, 7]].astype(np.int64) - ord("0")
+        h, m, s = digits[:, 0::2].T * 10 + digits[:, 1::2].T
+        if ((chars[:, [2, 5]] == ord(":")).all() and ((digits >= 0) & (digits <= 9)).all()
+                and (h < 24).all() and (m < 60).all() and (s < 60).all()):
+            return h * 3600 + m * 60 + s
+    return _map_distinct(col, _parse_time, np.int64)
+
+
+def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog | None:
+    """Parse a well-formed file in whole-column passes over its bytes.
+
+    Returns None whenever a check fails or the file has a shape this pass
+    does not take (a NUL byte, invalid UTF-8, a ``"\\r"`` that does not end
+    a line, no data line); the line loop then parses it or names its first
+    bad line.  Every check here is one the loop makes, so this pass never
+    accepts a file the loop rejects, and it never gives another log.
+    """
+    buf = np.frombuffer(data, np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    if not newlines.size or data[:newlines[0]].removesuffix(b"\r") != _HEADER_LINE:
+        return None
+    # numpy ``S`` strings drop trailing NULs, so a NUL would hide in a field.
+    if buf.min() == 0:
+        return None
+    ascii_only = bool(buf.max() < 0x80)
+    if not ascii_only:
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    carriage = np.flatnonzero(buf == ord("\r"))
+    if (buf[np.minimum(carriage + 1, buf.size - 1)] != ord("\n")).any():
+        return None
+
+    ends = newlines if data.endswith(b"\n") else np.append(newlines, buf.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))[1:]
+    stops = (ends - (buf[ends - 1] == ord("\r")))[1:]
+    blank = stops == starts
+    starts, stops = starts[~blank], stops[~blank]
+    n = starts.size
+    commas = np.flatnonzero(buf == ord(","))[len(CSV_HEADER) - 1:]
+    if not n or commas.size != 6 * n:
+        return None
+    # Every comma lies in some data line, so when each line's six commas
+    # fall inside it, each line holds exactly six.
+    commas = commas.reshape(n, 6)
+    if (commas[:, 0] < starts).any() or (commas[:, 5] >= stops).any():
+        return None
+    lo = [starts, *(commas.T + 1)]
+    width = [hi - first for hi, first in zip([*commas.T, stops], lo)]
+    if not all(width[k].all() for k in (2, 3, 4)):
+        return None
+    padded = np.concatenate((buf, np.zeros(max(int(w.max()) for w in width), np.uint8)))
+    d_col, t_col, txn_col, b_col, s_col, v_col, p_col = (
+        _cut(padded, first, w) for first, w in zip(lo, width))
+
+    try:
+        dates = _map_distinct(d_col, lambda s: dt.date.fromisoformat(s).toordinal(),
+                              np.int64)
+        times = _clock_seconds(t_col)
+        volumes = _map_distinct(v_col, int, np.int64)
+        prices = _map_distinct(p_col, float, np.float64)
+    except (ValueError, OverflowError):
+        return None
+    if (volumes < 1).any() or not (np.isfinite(prices) & (prices > 0)).all():
+        return None
+    txn_rank, _ = _distinct(txn_col)
+    order = np.lexsort((txn_rank, dates))
+    if ((dates[order][1:] == dates[order][:-1])
+            & (txn_rank[order][1:] == txn_rank[order][:-1])).any():
+        return None
+
+    def text(col):
+        if not ascii_only:
+            return np.char.decode(col, "utf-8")
+        # ASCII bytes widen to the same code points; far faster than astype.
+        chars = col.view(np.uint8).reshape(col.size, col.dtype.itemsize)
+        return chars.astype(np.uint32).view(f"U{col.dtype.itemsize}")[:, 0]
+
+    ids = np.concatenate((b_col, s_col))
+    codes, first = _distinct(ids)
+    return _sorted_log(meta, dates, times, text(txn_col), txn_rank, codes[:n], codes[n:],
+                       text(ids[first]), volumes, prices)
+
+
+def _parse_lines(lines: Iterable[str], meta: StockMeta) -> TransactionLog:
+    """Parse line by line: the reference parser, and the one that names the
+    first bad line."""
+    lines = iter(lines)
+    header = next(lines, "").rstrip("\r\n")
     if tuple(header.split(",")) != CSV_HEADER:
         raise TransactionParseError(1, f"bad header {header!r}; "
                                        f"expected {','.join(CSV_HEADER)}")
@@ -261,7 +442,7 @@ def parse_transactions(source, meta: StockMeta) -> TransactionLog:
     seen: set[tuple[int, str]] = set()
     date_cache: dict[str, int] = {}
 
-    for lineno, line in enumerate(stream, start=2):
+    for lineno, line in enumerate(lines, start=2):
         line = line.rstrip("\r\n")
         if not line:
             continue
@@ -378,11 +559,12 @@ def filter_period(log: TransactionLog, interval: tuple[dt.date, dt.date]) -> Tra
                               sellers=np.empty(0, np.int64),
                               volumes=np.empty(0, np.int64),
                               prices=np.empty(0, np.float64), accounts=())
-    buyer_ids = np.asarray(log.accounts, dtype=np.str_)[log.buyers[mask]]
-    seller_ids = np.asarray(log.accounts, dtype=np.str_)[log.sellers[mask]]
-    return _canonicalize(log.meta, log.dates[mask], log.times[mask],
-                         log.txn_ids[mask], buyer_ids, seller_ids,
-                         log.volumes[mask], log.prices[mask])
+    # The kept records stay in canonical order; only the accounts renumber.
+    kept, buyers, sellers = _first_appearance(log.buyers[mask], log.sellers[mask])
+    return TransactionLog(meta=log.meta, dates=log.dates[mask], times=log.times[mask],
+                          txn_ids=log.txn_ids[mask], buyers=buyers, sellers=sellers,
+                          volumes=log.volumes[mask], prices=log.prices[mask],
+                          accounts=tuple(log.accounts[i] for i in kept))
 
 
 def load_stock(csv_path, meta_path=None) -> TransactionLog:

@@ -1,10 +1,16 @@
 import datetime as dt
+import gc
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tradenet.ingest import (StockMeta, TransactionParseError, filter_period,
+from tradenet import ingest
+from tradenet.ingest import (StockMeta, TransactionParseError, _lexsorted,
+                             _parse_columns, _parse_lines, build_log, filter_period,
                              parse_transactions, read_stock_meta,
                              write_stock_meta, write_transactions)
 from tradenet.sim import SimConfig, simulate
@@ -36,6 +42,15 @@ def test_out_of_order_lines_resorted():
     times = [r.time for r in log.records]
     assert times == sorted(times)
     assert log.records[0].txn_id == "1"
+
+
+def test_accounts_in_first_appearance_order():
+    log = parse("2004-01-08,10:00:00,2,B1,S1,100,5.0\n"
+                "2004-01-08,09:30:00,1,S2,B1,200,5.1\n"
+                "2004-01-09,09:00:00,1,A9,S1,300,5.2\n")
+    assert log.accounts == ("S2", "B1", "S1", "A9")
+    assert log.buyers.tolist() == [0, 1, 3]
+    assert log.sellers.tolist() == [1, 2, 2]
 
 
 def test_intra_second_tiebreak_by_txn_id():
@@ -89,6 +104,38 @@ def test_accepts_bytes_source():
     assert parse_transactions(data, META).n_records == 1
 
 
+def test_first_of_several_bad_lines_is_named():
+    with pytest.raises(TransactionParseError, match="line 4: bad volume"):
+        parse("2004-01-08,09:30:01,1,B1,S1,500,7.25\n"
+              "\n"
+              "2004-01-08,09:30:02,2,B1,S1,x,7.25\n"
+              "2004-01-08,09:30:03,3,B1,S1,500\n"
+              "2004-01-08,09:30:04,1,B1,S1,500,7.25\n")
+
+
+@pytest.mark.parametrize("body", ["2004-01-08,09:30:01,1,B1,S1,500,7.25\n",
+                                  "2004-01-08,09:30:01,1,B1,S1,0,7.25\n"])
+def test_parsing_a_path_closes_the_file(tmp_path, body):
+    path = tmp_path / "t.csv"
+    path.write_text(HEADER + body)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            parse_transactions(path, META)
+        except TransactionParseError:
+            pass
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_caller_stream_left_open():
+    stream = io.BytesIO((HEADER + "2004-01-08,09:30:01,1,B1,S1,0,7.25\n").encode())
+    with pytest.raises(TransactionParseError):
+        parse_transactions(stream, META)
+    gc.collect()
+    assert not stream.closed
+
+
 def test_roundtrip_identity():
     log = parse("2004-01-08,10:00:00,2,B1,S1,100,5.0\n"
                 "2004-01-08,09:30:00,1,B2,S2,200,5.125\n"
@@ -107,6 +154,173 @@ def test_roundtrip_simulated_log(tmp_path):
     write_transactions(res.log, path)
     again = parse_transactions(path, res.log.meta)
     assert again == res.log
+
+
+def test_written_files_take_the_column_pass(tmp_path, monkeypatch):
+    """The line loop only names bad lines: a file write_transactions made
+    never reaches it, from any kind of source."""
+    res = simulate(SimConfig(rng_seed=5, n_traders=150, n_days=15,
+                             trades_per_day=40.0, n_colluders=30))
+    path = tmp_path / "sim.csv"
+    write_transactions(res.log, path)
+
+    def fail(lines, meta):
+        raise AssertionError("line loop reached")
+
+    monkeypatch.setattr(ingest, "_parse_lines", fail)
+    data = path.read_bytes()
+    for source in (path, str(path), data, io.BytesIO(data),
+                   io.StringIO(data.decode())):
+        assert parse_transactions(source, res.log.meta) == res.log
+
+
+# ------------------------------------------------ column pass vs line loop
+#
+# The line loop, _parse_lines, is the reference parser: on every source that
+# carries a file, parse_transactions must give the loop's log or raise the
+# loop's error for the same line.
+
+def _outcome(parser, source):
+    try:
+        log = parser(source, META)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), getattr(exc, "lineno", None), str(exc)
+    return log, log.txn_ids.dtype
+
+
+def _assert_same_as_loop(data: bytes, newline=None) -> None:
+    def wrapped(mode):
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=mode)
+
+    def decoded(source, meta):
+        return _parse_lines(io.StringIO(source.decode("utf-8")), meta)
+
+    # bytes are read as one decoded string split at "\n" only
+    assert _outcome(parse_transactions, data) == _outcome(decoded, data)
+    # paths and binary streams are read with universal newlines
+    assert _outcome(parse_transactions, io.BytesIO(data)) == _outcome(_parse_lines, wrapped(""))
+    # a text stream is split as its own newline mode says
+    assert _outcome(parse_transactions, wrapped(newline)) == _outcome(_parse_lines, wrapped(newline))
+
+
+DAYS = ["2004-01-08", "2004-01-09", "2004-01-12"]
+clock = st.builds("{:02d}:{:02d}:{:02d}".format, st.integers(0, 23),
+                  st.integers(0, 59), st.integers(0, 59))
+# Few short txn ids over few days, so one id recurs across days (legal);
+# account ids vary in width and include non-ASCII.
+txn_id = st.text("0123", min_size=1, max_size=3)
+account = st.text("AB7xé", min_size=1, max_size=9)
+row = st.tuples(st.sampled_from(DAYS), clock, txn_id, account, account,
+                st.integers(1, 10**6).map(str),
+                st.one_of(st.floats(0.01, 1e4).map(repr),
+                          st.integers(1, 10**4).map(lambda c: f"{c / 100:.2f}")))
+# Unique (date, txn_id), so a file is bad only where an edit made it so.
+rows = st.lists(row, min_size=1, max_size=10, unique_by=lambda r: (r[0], r[2])).map(
+    lambda rs: [list(r) for r in rs])
+layout = dict(ending=st.sampled_from(["\n", "\r\n"]),
+              blanks=st.lists(st.integers(0, 20), max_size=3),
+              final_newline=st.booleans(),
+              newline=st.sampled_from([None, "", "\n", "\r", "\r\n"]))
+
+
+def _render(rows, edits, ending, blanks, final_newline) -> bytes:
+    """The CSV of ``rows`` after each ``(row, field, spelling)`` edit
+    (spelling None drops the field), with blank lines at ``blanks``."""
+    for r, f, spelling in edits:
+        fields = rows[r % len(rows)]
+        if spelling is None:
+            del fields[f % len(fields)]
+        elif fields:
+            fields[f % len(fields)] = spelling
+    lines = [",".join(fields) for fields in rows]
+    for pos in blanks:
+        lines.insert(pos % (len(lines) + 1), "")
+    text = HEADER.rstrip("\n") + ending + ending.join(lines)
+    # "\udcff" stands for the byte 0xff, which is not UTF-8.
+    return (text + ending if final_newline else text).encode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=150)
+@given(rows=rows, **layout)
+def test_valid_logs_match_line_loop(rows, ending, blanks, final_newline, newline):
+    data = _render(rows, [], ending, blanks, final_newline)
+    _assert_same_as_loop(data, newline)
+    # A well-formed file never falls back to the loop.
+    assert _parse_columns(data, META) is not None
+
+
+# Spellings that Python's int, float, date and time parsers each treat in
+# their own way; a trailing NUL would vanish in a numpy bytes column.
+NUMBERS = ["+5", "007", " 7", "7 ", "1e1", "nan", "inf", "-inf", "0", "-1",
+           "1_0", "_1", "1e400", "99999999999999999999", "-0.0", "٣", "7\x00", ""]
+TIMES = ["9:30:01", "24:00:00", "23:59:60", "09:60:00", "09:30", "09:30:01.5",
+         "0930:01", " 9:30:01", "+9:30:01", "09:30:1", "٠9:30:01", "09:30:01\x00", ""]
+DATES = ["20040108", "2004-1-08", "2004-13-01", "2004-01-08T00", "2004-W02-4",
+         " 2004-01-08", "2004-01-08\x00", ""]
+odd_spelling = st.one_of(
+    st.tuples(st.sampled_from([5, 6]), st.sampled_from(NUMBERS)),
+    st.tuples(st.just(1), st.sampled_from(TIMES)),
+    st.tuples(st.just(0), st.sampled_from(DATES)))
+
+
+@settings(max_examples=200)
+@given(rows=rows, edits=st.lists(st.builds(lambda r, fs: (r, *fs), st.integers(0, 9),
+                                           odd_spelling), min_size=1, max_size=3),
+       **layout)
+def test_odd_spellings_match_line_loop(rows, edits, ending, blanks, final_newline, newline):
+    _assert_same_as_loop(_render(rows, edits, ending, blanks, final_newline), newline)
+
+
+# Dropped fields (None), an extra field, empty identifiers, a lone "\r",
+# a NUL, non-ASCII text, a byte that is not UTF-8, and txn ids that may
+# repeat one on the same day.
+SHAPES = [None, "x,y", "", "a\rb", "a\x00", "é", "\udcff", "0", "1"]
+
+
+@settings(max_examples=200)
+@given(rows=rows, edits=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 6),
+                                           st.sampled_from(SHAPES)),
+                                 min_size=1, max_size=3), **layout)
+def test_odd_shapes_match_line_loop(rows, edits, ending, blanks, final_newline, newline):
+    _assert_same_as_loop(_render(rows, edits, ending, blanks, final_newline), newline)
+
+
+def test_each_odd_field_matches_line_loop():
+    """Every spelling and shape above, alone in the middle line of a
+    well-formed file."""
+    cases = ([(f, s) for f in (5, 6) for s in NUMBERS] + [(1, s) for s in TIMES]
+             + [(0, s) for s in DATES] + [(f, s) for f in range(7) for s in SHAPES])
+    for field, spelling in cases:
+        rows = [["2004-01-08", "09:30:01", "1", "B1", "S1", "500", "7.25"],
+                ["2004-01-08", "09:30:02", "2", "B2", "S1", "100", "7.5"],
+                ["2004-01-09", "09:30:01", "1", "S1", "B1", "300", "7.0"]]
+        data = _render(rows, [(1, field, spelling)], "\n", [], True)
+        try:
+            _assert_same_as_loop(data)
+        except AssertionError as exc:
+            raise AssertionError(f"field {field} = {spelling!r}") from exc
+
+
+@pytest.mark.parametrize("text", ["", "a,b,c\n", HEADER, HEADER + "\n\n",
+                                  "\ufeff" + HEADER + "2004-01-08,09:30:01,1,B1,S1,5,7.25\n",
+                                  HEADER + "2004-01-08,09:30:01,1,B1,S1,5,7.25\r"])
+@pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
+def test_edge_files_match_line_loop(text, newline):
+    _assert_same_as_loop(text.encode("utf-8"), newline)
+
+
+@settings(max_examples=200)
+@given(rows=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.text("ab", max_size=2)),
+                     max_size=6),
+       presort=st.booleans())
+def test_lexsorted_agrees_with_lexsort(rows, presort):
+    """The already-in-order shortcut holds exactly when np.lexsort would
+    leave the rows where they are."""
+    if presort:
+        rows.sort()
+    primary, secondary, txn = (np.array(c) for c in zip(*rows)) if rows else (np.array([]),) * 3
+    keys = (np.asarray(txn, dtype=np.str_), secondary, primary)
+    assert _lexsorted(keys) == bool((np.lexsort(keys) == np.arange(len(rows))).all())
 
 
 def test_meta_sidecar_roundtrip(tmp_path):
@@ -153,6 +367,26 @@ class TestFilterPeriod:
         out = filter_period(log, interval)
         assert out.n_records == expected
         assert all(lo <= r.date <= hi for r in out.records)
+
+    def test_window_matches_rebuilt_log(self):
+        """The kept records and their accounts renumber exactly as if the
+        window's records were built into a log from their string ids."""
+        log = self._year_log()
+        interval = (dt.date(2004, 1, 1), dt.date(2004, 1, 10))
+        out = filter_period(log, interval)
+        assert len(out.accounts) < len(log.accounts)
+        mask = ((log.dates >= interval[0].toordinal())
+                & (log.dates <= interval[1].toordinal()))
+        ids = np.asarray(log.accounts)
+        rebuilt = build_log(log.meta, log.dates[mask], log.times[mask],
+                            log.txn_ids[mask], ids[log.buyers[mask]],
+                            ids[log.sellers[mask]], log.volumes[mask],
+                            log.prices[mask])
+        assert out == rebuilt
+        assert out.txn_ids.dtype == rebuilt.txn_ids.dtype
+        # accounts in first-appearance order, buyer before seller
+        order = [out.accounts[i] for pair in zip(out.buyers, out.sellers) for i in pair]
+        assert out.accounts == tuple(dict.fromkeys(order))
 
     def test_bad_interval(self):
         log = self._year_log()
