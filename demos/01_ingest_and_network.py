@@ -31,9 +31,9 @@ print(f"span {log.date_range()[0]} .. {log.date_range()[1]}, "
 net = build_network(log)
 print(f"\nnetwork: {net.node_count} nodes, {net.edge_count} merged edges "
       f"(from {net.transaction_count} trades), "
-      f"{net.self_loop_count()} self-loop")
+      f"{int((net.edge_sellers == net.edge_buyers).sum())} self-loop")
 print("edges (seller -> buyer: shares):")
-for (s, b), w in sorted(net.edges().items()):
+for s, b, w in zip(net.edge_sellers, net.edge_buyers, net.edge_weights):
     print(f"  {log.accounts[s]:>3} -> {log.accounts[b]:<3} {w:>5}")
 
 deg = degree_sequences(net)

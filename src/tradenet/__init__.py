@@ -14,16 +14,16 @@ from .features import (DailySeries, StockFeatures, compute_features,
                        daily_series, log_returns, pearson_corr,
                        return_ratio_correlation, seller_buyer_ratio)
 from .ingest import (StockMeta, TransactionLog, TransactionParseError,
-                     TransactionRecord, build_log, filter_period, load_corpus,
-                     load_stock, parse_transactions, read_stock_meta,
-                     write_stock_meta, write_transactions)
+                     build_log, filter_period, load_corpus, load_stock,
+                     parse_transactions, read_stock_meta, write_stock_meta,
+                     write_transactions)
 from .network import (DegreeSequences, StrengthSequences, TradingNetwork,
                       average_degree, build_network, degree_sequences,
                       strength_sequences, write_edge_list)
 from .powerlaw import (DegenerateSampleError, DiscretePowerLaw, GofConfig,
-                       TailFit, ccdf_points, continuous_mle_alpha, fit_tail,
-                       gof_pvalue, ks_distance, ls_ccdf_exponent, mle_alpha,
-                       scan_xmin, select_xmin)
+                       TailFit, ccdf_points, fit_tail, gof_pvalue,
+                       ks_distance, ls_ccdf_exponent, mle_alpha, scan_xmin,
+                       select_xmin)
 from .sim import (CorpusSpec, GroupSpec, SimConfig, SimResult,
                   generate_corpus, simulate, trading_days)
 

@@ -13,41 +13,50 @@ import datetime as dt
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .detector import DetectorConfig, detect_corpus
 from .features import TAIL_STATS, compute_features, tail_samples
 from .ingest import (StockMeta, load_corpus, parse_transactions,
-                     read_stock_meta, write_transactions)
+                     read_stock_meta, write_stock_meta, write_transactions)
 from .network import build_network, write_edge_list
 from .powerlaw import GofConfig, ccdf_points, fit_tail
 from .sim import CorpusSpec, GroupSpec, SimConfig, generate_corpus
 
+# Each default lives on its config dataclass; only the corpus's stock counts
+# have no dataclass default.
 DEFAULTS = {
-    "seed": 0,
-    "bootstrap": 1000,
-    "min_tail": 50,
-    "corr_threshold": 0.2,
-    "elevation_factor": 1.25,
-    "decision_threshold": 0.5,
+    "seed": GofConfig.rng_seed,
+    "bootstrap": GofConfig.bootstrap_replicas,
+    "min_tail": GofConfig.min_tail_size,
+    "corr_threshold": DetectorConfig.corr_threshold,
+    "elevation_factor": DetectorConfig.elevation_factor,
+    "decision_threshold": DetectorConfig.decision_threshold,
     "honest": 10,
     "manipulated": 2,
-    "partial": 0,
-    "days": 250,
-    "traders": 1200,
-    "trades_per_day": 150.0,
-    "colluders": 150,
-    "wash_fraction": 0.5,
-    "bucket": "mid",
-    "sector": "industrials",
+    "partial": GroupSpec.partial,
+    "days": SimConfig.n_days,
+    "traders": SimConfig.n_traders,
+    "trades_per_day": SimConfig.trades_per_day,
+    "colluders": SimConfig.n_colluders,
+    "wash_fraction": SimConfig.wash_volume_fraction,
+    "bucket": SimConfig.capitalization_bucket,
+    "sector": SimConfig.sector,
 }
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, content) -> None:
+    """Write ``content`` (text, or a function that writes to an open text
+    stream) to a temporary sibling, then rename it over ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        if callable(content):
+            content(fh)
+        else:
+            fh.write(content)
     os.replace(tmp, path)
 
 
@@ -102,8 +111,6 @@ def _detector_config(cfg: dict) -> DetectorConfig:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     base = SimConfig(n_days=int(cfg["days"]), n_traders=int(cfg["traders"]),
                      trades_per_day=float(cfg["trades_per_day"]),
                      n_colluders=int(cfg["colluders"]),
@@ -122,12 +129,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     files = []
     for res in results:
         sym = res.log.meta.symbol
-        csv_path = out / f"{sym}.csv"
-        tmp = csv_path.with_name(csv_path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            write_transactions(res.log, fh)
-        os.replace(tmp, csv_path)
-        _atomic_write(out / f"{sym}.json", _dump_json(res.log.meta.to_dict()))
+        _atomic_write(out / f"{sym}.csv", partial(write_transactions, res.log))
+        _atomic_write(out / f"{sym}.json", partial(write_stock_meta, res.log.meta))
         files.append(sym)
         if args.verbose:
             print(f"{sym}: {res.log.n_records} records "
@@ -177,12 +180,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     logs = load_corpus(args.corpus)
     for sym in sorted(logs):
         net = build_network(logs[sym])
-        path = out / "networks" / f"{sym}_edges.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            write_edge_list(net, fh)
-        os.replace(tmp, path)
+        _atomic_write(out / "networks" / f"{sym}_edges.csv",
+                      partial(write_edge_list, net))
         print(f"{sym}: n={net.node_count} m={net.edge_count} "
               f"volume={net.total_volume()}")
     _write_manifest(out, "build", cfg, [str(args.corpus)])

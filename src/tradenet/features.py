@@ -66,24 +66,16 @@ class StockFeatures:
     series: DailySeries | None = field(default=None, repr=False, compare=False)
 
 
-def daily_series(log: TransactionLog, *, weighted: bool = True) -> DailySeries:
-    """Daily average price and distinct seller/buyer counts.
-
-    P(t) is the volume-weighted mean trade price by default; pass
-    weighted=False for the plain mean (sensitivity checks).
-    """
+def daily_series(log: TransactionLog) -> DailySeries:
+    """Daily volume-weighted mean trade price P(t) and distinct seller/buyer
+    counts."""
     if log.n_records == 0:
         raise ValueError("empty log has no daily series")
     day_vals, day_idx = np.unique(log.dates, return_inverse=True)
     n_days = day_vals.size
     vol = log.volumes.astype(np.float64)
-    if weighted:
-        price_sum = np.bincount(day_idx, weights=vol * log.prices, minlength=n_days)
-        denom = np.bincount(day_idx, weights=vol, minlength=n_days)
-    else:
-        price_sum = np.bincount(day_idx, weights=log.prices, minlength=n_days)
-        denom = np.bincount(day_idx, minlength=n_days).astype(np.float64)
-    avg_price = price_sum / denom
+    avg_price = (np.bincount(day_idx, weights=vol * log.prices, minlength=n_days)
+                 / np.bincount(day_idx, weights=vol, minlength=n_days))
 
     k = len(log.accounts)
     sell_pairs = np.unique(day_idx * k + log.sellers)
@@ -129,22 +121,9 @@ def pearson_corr(x, y) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def return_ratio_correlation(series: DailySeries, *, lag: int = 0,
-                             log_ratio: bool = False) -> float:
-    """Correlation of pr(t) with r(t - lag), same-day pairing by default.
-
-    log_ratio swaps r for ln r (exploration switch; raw r is the default).
-    """
-    pr = log_returns(series)
-    ratio = seller_buyer_ratio(series)
-    if log_ratio:
-        ratio = np.log(ratio)
-    n = series.n_days
-    t = np.arange(1, n)
-    valid = (t - lag >= 0) & (t - lag < n)
-    if valid.sum() < 3:
-        raise ValueError("too few aligned days for the chosen lag")
-    return pearson_corr(pr[t[valid] - 1], ratio[t[valid] - lag])
+def return_ratio_correlation(series: DailySeries) -> float:
+    """Correlation of pr(t) with the same day's r(t), over days 2..n."""
+    return pearson_corr(log_returns(series), seller_buyer_ratio(series)[1:])
 
 
 def tail_samples(net: TradingNetwork) -> dict[str, tuple[np.ndarray, int | None]]:
@@ -165,9 +144,7 @@ def _try_fit(samples, cfg: GofConfig, max_candidates: int | None) -> TailFit | N
         return None
 
 
-def compute_features(log: TransactionLog, cfg: GofConfig | None = None, *,
-                     corr_lag: int = 0, log_ratio: bool = False,
-                     weighted_price: bool = True) -> StockFeatures:
+def compute_features(log: TransactionLog, cfg: GofConfig | None = None) -> StockFeatures:
     """Assemble the full per-stock feature vector.
 
     The fits carry p-values unless cfg.bootstrap_replicas is 0.  Component
@@ -180,10 +157,10 @@ def compute_features(log: TransactionLog, cfg: GofConfig | None = None, *,
     fits = {name: _try_fit(sample, cfg, max_candidates)
             for name, (sample, max_candidates) in tails.items()}
 
-    series = daily_series(log, weighted=weighted_price)
+    series = daily_series(log)
     corr: float | None
     try:
-        corr = return_ratio_correlation(series, lag=corr_lag, log_ratio=log_ratio)
+        corr = return_ratio_correlation(series)
     except ValueError:
         corr = None
 

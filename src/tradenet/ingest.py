@@ -2,8 +2,8 @@
 
 One stock's executed trades live in one UTF-8 CSV with the fixed header
 ``date,time,txn_id,buyer_id,seller_id,volume,price`` plus a JSON sidecar
-carrying the stock metadata.  Parsed logs are immutable, columnar (numpy
-arrays) for bulk work, and expose a record view for element access.
+carrying the stock metadata.  Parsed logs are immutable and columnar
+(numpy arrays).
 
 Account identifiers are opaque strings mapped to dense integer indices in a
 canonical order (first appearance, buyer before seller, over the sorted
@@ -18,7 +18,7 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -67,61 +67,27 @@ class StockMeta:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StockMeta":
+        """Read a sidecar's fields, which must carry their JSON types:
+        strings, a boolean, and a period that is null or two ISO dates."""
+        for key in ("symbol", "capitalization_bucket", "sector"):
+            if not isinstance(d[key], str):
+                raise ValueError(f"{key} must be a string, got {d[key]!r}")
+        if not isinstance(d["manipulated"], bool):
+            raise ValueError(f"manipulated must be true or false, got {d['manipulated']!r}")
         period = d.get("manipulation_period")
         if period is not None:
+            if not (isinstance(period, list) and len(period) == 2
+                    and all(isinstance(day, str) for day in period)):
+                raise ValueError("manipulation_period must be null or two ISO dates, "
+                                 f"got {period!r}")
             period = (dt.date.fromisoformat(period[0]), dt.date.fromisoformat(period[1]))
         return cls(
             symbol=d["symbol"],
             capitalization_bucket=d["capitalization_bucket"],
             sector=d["sector"],
-            manipulated=bool(d["manipulated"]),
+            manipulated=d["manipulated"],
             manipulation_period=period,
         )
-
-
-@dataclass(frozen=True)
-class TransactionRecord:
-    """One executed trade.  ``buyer``/``seller`` are dense account indices;
-    the owning log's ``accounts`` tuple resolves them to the original ids."""
-
-    date: dt.date
-    time: dt.time
-    txn_id: str
-    buyer: int
-    seller: int
-    volume: int
-    price: float
-
-
-class _RecordsView:
-    """Sequence view materializing TransactionRecord objects on demand."""
-
-    def __init__(self, log: "TransactionLog"):
-        self._log = log
-
-    def __len__(self) -> int:
-        return self._log.n_records
-
-    def __getitem__(self, i) -> TransactionRecord:
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        log = self._log
-        if i < 0:
-            i += len(self)
-        sec = int(log.times[i])
-        return TransactionRecord(
-            date=dt.date.fromordinal(int(log.dates[i])),
-            time=dt.time(sec // 3600, sec % 3600 // 60, sec % 60),
-            txn_id=str(log.txn_ids[i]),
-            buyer=int(log.buyers[i]),
-            seller=int(log.sellers[i]),
-            volume=int(log.volumes[i]),
-            price=float(log.prices[i]),
-        )
-
-    def __iter__(self) -> Iterator[TransactionRecord]:
-        for i in range(len(self)):
-            yield self[i]
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,10 +111,6 @@ class TransactionLog:
     @property
     def n_records(self) -> int:
         return self.dates.size
-
-    @property
-    def records(self) -> _RecordsView:
-        return _RecordsView(self)
 
     def total_volume(self) -> int:
         return int(self.volumes.sum())
@@ -577,14 +539,23 @@ def load_stock(csv_path, meta_path=None) -> TransactionLog:
 
 
 def load_corpus(directory) -> dict[str, TransactionLog]:
-    """Load every SYMBOL.csv/SYMBOL.json pair under a corpus directory."""
+    """Load every SYMBOL.csv/SYMBOL.json pair under a corpus directory.
+
+    Two sidecars naming the same symbol are an error, not one stock.
+    """
     directory = Path(directory)
     logs: dict[str, TransactionLog] = {}
+    sources: dict[str, Path] = {}
     for csv_path in sorted(directory.glob("*.csv")):
         if not csv_path.with_suffix(".json").exists():
             continue
         log = load_stock(csv_path)
-        logs[log.meta.symbol] = log
+        symbol = log.meta.symbol
+        if symbol in sources:
+            raise ValueError(f"symbol {symbol!r} names two stocks: "
+                             f"{sources[symbol]} and {csv_path}")
+        sources[symbol] = csv_path
+        logs[symbol] = log
     if not logs:
         raise FileNotFoundError(f"no stock CSV/JSON pairs found under {directory}")
     return logs

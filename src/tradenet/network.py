@@ -42,14 +42,6 @@ class TradingNetwork:
     def total_volume(self) -> int:
         return int(self.edge_weights.sum())
 
-    def self_loop_count(self) -> int:
-        return int((self.edge_sellers == self.edge_buyers).sum())
-
-    def edges(self) -> dict[tuple[int, int], int]:
-        """Edge map keyed by (seller, buyer); handy for small graphs."""
-        return {(int(s), int(b)): int(w) for s, b, w in
-                zip(self.edge_sellers, self.edge_buyers, self.edge_weights)}
-
 
 @dataclass(frozen=True, eq=False)
 class DegreeSequences:

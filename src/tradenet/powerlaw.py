@@ -188,23 +188,6 @@ def mle_alpha(samples, x_min: int) -> float:
     return float(_solve_alpha(np.log(arr).sum(), arr.size, int(x_min))[0])
 
 
-def continuous_mle_alpha(samples, x_min: float) -> float:
-    """Continuous-variant estimator alpha = 1 + n / sum(ln(x / x_min)).
-
-    Accepts real-valued samples; used for cross-checks, not for the discrete
-    calibration itself.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty sample")
-    if x_min <= 0 or np.any(arr < x_min):
-        raise ValueError("all samples must be >= x_min > 0")
-    denom = float(np.log(arr / x_min).sum())
-    if denom <= 0.0:
-        raise DegenerateSampleError("all samples at x_min; exponent is undetermined")
-    return 1.0 + arr.size / denom
-
-
 def ks_distance(samples, x_min: int, alpha: float) -> float:
     """Max |empirical CDF - model CDF| over the observed tail support.
 

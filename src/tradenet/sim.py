@@ -37,35 +37,36 @@ MAX_WASH_TRADES_PER_DAY = 20_000
 BUCKET_SCALE = {"small": 0.8, "mid": 1.0, "large": 1.25}
 
 
+# Market microstructure shared by every simulated stock.
+ACTIVITY_EXPONENT = 1.2  # Zipf tilt of aggressive (initiating) participation
+PASSIVE_EXPONENT = 0.6  # flatter Zipf tilt of passive participation
+ACTIVITY_JITTER = 0.5  # log-normal spread of each trader's activity weight
+BASE_PRICE = 10.0
+VOLATILITY = 0.02  # daily return noise
+IMBALANCE_COUPLING = 0.025  # honest daily return per unit of order imbalance
+INITIATION_TILT = 1.2  # logistic slope of P(buyer-initiated) on daily demand
+INTRADAY_NOISE = 0.003  # log-normal spread of trade prices around the day level
+VOLUME_ALPHA = 2.3  # trade sizes: discrete power law in lots
+LOT_SIZE = 100
+WASH_VOLUME_ALPHA = 2.5  # circular wash trades: discrete power law in lots
+WASH_LOT_SIZE = 200
+CHURN_RATE = 1.0  # ring-vs-public trades per genuine trade in the window
+CROWD_BOOST = 2.5  # genuine trade rate multiplier inside the window
+START = dt.date(2004, 1, 5)
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Full parameterization of one simulated stock."""
+    """Parameterization of one simulated stock: its size, its labels and,
+    when manipulated, its colluder ring and window."""
 
     rng_seed: int = 0
     n_days: int = 250
-    n_traders: int = 2000
-    activity_exponent: float = 1.2
-    base_price: float = 10.0
-    volatility: float = 0.02
+    n_traders: int = 1200
+    trades_per_day: float = 150.0
     manipulated: bool = False
     n_colluders: int = 150
     wash_volume_fraction: float = 0.5
-    pump_profile: tuple[float, ...] | None = None
-    # microstructure
-    trades_per_day: float = 300.0
-    imbalance_coupling: float = 0.025
-    initiation_tilt: float = 1.2
-    passive_exponent: float = 0.6
-    volume_alpha: float = 2.3
-    lot_size: int = 100
-    wash_volume_alpha: float = 2.5
-    wash_lot_size: int = 200
-    churn_rate: float = 1.0
-    colluder_weight_exponent: float = 0.0
-    crowd_boost: float = 2.5
-    intraday_noise: float = 0.003
-    activity_jitter: float = 0.5
-    start: dt.date = dt.date(2004, 1, 5)
     symbol: str = "SIM000"
     capitalization_bucket: str = "mid"
     sector: str = "industrials"
@@ -80,12 +81,8 @@ class SimConfig:
             raise ValueError("manipulation needs at least 3 colluders for cycles")
         if not 0.0 <= self.wash_volume_fraction < 1.0:
             raise ValueError("wash_volume_fraction must lie in [0, 1)")
-        if self.activity_exponent <= 1.0:
-            raise ValueError("activity_exponent must exceed 1")
         if self.n_days < 1 or self.trades_per_day <= 0:
             raise ValueError("need at least one day and a positive trade rate")
-        if self.base_price <= 0:
-            raise ValueError("base_price must be positive")
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,7 @@ def trading_days(start: dt.date, n_days: int) -> list[dt.date]:
     return days
 
 
-def _default_pump(n: int) -> np.ndarray:
+def _pump_schedule(n: int) -> np.ndarray:
     """Pump-then-dump drift schedule over an n-day manipulation window."""
     n_up = max(1, int(0.6 * n))
     return np.concatenate([np.full(n_up, 0.010), np.full(n - n_up, -0.012)])
@@ -129,23 +126,21 @@ def simulate(cfg: SimConfig) -> SimResult:
     # flatter, so rallies draw many small counterparties around a few big
     # initiators.
     ranks = np.arange(1, n + 1, dtype=np.float64)
-    jitter = np.exp(rng.normal(0.0, cfg.activity_jitter, n))
-    weights = ranks ** (-cfg.activity_exponent) * jitter
+    jitter = np.exp(rng.normal(0.0, ACTIVITY_JITTER, n))
+    weights = ranks ** (-ACTIVITY_EXPONENT) * jitter
     weights /= weights.sum()
-    passive_weights = ranks ** (-cfg.passive_exponent) * jitter
+    passive_weights = ranks ** (-PASSIVE_EXPONENT) * jitter
     passive_weights /= passive_weights.sum()
 
-    days = trading_days(cfg.start, cfg.n_days)
+    days = trading_days(START, cfg.n_days)
     if cfg.manipulated:
         colluder_idx = np.sort(rng.choice(n, size=cfg.n_colluders, replace=False))
-        coll_weights = (np.arange(1, cfg.n_colluders + 1, dtype=np.float64)
-                        ** (-cfg.colluder_weight_exponent))
-        coll_weights /= coll_weights.sum()
+        # Uniform, but passed as p= all the same: a weighted draw consumes
+        # the random stream differently from an unweighted one.
+        coll_weights = np.full(cfg.n_colluders, 1.0 / cfg.n_colluders)
         window = cfg.manipulation_window or (days[0], days[-1])
         window_days = [d for d in days if window[0] <= d <= window[1]]
-        pump = (np.resize(np.asarray(cfg.pump_profile, dtype=np.float64),
-                          len(window_days))
-                if cfg.pump_profile is not None else _default_pump(len(window_days)))
+        pump = _pump_schedule(len(window_days))
         window_index = {d: i for i, d in enumerate(window_days)}
     else:
         colluder_idx = np.empty(0, dtype=np.int64)
@@ -154,10 +149,10 @@ def simulate(cfg: SimConfig) -> SimResult:
         window_index = {}
         pump = np.empty(0)
 
-    vol_sampler = DiscretePowerLaw(cfg.volume_alpha, 1)
-    wash_sampler = DiscretePowerLaw(cfg.wash_volume_alpha, 1)
+    vol_sampler = DiscretePowerLaw(VOLUME_ALPHA, 1)
+    wash_sampler = DiscretePowerLaw(WASH_VOLUME_ALPHA, 1)
 
-    level = cfg.base_price
+    level = BASE_PRICE
     all_dates, all_times, all_txn = [], [], []
     all_buyers, all_sellers, all_vols, all_prices = [], [], [], []
 
@@ -167,10 +162,10 @@ def simulate(cfg: SimConfig) -> SimResult:
         in_window = cfg.manipulated and day in window_index
         # The faked turnover draws in real crowd flow, so genuine activity
         # itself runs hotter during the manipulation window.
-        rate = cfg.trades_per_day * (cfg.crowd_boost if in_window else 1.0)
+        rate = cfg.trades_per_day * (CROWD_BOOST if in_window else 1.0)
         n_tr = max(1, int(rng.poisson(rate)))
 
-        p_buy = 1.0 / (1.0 + math.exp(-cfg.initiation_tilt * demand))
+        p_buy = 1.0 / (1.0 + math.exp(-INITIATION_TILT * demand))
         buyer_initiated = rng.random(n_tr) < p_buy
         aggressive = rng.choice(n, size=n_tr, p=weights)
         passive = rng.choice(n, size=n_tr, p=passive_weights)
@@ -180,19 +175,19 @@ def simulate(cfg: SimConfig) -> SimResult:
             clash = aggressive == passive
         buyers = np.where(buyer_initiated, aggressive, passive)
         sellers = np.where(buyer_initiated, passive, aggressive)
-        volumes = vol_sampler.sample(rng, n_tr) * cfg.lot_size
+        volumes = vol_sampler.sample(rng, n_tr) * LOT_SIZE
 
         imbalance = 2.0 * buyer_initiated.mean() - 1.0
         if in_window:
-            ret = cfg.volatility * eps + pump[window_index[day]]
+            ret = VOLATILITY * eps + pump[window_index[day]]
         else:
-            ret = cfg.volatility * eps + cfg.imbalance_coupling * imbalance
+            ret = VOLATILITY * eps + IMBALANCE_COUPLING * imbalance
         level *= math.exp(ret)
 
-        if in_window and cfg.churn_rate > 0.0:
+        if in_window:
             # Ring accounts trade against the public in both directions,
             # independent of demand: busy tape, no information.
-            n_ch = int(rng.poisson(cfg.churn_rate * n_tr))
+            n_ch = int(rng.poisson(CHURN_RATE * n_tr))
             if n_ch:
                 ring = colluder_idx[rng.choice(cfg.n_colluders, size=n_ch,
                                                p=coll_weights)]
@@ -206,7 +201,7 @@ def simulate(cfg: SimConfig) -> SimResult:
                 buyers = np.concatenate([buyers, np.where(ring_buys, ring, public)])
                 sellers = np.concatenate([sellers, np.where(ring_buys, public, ring)])
                 volumes = np.concatenate(
-                    [volumes, vol_sampler.sample(rng, n_ch) * cfg.lot_size])
+                    [volumes, vol_sampler.sample(rng, n_ch) * LOT_SIZE])
                 n_tr = buyers.size
 
         if in_window and cfg.wash_volume_fraction > 0.0:
@@ -222,7 +217,7 @@ def simulate(cfg: SimConfig) -> SimResult:
                 cycle_len = int(rng.integers(3, 7))
                 members = colluder_idx[rng.choice(cfg.n_colluders, size=cycle_len,
                                                   replace=False)]
-                v = int(wash_sampler.sample(rng, 1)[0]) * cfg.wash_lot_size
+                v = int(wash_sampler.sample(rng, 1)[0]) * WASH_LOT_SIZE
                 for i in range(cycle_len):
                     wash_sellers.append(members[i])
                     wash_buyers.append(members[(i + 1) % cycle_len])
@@ -233,7 +228,7 @@ def simulate(cfg: SimConfig) -> SimResult:
             volumes = np.concatenate([volumes, np.asarray(wash_vols, dtype=np.int64)])
             n_tr = buyers.size
 
-        prices = level * np.exp(rng.normal(0.0, cfg.intraday_noise, n_tr))
+        prices = level * np.exp(rng.normal(0.0, INTRADAY_NOISE, n_tr))
         prices = np.maximum(np.round(prices, 2), 0.01)
         seconds = rng.integers(TRADING_OPEN, TRADING_CLOSE, size=n_tr)
         order = np.argsort(seconds, kind="stable")
@@ -297,7 +292,7 @@ def generate_corpus(spec: CorpusSpec) -> list[SimResult]:
     if total == 0:
         return []
     seeds = np.random.SeedSequence(spec.master_seed).generate_state(total, dtype=np.uint64)
-    days = trading_days(spec.base.start, spec.base.n_days)
+    days = trading_days(START, spec.base.n_days)
     partial_window = (days[0], days[(2 * len(days)) // 3 - 1])
 
     results = []

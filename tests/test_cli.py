@@ -202,3 +202,62 @@ def test_removed_options_rejected(tmp_path, capsys, key):
                "--config", str(cfg), "--dump-config"])
     assert rc != 0
     assert "unknown config" in capsys.readouterr().err
+
+
+# The effective defaults of each subcommand, written out as literals so that
+# a change to a config dataclass's default cannot move them unnoticed.
+PINNED_DEFAULTS = {
+    "bootstrap": 1000,
+    "bucket": "mid",
+    "colluders": 150,
+    "corr_threshold": 0.2,
+    "days": 250,
+    "decision_threshold": 0.5,
+    "elevation_factor": 1.25,
+    "honest": 10,
+    "manipulated": 2,
+    "min_tail": 50,
+    "partial": 0,
+    "sector": "industrials",
+    "seed": 0,
+    "traders": 1200,
+    "trades_per_day": 150.0,
+    "wash_fraction": 0.5,
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out", "unused"],
+    ["fit", "--corpus", "unused", "--out", "unused"],
+    ["detect", "--corpus", "unused", "--out", "unused"],
+])
+def test_dump_config_defaults_pinned(capsys, argv):
+    assert main([*argv, "--dump-config"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(PINNED_DEFAULTS, indent=2, sort_keys=True) + "\n"
+    assert type(json.loads(out)["trades_per_day"]) is float
+
+
+@pytest.fixture(scope="module")
+def duplicate_symbol_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("dup")
+    rc = main(["simulate", "--out", str(out), "--honest", "3", "--manipulated", "0",
+               "--days", "5", "--traders", "40", "--trades-per-day", "10",
+               "--colluders", "5"])
+    assert rc == 0
+    meta = json.loads((out / "S001.json").read_text())
+    meta["symbol"] = "S000"
+    (out / "S001.json").write_text(json.dumps(meta))
+    return out
+
+
+@pytest.mark.parametrize("subcommand", ["build", "fit", "features", "detect"])
+def test_duplicate_symbol_rejected(duplicate_symbol_corpus, tmp_path, capsys,
+                                   subcommand):
+    out = tmp_path / "o"
+    rc = main([subcommand, "--corpus", str(duplicate_symbol_corpus), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "S000.csv" in err and "S001.csv" in err and "'S000'" in err
+    assert not (out / "networks").exists()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tradenet import ingest
 from tradenet.ingest import (StockMeta, TransactionParseError, _lexsorted,
                              _parse_columns, _parse_lines, build_log, filter_period,
-                             parse_transactions, read_stock_meta,
+                             load_corpus, parse_transactions, read_stock_meta,
                              write_stock_meta, write_transactions)
 from tradenet.sim import SimConfig, simulate
 
@@ -27,21 +27,20 @@ def parse(text: str):
 def test_single_line():
     log = parse("2004-01-08,09:30:01,1,B1,S1,500,7.25\n")
     assert log.n_records == 1
-    rec = log.records[0]
-    assert rec.volume == 500
-    assert rec.price == 7.25
-    assert rec.date == dt.date(2004, 1, 8)
-    assert rec.time == dt.time(9, 30, 1)
-    assert log.accounts[rec.buyer] == "B1"
-    assert log.accounts[rec.seller] == "S1"
+    assert log.volumes.tolist() == [500]
+    assert log.prices.tolist() == [7.25]
+    assert log.dates.tolist() == [dt.date(2004, 1, 8).toordinal()]
+    assert log.times.tolist() == [9 * 3600 + 30 * 60 + 1]
+    assert log.txn_ids.tolist() == ["1"]
+    assert log.accounts[log.buyers[0]] == "B1"
+    assert log.accounts[log.sellers[0]] == "S1"
 
 
 def test_out_of_order_lines_resorted():
     log = parse("2004-01-08,10:00:00,2,B1,S1,100,5.0\n"
                 "2004-01-08,09:30:00,1,B2,S2,200,5.1\n")
-    times = [r.time for r in log.records]
-    assert times == sorted(times)
-    assert log.records[0].txn_id == "1"
+    assert log.times.tolist() == [9 * 3600 + 30 * 60, 10 * 3600]
+    assert log.txn_ids[0] == "1"
 
 
 def test_accounts_in_first_appearance_order():
@@ -56,7 +55,7 @@ def test_accounts_in_first_appearance_order():
 def test_intra_second_tiebreak_by_txn_id():
     log = parse("2004-01-08,10:00:00,b,B1,S1,100,5.0\n"
                 "2004-01-08,10:00:00,a,B2,S2,200,5.1\n")
-    assert [r.txn_id for r in log.records] == ["a", "b"]
+    assert log.txn_ids.tolist() == ["a", "b"]
 
 
 def test_zero_volume_rejected_with_line_number():
@@ -342,6 +341,34 @@ def test_meta_period_iff_manipulated():
                   manipulation_period=(dt.date(2004, 1, 1), dt.date(2004, 2, 1)))
 
 
+SIDECAR = {"symbol": "S1", "capitalization_bucket": "large", "sector": "tech",
+           "manipulated": True, "manipulation_period": ["2004-01-02", "2004-09-03"]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("manipulated", "false"),
+    ("manipulated", 1),
+    ("manipulation_period", ["2004-01-02", "2004-09-03", "2004-12-31"]),
+    ("manipulation_period", ["2004-01-02"]),
+    ("manipulation_period", "2004-01-02"),
+    ("symbol", 7),
+])
+def test_sidecar_field_types_checked(field, value):
+    with pytest.raises(ValueError, match=field):
+        StockMeta.from_dict({**SIDECAR, field: value})
+
+
+def test_load_corpus_rejects_duplicate_symbol(tmp_path):
+    log = parse("2004-01-08,09:30:01,1,B1,S1,500,7.25\n")
+    for name in ("A", "B"):
+        write_transactions(log, tmp_path / f"{name}.csv")
+        write_stock_meta(META, tmp_path / f"{name}.json")
+    with pytest.raises(ValueError, match="'TEST' names two stocks") as exc:
+        load_corpus(tmp_path)
+    assert str(tmp_path / "A.csv") in str(exc.value)
+    assert str(tmp_path / "B.csv") in str(exc.value)
+
+
 class TestFilterPeriod:
     def _year_log(self):
         res = simulate(SimConfig(rng_seed=9, n_traders=120, n_days=120,
@@ -363,10 +390,11 @@ class TestFilterPeriod:
         interval = (dt.date(2004, 2, 1), dt.date(2004, 4, 30))
         # independent oracle: per-record date scan
         lo, hi = interval
-        expected = sum(1 for r in log.records if lo <= r.date <= hi)
+        days = [dt.date.fromordinal(d) for d in log.dates.tolist()]
+        expected = sum(1 for day in days if lo <= day <= hi)
         out = filter_period(log, interval)
         assert out.n_records == expected
-        assert all(lo <= r.date <= hi for r in out.records)
+        assert all(lo <= dt.date.fromordinal(d) <= hi for d in out.dates.tolist())
 
     def test_window_matches_rebuilt_log(self):
         """The kept records and their accounts renumber exactly as if the
@@ -402,9 +430,10 @@ class TestFilterPeriod:
         b = filter_period(log, (mid + dt.timedelta(days=1), end))
 
         def resolved(lg):
-            return sorted((r.date, r.time, r.txn_id, lg.accounts[r.buyer],
-                           lg.accounts[r.seller], r.volume, r.price)
-                          for r in lg.records)
+            return sorted(zip(lg.dates.tolist(), lg.times.tolist(), lg.txn_ids.tolist(),
+                              [lg.accounts[b] for b in lg.buyers],
+                              [lg.accounts[s] for s in lg.sellers],
+                              lg.volumes.tolist(), lg.prices.tolist()))
 
         assert sorted(resolved(a) + resolved(b)) == resolved(log)
         assert a.n_records + b.n_records == log.n_records

@@ -18,7 +18,7 @@ def test_multi_edges_merge(make_log):
     net = build_network(make_log(ROWS_MERGE))
     assert net.node_count == 2
     assert net.edge_count == 1
-    assert list(net.edges().values()) == [300]
+    assert net.edge_weights.tolist() == [300]
     assert net.transaction_count == 2
 
 
@@ -28,7 +28,7 @@ def test_direction_distinguishes_edges(make_log):
     net = build_network(make_log(rows))
     assert net.node_count == 2
     assert net.edge_count == 2
-    assert sorted(net.edges().values()) == [50, 50]
+    assert net.edge_weights.tolist() == [50, 50]
 
 
 def test_empty_log_rejected(make_log):
@@ -42,9 +42,11 @@ def test_weights_match_bruteforce_accumulation():
                              trades_per_day=40.0, n_colluders=20))
     log = res.log
     expected = defaultdict(int)
-    for r in log.records:
-        expected[(r.seller, r.buyer)] += r.volume
-    assert build_network(log).edges() == dict(expected)
+    for seller, buyer, volume in zip(log.sellers, log.buyers, log.volumes):
+        expected[(int(seller), int(buyer))] += int(volume)
+    net = build_network(log)
+    assert list(zip(net.edge_sellers.tolist(), net.edge_buyers.tolist())) == sorted(expected)
+    assert net.edge_weights.tolist() == [expected[pair] for pair in sorted(expected)]
 
 
 def test_single_edge_degrees(make_log):
@@ -81,10 +83,10 @@ def test_degrees_match_bruteforce_recount():
     deg = degree_sequences(net)
     outs = defaultdict(set)
     ins = defaultdict(set)
-    for r in res.log.records:
-        if r.seller != r.buyer:
-            outs[r.seller].add(r.buyer)
-            ins[r.buyer].add(r.seller)
+    for seller, buyer in zip(res.log.sellers.tolist(), res.log.buyers.tolist()):
+        if seller != buyer:
+            outs[seller].add(buyer)
+            ins[buyer].add(seller)
     for node, o, i in zip(deg.nodes, deg.out_deg, deg.in_deg):
         assert o == len(outs[node])
         assert i == len(ins[node])
@@ -149,7 +151,9 @@ def test_merge_is_order_independent(make_log):
     for _ in range(5):
         shuffled = [rows[j] for j in rng.permutation(len(rows))]
         net_b = build_network(make_log(shuffled))
-        assert net_b.edges() == net_a.edges()
+        assert np.array_equal(net_b.edge_sellers, net_a.edge_sellers)
+        assert np.array_equal(net_b.edge_buyers, net_a.edge_buyers)
+        assert np.array_equal(net_b.edge_weights, net_a.edge_weights)
 
 
 def test_self_trade_kept_in_strengths_not_degrees(make_log):
@@ -157,7 +161,7 @@ def test_self_trade_kept_in_strengths_not_degrees(make_log):
             ("2004-01-05", "09:31:00", "2", "B", "A", 100, 5.0)]
     log = make_log(rows)
     net = build_network(log)
-    assert net.self_loop_count() == 1
+    assert int((net.edge_sellers == net.edge_buyers).sum()) == 1
     assert net.total_volume() == 500
     deg = degree_sequences(net)
     stren = strength_sequences(net)

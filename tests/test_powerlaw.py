@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +10,9 @@ from brent_oracle import brent_scan_xmin, nll
 from tradenet import powerlaw
 from tradenet.powerlaw import (ALPHA_MAX, DegenerateSampleError,
                                DiscretePowerLaw, GofConfig, ccdf_points,
-                               continuous_mle_alpha, fit_tail, gof_pvalue,
-                               ks_distance, ls_ccdf_exponent, mle_alpha,
-                               scan_xmin, select_xmin)
+                               fit_tail, gof_pvalue, ks_distance,
+                               ls_ccdf_exponent, mle_alpha, scan_xmin,
+                               select_xmin)
 
 
 class TestMleAlpha:
@@ -28,12 +27,6 @@ class TestMleAlpha:
     def test_samples_below_xmin_rejected(self):
         with pytest.raises(ValueError):
             mle_alpha([1, 5, 9], 5)
-
-    def test_continuous_estimator_exact_at_e(self):
-        # three samples at e * x_min: alpha = 1 + 3 / (3 * ln e) = 2
-        x_min = 4.0
-        samples = [math.e * x_min] * 3
-        assert continuous_mle_alpha(samples, x_min) == pytest.approx(2.0)
 
     def test_recovers_synthetic_exponent(self):
         rng = np.random.default_rng(42)
