@@ -22,7 +22,7 @@ from .network import (DegreeSequences, StrengthSequences, TradingNetwork,
                       strength_sequences, write_edge_list)
 from .powerlaw import (DegenerateSampleError, DiscretePowerLaw, GofConfig,
                        TailFit, ccdf_points, fit_tail, gof_pvalue,
-                       ks_distance, ls_ccdf_exponent, mle_alpha, scan_xmin,
+                       ks_distance, ls_ccdf_exponent, scan_xmin,
                        select_xmin)
 from .sim import (CorpusSpec, GroupSpec, SimConfig, SimResult,
                   generate_corpus, simulate, trading_days)

@@ -14,11 +14,9 @@ how their source files were ordered.
 from __future__ import annotations
 
 import datetime as dt
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -135,19 +133,6 @@ class TransactionLog:
                 and np.array_equal(self.prices, other.prices))
 
 
-def _canonicalize(meta: StockMeta, dates, times, txn_ids, buyer_ids, seller_ids,
-                  volumes, prices) -> TransactionLog:
-    """Sort by (date, time, txn_id) and assign dense account indices in
-    first-appearance order (buyer before seller) over the sorted sequence."""
-    txn_ids = np.asarray(txn_ids, dtype=np.str_)
-    ids = np.concatenate((np.asarray(buyer_ids, dtype=np.str_),
-                          np.asarray(seller_ids, dtype=np.str_)))
-    names, codes = np.unique(ids, return_inverse=True)
-    n = txn_ids.size
-    return _sorted_log(meta, dates, times, txn_ids, txn_ids, codes[:n], codes[n:],
-                       names, volumes, prices)
-
-
 def _sorted_log(meta: StockMeta, dates, times, txn_ids, txn_keys, buyers, sellers,
                 names, volumes, prices) -> TransactionLog:
     """The log of these records in (date, time, txn_id) order.
@@ -202,12 +187,19 @@ def build_log(meta: StockMeta, dates, times, txn_ids, buyer_ids, seller_ids,
               volumes, prices) -> TransactionLog:
     """Assemble a log from parallel columns with string account ids.
 
-    Dates are proleptic ordinals, times seconds since midnight.  The result
-    is sorted and account-canonicalized exactly like a parsed file, so
-    in-memory construction and CSV round-trips agree bit for bit.
+    Dates are proleptic ordinals, times seconds since midnight.  The records
+    are sorted by (date, time, txn_id) and the accounts numbered densely in
+    first-appearance order (buyer before seller) over the sorted sequence,
+    exactly like a parsed file, so in-memory construction and CSV
+    round-trips agree bit for bit.
     """
-    return _canonicalize(meta, dates, times, txn_ids, buyer_ids, seller_ids,
-                         volumes, prices)
+    txn_ids = np.asarray(txn_ids, dtype=np.str_)
+    ids = np.concatenate((np.asarray(buyer_ids, dtype=np.str_),
+                          np.asarray(seller_ids, dtype=np.str_)))
+    names, codes = np.unique(ids, return_inverse=True)
+    n = txn_ids.size
+    return _sorted_log(meta, dates, times, txn_ids, txn_ids, codes[:n], codes[n:],
+                       names, volumes, prices)
 
 
 def _parse_time(text: str) -> int:
@@ -220,45 +212,43 @@ def _parse_time(text: str) -> int:
     return h * 3600 + m * 60 + s
 
 
-def _read_source(source) -> tuple[bytes | None, Callable[[], Iterable[str]]]:
-    """Read a source once.
-
-    Returns its bytes for the column pass (None when that pass cannot take
-    it) and a callable giving its lines as the line loop reads them:
-    universal newlines for a path or binary stream, ``"\\n"`` for bytes, and
-    a text stream's own lines.  Only a file opened here is closed here.
-    """
+def _read_bytes(source) -> bytes:
+    """The bytes a source holds: bytes as given, a path's contents, or a
+    stream read to its end and left open (a text stream's text encoded as
+    strict UTF-8)."""
     if isinstance(source, bytes):
-        return source, lambda: io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        lines = source.readlines()
-        text = "".join(lines)
-        # The column pass cuts lines after each "\n"; it takes the text only
-        # when the stream cut it there too (not so for newline="\r", say).
-        cut_at_newline = (all(line.endswith("\n") for line in lines[:-1])
-                          and text.count("\n") == len(lines) - (not text.endswith("\n")))
-        data = text.encode("utf-8", "surrogatepass") if cut_at_newline else None
-        return data, lambda: lines
-    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
-    return data, lambda: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        return source
+    if isinstance(source, (str, Path)):
+        return Path(source).read_bytes()
+    data = source.read()
+    return data.encode("utf-8") if isinstance(data, str) else data
 
 
 def parse_transactions(source, meta: StockMeta) -> TransactionLog:
     """Parse one stock's transaction CSV into a sorted, validated log.
 
     ``source`` may be a path, bytes, or an open text/binary stream; a stream
-    is read to its end and left open.  Every malformed line raises
-    TransactionParseError with its line number; no record is dropped
-    silently.
+    is read to its end and left open.  Any source is read as bytes, and
+    every source holding the same bytes gives the same outcome.
 
-    A well-formed file is parsed in whole-column passes (``_parse_columns``).
-    Any file that pass declines goes through the line loop
-    (``_parse_lines``), which names the first bad line or parses the unusual
-    file; both give the same log for every file they accept.
+    A line ends at ``"\\n"`` or at the end of the file, and one ``"\\r"``
+    right before that end is dropped.  A NUL byte or any other ``"\\r"``
+    makes the line malformed.  Blank lines are skipped.  Every malformed
+    line raises TransactionParseError with its line number; no record is
+    dropped silently.
+
+    Every file that parses is parsed in whole-column passes
+    (``_parse_columns``); a file that pass declines is checked line by line
+    (``_check_line``) only to name its first bad line.
     """
-    data, lines = _read_source(source)
-    log = None if data is None else _parse_columns(data, meta)
-    return _parse_lines(lines(), meta) if log is None else log
+    data = _read_bytes(source)
+    log = _parse_columns(data, meta)
+    if log is not None:
+        return log
+    seen: set[tuple[int, str]] = set()
+    for lineno, line in _data_lines(data):
+        _check_line(lineno, line, seen)
+    raise AssertionError("the column pass declined a file with no bad line")
 
 
 def _cut(buf: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -316,15 +306,16 @@ def _clock_seconds(col: np.ndarray) -> np.ndarray:
 def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog | None:
     """Parse a well-formed file in whole-column passes over its bytes.
 
-    Returns None whenever a check fails or the file has a shape this pass
-    does not take (a NUL byte, invalid UTF-8, a ``"\\r"`` that does not end
-    a line, no data line); the line loop then parses it or names its first
-    bad line.  Every check here is one the loop makes, so this pass never
-    accepts a file the loop rejects, and it never gives another log.
+    Returns None whenever a check fails: a NUL byte, invalid UTF-8, a
+    ``"\\r"`` that does not end a line, or a bad field.  Every check here is
+    one ``_check_line`` makes, and every check it makes is made here, so
+    this pass gives the log of every file that parses and declines exactly
+    the files with a bad line.
     """
     buf = np.frombuffer(data, np.uint8)
     newlines = np.flatnonzero(buf == ord("\n"))
-    if not newlines.size or data[:newlines[0]].removesuffix(b"\r") != _HEADER_LINE:
+    ends = newlines if data.endswith(b"\n") else np.append(newlines, buf.size)
+    if data[:ends[0]].removesuffix(b"\r") != _HEADER_LINE:
         return None
     # numpy ``S`` strings drop trailing NULs, so a NUL would hide in a field.
     if buf.min() == 0:
@@ -335,18 +326,19 @@ def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog | None:
             data.decode("utf-8")
         except UnicodeDecodeError:
             return None
-    carriage = np.flatnonzero(buf == ord("\r"))
-    if (buf[np.minimum(carriage + 1, buf.size - 1)] != ord("\n")).any():
+    carriage = np.flatnonzero(buf[:-1] == ord("\r"))  # a final "\r" ends its line
+    if (buf[carriage + 1] != ord("\n")).any():
         return None
 
-    ends = newlines if data.endswith(b"\n") else np.append(newlines, buf.size)
     starts = np.concatenate(([0], ends[:-1] + 1))[1:]
     stops = (ends - (buf[ends - 1] == ord("\r")))[1:]
     blank = stops == starts
     starts, stops = starts[~blank], stops[~blank]
     n = starts.size
+    if not n:
+        return build_log(meta, *[()] * 7)
     commas = np.flatnonzero(buf == ord(","))[len(CSV_HEADER) - 1:]
-    if not n or commas.size != 6 * n:
+    if commas.size != 6 * n:
         return None
     # Every comma lies in some data line, so when each line's six commas
     # fall inside it, each line holds exactly six.
@@ -390,73 +382,57 @@ def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog | None:
                        text(ids[first]), volumes, prices)
 
 
-def _parse_lines(lines: Iterable[str], meta: StockMeta) -> TransactionLog:
-    """Parse line by line: the reference parser, and the one that names the
-    first bad line."""
-    lines = iter(lines)
-    header = next(lines, "").rstrip("\r\n")
-    if tuple(header.split(",")) != CSV_HEADER:
+def _data_lines(data: bytes):
+    """Check a file's header and yield ``(lineno, line)`` for each non-blank
+    data line, 1-based, with one final ``"\\r"`` dropped."""
+    lines = data.decode("utf-8").split("\n")
+    header = lines[0].removesuffix("\r")
+    if header != ",".join(CSV_HEADER):
         raise TransactionParseError(1, f"bad header {header!r}; "
                                        f"expected {','.join(CSV_HEADER)}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.removesuffix("\r")
+        if line:
+            yield lineno, line
 
-    dates, times, txn_ids = [], [], []
-    buyer_ids, seller_ids, volumes, prices = [], [], [], []
-    seen: set[tuple[int, str]] = set()
-    date_cache: dict[str, int] = {}
 
-    for lineno, line in enumerate(lines, start=2):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise TransactionParseError(lineno, f"expected 7 fields, got {len(fields)}")
-        d_s, t_s, txn, buyer, seller, vol_s, price_s = fields
-        try:
-            ordinal = date_cache.get(d_s)
-            if ordinal is None:
-                ordinal = dt.date.fromisoformat(d_s).toordinal()
-                date_cache[d_s] = ordinal
-            seconds = _parse_time(t_s)
-        except ValueError as exc:
-            raise TransactionParseError(lineno, f"unparseable timestamp: {exc}") from exc
-        try:
-            volume = int(vol_s)
-        except ValueError as exc:
-            raise TransactionParseError(lineno, f"bad volume {vol_s!r}") from exc
-        if volume < 1:
-            raise TransactionParseError(lineno, f"volume must be >= 1, got {volume}")
-        try:
-            price = float(price_s)
-        except ValueError as exc:
-            raise TransactionParseError(lineno, f"bad price {price_s!r}") from exc
-        if not price > 0 or not np.isfinite(price):
-            raise TransactionParseError(lineno, f"price must be > 0, got {price_s}")
-        if not buyer or not seller or not txn:
-            raise TransactionParseError(lineno, "empty identifier field")
-        key = (ordinal, txn)
-        if key in seen:
-            raise TransactionParseError(lineno, f"duplicate (date, txn_id) = ({d_s}, {txn})")
-        seen.add(key)
-
-        dates.append(ordinal)
-        times.append(seconds)
-        txn_ids.append(txn)
-        buyer_ids.append(buyer)
-        seller_ids.append(seller)
-        volumes.append(volume)
-        prices.append(price)
-
-    if not dates:
-        return TransactionLog(meta=meta, dates=np.empty(0, np.int64),
-                              times=np.empty(0, np.int64),
-                              txn_ids=np.empty(0, np.str_),
-                              buyers=np.empty(0, np.int64),
-                              sellers=np.empty(0, np.int64),
-                              volumes=np.empty(0, np.int64),
-                              prices=np.empty(0, np.float64), accounts=())
-    return _canonicalize(meta, dates, times, txn_ids, buyer_ids, seller_ids,
-                         volumes, prices)
+def _check_line(lineno: int, line: str, seen: set[tuple[int, str]]) -> tuple:
+    """The parsed fields of one data line: (date ordinal, seconds, txn_id,
+    buyer_id, seller_id, volume, price).  Raises TransactionParseError if
+    the line is malformed or its (date, txn_id) is already in ``seen``, to
+    which it is added."""
+    if "\x00" in line or "\r" in line:
+        raise TransactionParseError(lineno, "NUL or carriage return inside a line")
+    fields = line.split(",")
+    if len(fields) != 7:
+        raise TransactionParseError(lineno, f"expected 7 fields, got {len(fields)}")
+    d_s, t_s, txn, buyer, seller, vol_s, price_s = fields
+    try:
+        ordinal = dt.date.fromisoformat(d_s).toordinal()
+        seconds = _parse_time(t_s)
+    except ValueError as exc:
+        raise TransactionParseError(lineno, f"unparseable timestamp: {exc}") from exc
+    try:
+        volume = int(vol_s)
+    except ValueError as exc:
+        raise TransactionParseError(lineno, f"bad volume {vol_s!r}") from exc
+    if volume < 1:
+        raise TransactionParseError(lineno, f"volume must be >= 1, got {volume}")
+    if volume > np.iinfo(np.int64).max:
+        raise TransactionParseError(lineno, f"volume {volume} exceeds int64")
+    try:
+        price = float(price_s)
+    except ValueError as exc:
+        raise TransactionParseError(lineno, f"bad price {price_s!r}") from exc
+    if not price > 0 or not np.isfinite(price):
+        raise TransactionParseError(lineno, f"price must be > 0, got {price_s}")
+    if not buyer or not seller or not txn:
+        raise TransactionParseError(lineno, "empty identifier field")
+    key = (ordinal, txn)
+    if key in seen:
+        raise TransactionParseError(lineno, f"duplicate (date, txn_id) = ({d_s}, {txn})")
+    seen.add(key)
+    return ordinal, seconds, txn, buyer, seller, volume, price
 
 
 def write_transactions(log: TransactionLog, dest) -> None:
@@ -487,10 +463,17 @@ def write_transactions(log: TransactionLog, dest) -> None:
 
 
 def read_stock_meta(source) -> StockMeta:
-    if isinstance(source, (str, Path)):
+    """Read a JSON sidecar from a path or an open text stream.  Any error in
+    a sidecar read from a path is a ValueError that names the file."""
+    if not isinstance(source, (str, Path)):
+        return StockMeta.from_dict(json.load(source))
+    try:
         with open(source, "r", encoding="utf-8") as fh:
             return StockMeta.from_dict(json.load(fh))
-    return StockMeta.from_dict(json.load(source))
+    except KeyError as exc:
+        raise ValueError(f"{source}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{source}: {exc}") from exc
 
 
 def write_stock_meta(meta: StockMeta, dest) -> None:
@@ -513,14 +496,6 @@ def filter_period(log: TransactionLog, interval: tuple[dt.date, dt.date]) -> Tra
     mask = (log.dates >= start.toordinal()) & (log.dates <= end.toordinal())
     if mask.all():
         return log
-    if not mask.any():
-        return TransactionLog(meta=log.meta, dates=np.empty(0, np.int64),
-                              times=np.empty(0, np.int64),
-                              txn_ids=np.empty(0, np.str_),
-                              buyers=np.empty(0, np.int64),
-                              sellers=np.empty(0, np.int64),
-                              volumes=np.empty(0, np.int64),
-                              prices=np.empty(0, np.float64), accounts=())
     # The kept records stay in canonical order; only the accounts renumber.
     kept, buyers, sellers = _first_appearance(log.buyers[mask], log.sellers[mask])
     return TransactionLog(meta=log.meta, dates=log.dates[mask], times=log.times[mask],

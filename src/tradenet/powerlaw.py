@@ -168,26 +168,6 @@ def _ks_scan(uniq: np.ndarray, cum_counts: np.ndarray, first: np.ndarray,
     return ks
 
 
-def mle_alpha(samples, x_min: int) -> float:
-    """Discrete power-law exponent by numerical likelihood maximization.
-
-    Tracks the closed-form approximation 1 + n / sum(ln(x / (x_min - 0.5)))
-    closely for large tails; the numerical optimum is the returned value.
-    """
-    arr = _as_int_array(samples)
-    if x_min < 1:
-        raise ValueError("x_min must be >= 1")
-    if x_min > arr.max():
-        raise ValueError(f"x_min={x_min} exceeds the largest sample {arr.max()}")
-    if arr.min() < x_min:
-        raise ValueError("all samples must be >= x_min")
-    if arr.size < 2:
-        raise ValueError("need at least 2 samples")
-    if np.all(arr == arr[0]):
-        raise DegenerateSampleError("all samples equal; exponent is undetermined")
-    return float(_solve_alpha(np.log(arr).sum(), arr.size, int(x_min))[0])
-
-
 def ks_distance(samples, x_min: int, alpha: float) -> float:
     """Max |empirical CDF - model CDF| over the observed tail support.
 
@@ -270,7 +250,7 @@ def select_xmin(samples, cfg: GofConfig | None = None, *,
 
 
 class DiscretePowerLaw:
-    """Sampling and CDF for p(x) = x^-alpha / zeta(alpha, x_min), x >= x_min.
+    """Sampling from p(x) = x^-alpha / zeta(alpha, x_min), x >= x_min.
 
     Sampling uses an inverse-CDF table for the bulk and falls back to
     vectorized bisection on the Hurwitz-zeta CCDF for the far tail, so draws
@@ -290,11 +270,6 @@ class DiscretePowerLaw:
         xs = np.arange(self.x_min, self.x_min + table_size, dtype=float)
         self._table_cdf = 1.0 - zeta(self.alpha, xs + 1.0) / self._z0
         self._table_hi = self.x_min + table_size - 1
-
-    def cdf(self, x) -> np.ndarray:
-        xs = np.asarray(x, dtype=float)
-        out = 1.0 - zeta(self.alpha, np.floor(xs) + 1.0) / self._z0
-        return np.where(xs < self.x_min, 0.0, out)
 
     def _bisect(self, targets: np.ndarray) -> np.ndarray:
         # Smallest x with zeta(alpha, x + 1) <= target.

@@ -261,3 +261,29 @@ def test_duplicate_symbol_rejected(duplicate_symbol_corpus, tmp_path, capsys,
     assert err.startswith("error:") and err.count("\n") == 1
     assert "S000.csv" in err and "S001.csv" in err and "'S000'" in err
     assert not (out / "networks").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: meta.pop("sector"), "missing key 'sector'"),
+    (lambda meta: meta.update(manipulated="false"), "manipulated must be true or false"),
+    (None, "Expecting"),
+], ids=["missing-key", "mistyped", "not-json"])
+def test_sidecar_error_names_the_file(tmp_path, capsys, edit, message):
+    corpus = tmp_path / "c"
+    rc = main(["simulate", "--out", str(corpus), "--honest", "2", "--manipulated", "0",
+               "--days", "5", "--traders", "40", "--trades-per-day", "10",
+               "--colluders", "5"])
+    assert rc == 0
+    sidecar = corpus / "S001.json"
+    if edit is None:
+        sidecar.write_text("{")
+    else:
+        meta = json.loads(sidecar.read_text())
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
+    capsys.readouterr()
+    rc = main(["build", "--corpus", str(corpus), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "S001.json" in err and message in err

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tradenet import ingest
-from tradenet.ingest import (StockMeta, TransactionParseError, _lexsorted,
-                             _parse_columns, _parse_lines, build_log, filter_period,
-                             load_corpus, parse_transactions, read_stock_meta,
-                             write_stock_meta, write_transactions)
+from tradenet.ingest import (StockMeta, TransactionParseError, _check_line,
+                             _data_lines, _lexsorted, _parse_columns, build_log,
+                             filter_period, load_corpus, parse_transactions,
+                             read_stock_meta, write_stock_meta, write_transactions)
 from tradenet.sim import SimConfig, simulate
 
 META = StockMeta(symbol="TEST", capitalization_bucket="mid", sector="industrials")
@@ -163,10 +163,10 @@ def test_written_files_take_the_column_pass(tmp_path, monkeypatch):
     path = tmp_path / "sim.csv"
     write_transactions(res.log, path)
 
-    def fail(lines, meta):
+    def fail(data):
         raise AssertionError("line loop reached")
 
-    monkeypatch.setattr(ingest, "_parse_lines", fail)
+    monkeypatch.setattr(ingest, "_data_lines", fail)
     data = path.read_bytes()
     for source in (path, str(path), data, io.BytesIO(data),
                    io.StringIO(data.decode())):
@@ -175,31 +175,42 @@ def test_written_files_take_the_column_pass(tmp_path, monkeypatch):
 
 # ------------------------------------------------ column pass vs line loop
 #
-# The line loop, _parse_lines, is the reference parser: on every source that
-# carries a file, parse_transactions must give the loop's log or raise the
-# loop's error for the same line.
+# The reference parser checks each line on its own: on every source that
+# holds a file, parse_transactions must give its log or raise its error for
+# the same line.
+
+def _reference(data: bytes, meta):
+    seen = set()
+    rows = [_check_line(lineno, line, seen) for lineno, line in _data_lines(data)]
+    return build_log(meta, *(list(zip(*rows)) or [()] * 7))
+
 
 def _outcome(parser, source):
     try:
         log = parser(source, META)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         return type(exc), getattr(exc, "lineno", None), str(exc)
     return log, log.txn_ids.dtype
 
 
 def _assert_same_as_loop(data: bytes, newline=None) -> None:
-    def wrapped(mode):
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=mode)
+    """bytes, a binary stream, a StringIO and a text stream reading with
+    ``newline`` each give the reference outcome on the bytes, or the UTF-8
+    of the text, that they hold."""
+    def wrapped():
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
 
-    def decoded(source, meta):
-        return _parse_lines(io.StringIO(source.decode("utf-8")), meta)
-
-    # bytes are read as one decoded string split at "\n" only
-    assert _outcome(parse_transactions, data) == _outcome(decoded, data)
-    # paths and binary streams are read with universal newlines
-    assert _outcome(parse_transactions, io.BytesIO(data)) == _outcome(_parse_lines, wrapped(""))
-    # a text stream is split as its own newline mode says
-    assert _outcome(parse_transactions, wrapped(newline)) == _outcome(_parse_lines, wrapped(newline))
+    expected = _outcome(_reference, data)
+    assert _outcome(parse_transactions, data) == expected
+    assert _outcome(parse_transactions, io.BytesIO(data)) == expected
+    try:
+        held = wrapped().read().encode("utf-8")
+    except UnicodeDecodeError:
+        # No text holds these bytes: reading the stream fails as parsing them does.
+        assert _outcome(parse_transactions, wrapped()) == expected
+        return
+    assert _outcome(parse_transactions, io.StringIO(data.decode("utf-8"))) == expected
+    assert _outcome(parse_transactions, wrapped()) == _outcome(_reference, held)
 
 
 DAYS = ["2004-01-08", "2004-01-09", "2004-01-12"]
@@ -284,6 +295,24 @@ def test_odd_shapes_match_line_loop(rows, edits, ending, blanks, final_newline, 
     _assert_same_as_loop(_render(rows, edits, ending, blanks, final_newline), newline)
 
 
+# Bytes spliced anywhere after the header, even inside a UTF-8 sequence or a
+# "\r\n": the reference parser must name a line wherever the column pass
+# declines.
+SPLICES = [b"\r", b"\n", b"\r\n", b"\x00", b",", b"\xff", b"\xc3", b"9", b"-", b":", b" "]
+
+
+@settings(max_examples=200)
+@given(rows=rows, splices=st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(SPLICES)),
+                                   min_size=1, max_size=3), **layout)
+def test_spliced_bytes_match_line_loop(rows, splices, ending, blanks, final_newline,
+                                       newline):
+    data = _render(rows, [], ending, blanks, final_newline)
+    for pos, piece in splices:
+        at = len(HEADER) + pos % (len(data) - len(HEADER) + 1)
+        data = data[:at] + piece + data[at:]
+    _assert_same_as_loop(data, newline)
+
+
 def test_each_odd_field_matches_line_loop():
     """Every spelling and shape above, alone in the middle line of a
     well-formed file."""
@@ -304,8 +333,45 @@ def test_each_odd_field_matches_line_loop():
                                   "\ufeff" + HEADER + "2004-01-08,09:30:01,1,B1,S1,5,7.25\n",
                                   HEADER + "2004-01-08,09:30:01,1,B1,S1,5,7.25\r"])
 @pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
-def test_edge_files_match_line_loop(text, newline):
-    _assert_same_as_loop(text.encode("utf-8"), newline)
+def test_edge_files_match_line_loop(text, newline, tmp_path):
+    data = text.encode("utf-8")
+    _assert_same_as_loop(data, newline)
+    path = tmp_path / "edge.csv"
+    path.write_bytes(data)
+    assert _outcome(parse_transactions, path) == _outcome(_reference, data)
+
+
+ROW = "2004-01-08,09:30:01,1,B1,S1,500,7.25"
+BEHAVIOUR = [  # (file, line of the error or None for a log, message)
+    (HEADER + ROW.replace("B1", "B\r1") + "\n", 2, "carriage return"),
+    (HEADER + ROW.replace("B1", "B\x001") + "\n", 2, "NUL"),
+    (HEADER + ROW + "\r\r\n", 2, "carriage return"),
+    (HEADER.replace("\n", "\r") + ROW + "\r" + ROW.replace(",1,", ",2,") + "\r", 1,
+     "bad header"),
+    (HEADER + ROW.replace("500", str(2**63)) + "\n", 2,
+     f"volume {2**63} exceeds int64"),
+    (HEADER.replace("\n", "\r"), None, None),
+]
+
+
+@pytest.mark.parametrize("text, lineno, message", BEHAVIOUR,
+                         ids=["lone-cr", "nul", "cr-cr-lf", "cr-only-endings",
+                              "volume-2**63", "header-only-final-cr"])
+@pytest.mark.parametrize("kind", ["bytes", "path", "StringIO"])
+def test_same_content_same_outcome(text, lineno, message, kind, tmp_path):
+    """One line rule for every source: a line ends at "\\n" or the end of
+    the file, one "\\r" before that end is dropped, and a NUL or any other
+    "\\r" makes the line malformed."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    source = {"bytes": text.encode("utf-8"), "path": path,
+              "StringIO": io.StringIO(text)}[kind]
+    if lineno is None:
+        assert parse_transactions(source, META).n_records == 0
+        return
+    with pytest.raises(TransactionParseError, match=message) as exc:
+        parse_transactions(source, META)
+    assert exc.value.lineno == lineno
 
 
 @settings(max_examples=200)
