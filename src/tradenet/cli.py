@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .detector import DetectorConfig, detect_corpus
 from .features import TAIL_STATS, compute_features, tail_samples
-from .ingest import (StockMeta, load_corpus, parse_transactions,
+from .ingest import (StockMeta, _dump_json, _write_rows, load_corpus, parse_transactions,
                      read_stock_meta, write_stock_meta, write_transactions)
 from .network import build_network, write_edge_list
 from .powerlaw import GofConfig, ccdf_points, fit_tail
@@ -58,10 +58,6 @@ def _atomic_write(path: Path, content) -> None:
         else:
             fh.write(content)
     os.replace(tmp, path)
-
-
-def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
@@ -243,10 +239,8 @@ def _feature_row(feats) -> list[str]:
 
 
 def _write_features_csv(path: Path, features_by_symbol: dict) -> None:
-    lines = [",".join(_feature_columns())]
-    for sym in sorted(features_by_symbol):
-        lines.append(",".join(_feature_row(features_by_symbol[sym])))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = [_feature_row(features_by_symbol[sym]) for sym in sorted(features_by_symbol)]
+    _atomic_write(path, partial(_write_rows, header=_feature_columns(), rows=rows))
 
 
 def _cmd_features(args: argparse.Namespace) -> int:
@@ -262,15 +256,14 @@ def _cmd_features(args: argparse.Namespace) -> int:
             if samples.size == 0:
                 continue
             xs, cc = ccdf_points(samples)
-            lines = ["x,ccdf"] + [f"{x},{float(c)!r}" for x, c in zip(xs, cc)]
+            rows = zip(map(str, xs.tolist()), map(repr, cc.tolist()))
             _atomic_write(out / "plotdata" / f"{sym}_ccdf_{stat}.csv",
-                          "\n".join(lines) + "\n")
+                          partial(_write_rows, header=("x", "ccdf"), rows=rows))
         series = stock.series
-        lines = ["date,avg_price,n_sellers,n_buyers"]
-        for i, day in enumerate(series.days):
-            lines.append(f"{day.isoformat()},{float(series.avg_price[i])!r},"
-                         f"{series.n_sellers[i]},{series.n_buyers[i]}")
-        _atomic_write(out / "plotdata" / f"{sym}_daily.csv", "\n".join(lines) + "\n")
+        rows = zip(map(dt.date.isoformat, series.days), map(repr, series.avg_price.tolist()),
+                   map(str, series.n_sellers.tolist()), map(str, series.n_buyers.tolist()))
+        _atomic_write(out / "plotdata" / f"{sym}_daily.csv", partial(
+            _write_rows, header=("date", "avg_price", "n_sellers", "n_buyers"), rows=rows))
 
     _write_manifest(out, "features", cfg, [str(args.corpus)])
     print(f"wrote {out / 'features.csv'} ({len(feats)} stocks)")

@@ -183,6 +183,18 @@ def _first_appearance(buyers: np.ndarray, sellers: np.ndarray):
     return appearance, rank[buyers], rank[sellers]
 
 
+def _check_ids(ids: np.ndarray) -> None:
+    """Raise ValueError naming the first id in a ``U`` array that a CSV field
+    cannot hold: an empty one, or one holding a comma, a line break or NUL."""
+    chars = ids.view(np.uint32).reshape(ids.size, ids.dtype.itemsize // 4)
+    filled = chars != 0  # numpy pads each id with NULs, so its own NULs are gaps
+    bad = (~filled[:, 0] | (filled[:, 1:] > filled[:, :-1]).any(axis=1)
+           | np.isin(chars, [ord(","), ord("\n"), ord("\r")]).any(axis=1))
+    if bad.any():
+        raise ValueError(f"id {str(ids[bad.argmax()])!r} is empty or holds a comma, "
+                         "a line break or NUL")
+
+
 def build_log(meta: StockMeta, dates, times, txn_ids, buyer_ids, seller_ids,
               volumes, prices) -> TransactionLog:
     """Assemble a log from parallel columns with string account ids.
@@ -191,12 +203,13 @@ def build_log(meta: StockMeta, dates, times, txn_ids, buyer_ids, seller_ids,
     are sorted by (date, time, txn_id) and the accounts numbered densely in
     first-appearance order (buyer before seller) over the sorted sequence,
     exactly like a parsed file, so in-memory construction and CSV
-    round-trips agree bit for bit.
+    round-trips agree bit for bit; an id no CSV field can hold is a ValueError.
     """
     txn_ids = np.asarray(txn_ids, dtype=np.str_)
     ids = np.concatenate((np.asarray(buyer_ids, dtype=np.str_),
                           np.asarray(seller_ids, dtype=np.str_)))
     names, codes = np.unique(ids, return_inverse=True)
+    _check_ids(np.concatenate((txn_ids, names)))
     n = txn_ids.size
     return _sorted_log(meta, dates, times, txn_ids, txn_ids, codes[:n], codes[n:],
                        names, volumes, prices)
@@ -435,31 +448,34 @@ def _check_line(lineno: int, line: str, seen: set[tuple[int, str]]) -> tuple:
     return ordinal, seconds, txn, buyer, seller, volume, price
 
 
+def _format_distinct(values: np.ndarray, fmt) -> np.ndarray:
+    """Format each distinct value of a column once, into an object array of
+    strings (the write-side twin of ``_map_distinct``)."""
+    uniq, inverse = np.unique(values, return_inverse=True)
+    return np.array([fmt(v) for v in uniq.tolist()], dtype=object)[inverse]
+
+
+def _write_rows(stream, header, rows) -> None:
+    """Write a CSV of string cells to an open text stream: the header line,
+    then one comma-joined line per row, streamed rather than built whole."""
+    stream.write(",".join(header) + "\n")
+    stream.writelines(map("{}\n".format, map(",".join, rows)))
+
+
+def _dump_json(payload) -> str:
+    """The one JSON spelling of every sidecar and JSON artifact."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_transactions(log: TransactionLog, dest) -> None:
-    """Serialize a log back to the CSV format (inverse of parse_transactions)."""
-    own = isinstance(dest, (str, Path))
-    stream = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        stream.write(",".join(CSV_HEADER) + "\n")
-        date_cache: dict[int, str] = {}
-        time_cache: dict[int, str] = {}
-        for i in range(log.n_records):
-            d = int(log.dates[i])
-            d_s = date_cache.get(d)
-            if d_s is None:
-                d_s = dt.date.fromordinal(d).isoformat()
-                date_cache[d] = d_s
-            t = int(log.times[i])
-            t_s = time_cache.get(t)
-            if t_s is None:
-                t_s = f"{t // 3600:02d}:{t % 3600 // 60:02d}:{t % 60:02d}"
-                time_cache[t] = t_s
-            stream.write(f"{d_s},{t_s},{log.txn_ids[i]},"
-                         f"{log.accounts[log.buyers[i]]},{log.accounts[log.sellers[i]]},"
-                         f"{log.volumes[i]},{float(log.prices[i])!r}\n")
-    finally:
-        if own:
-            stream.close()
+    """Write a log as CSV to an open text stream (inverse of parse_transactions)."""
+    names = np.array(log.accounts, dtype=object)
+    _write_rows(dest, CSV_HEADER, zip(
+        _format_distinct(log.dates, lambda d: dt.date.fromordinal(d).isoformat()),
+        _format_distinct(log.times,
+                         lambda t: f"{t // 3600:02d}:{t % 3600 // 60:02d}:{t % 60:02d}"),
+        log.txn_ids, names[log.buyers], names[log.sellers],
+        _format_distinct(log.volumes, str), _format_distinct(log.prices, repr)))
 
 
 def read_stock_meta(source) -> StockMeta:
@@ -477,12 +493,8 @@ def read_stock_meta(source) -> StockMeta:
 
 
 def write_stock_meta(meta: StockMeta, dest) -> None:
-    payload = json.dumps(meta.to_dict(), indent=2, sort_keys=True) + "\n"
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        dest.write(payload)
+    """Write a JSON sidecar to an open text stream."""
+    dest.write(_dump_json(meta.to_dict()))
 
 
 def filter_period(log: TransactionLog, interval: tuple[dt.date, dt.date]) -> TransactionLog:

@@ -10,11 +10,10 @@ never inflate them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .ingest import TransactionLog
+from .ingest import TransactionLog, _format_distinct, _write_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,13 +112,8 @@ def average_degree(net: TradingNetwork) -> float:
 
 
 def write_edge_list(net: TradingNetwork, dest) -> None:
-    """Export ``seller_idx,buyer_idx,weight`` CSV for external graph tools."""
-    own = isinstance(dest, (str, Path))
-    stream = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        stream.write("seller_idx,buyer_idx,weight\n")
-        for s, b, w in zip(net.edge_sellers, net.edge_buyers, net.edge_weights):
-            stream.write(f"{s},{b},{w}\n")
-    finally:
-        if own:
-            stream.close()
+    """Write the ``seller_idx,buyer_idx,weight`` CSV for external graph tools
+    to an open text stream."""
+    _write_rows(dest, ("seller_idx", "buyer_idx", "weight"),
+                zip(*(_format_distinct(col, str) for col in
+                      (net.edge_sellers, net.edge_buyers, net.edge_weights))))

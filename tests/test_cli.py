@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -287,3 +288,40 @@ def test_sidecar_error_names_the_file(tmp_path, capsys, edit, message):
     assert rc == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "S001.json" in err and message in err
+
+
+# SHA-256 digests of a small seeded session's artifacts: a change to how any
+# file is written must keep every byte.  Owning the Hurwitz zeta (ROADMAP
+# item 2) may move the last digits of the alphas, and so re-pin
+# "features.csv" only.
+PINNED_DIGESTS = {
+    "corpus": "a0d78a94e3f63b4483ad1abea6c30f684bb41b79f9850e610e34b9aa908fddc9",
+    "networks": "0c70f7382f134d1c9ab36aabc42fae9d216a8c354defafdc8445e6295c659329",
+    "plotdata": "ba62bd4c0c9dbd5641f3a861fd9a0feebeb579d8b4472c9f41a16d1eb4a1e87a",
+    "features.csv": "b108f4d7d1cbb0fda0c350b59e4aaf1e134f3b2d5122f7cc54394451caceaf77",
+}
+
+
+def _digest(paths) -> str:
+    """One digest over each file's name and bytes, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(paths):
+        h.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
+def test_artifacts_pinned(tmp_path):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["simulate", "--out", str(corpus), "--honest", "2", "--manipulated", "2",
+                 "--partial", "1", "--days", "12", "--traders", "120",
+                 "--trades-per-day", "30", "--colluders", "20", "--seed", "5"]) == 0
+    assert main(["build", "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert main(["features", "--corpus", str(corpus), "--out", str(out),
+                 "--bootstrap", "0", "--min-tail", "10"]) == 0
+    digests = {
+        "corpus": _digest([*corpus.glob("S*.csv"), *corpus.glob("S*.json")]),
+        "networks": _digest((out / "networks").iterdir()),
+        "plotdata": _digest((out / "plotdata").iterdir()),
+        "features.csv": _digest([out / "features.csv"]),
+    }
+    assert digests == PINNED_DIGESTS

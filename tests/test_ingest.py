@@ -1,6 +1,7 @@
 import datetime as dt
 import gc
 import io
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,9 @@ from tradenet.ingest import (StockMeta, TransactionParseError, _check_line,
                              _data_lines, _lexsorted, _parse_columns, build_log,
                              filter_period, load_corpus, parse_transactions,
                              read_stock_meta, write_stock_meta, write_transactions)
-from tradenet.sim import SimConfig, simulate
+from tradenet.network import build_network, write_edge_list
+from tradenet.sim import START, SimConfig, simulate, trading_days
+import writer_oracle
 
 META = StockMeta(symbol="TEST", capitalization_bucket="mid", sector="industrials")
 
@@ -150,7 +153,8 @@ def test_roundtrip_simulated_log(tmp_path):
     res = simulate(SimConfig(rng_seed=5, n_traders=150, n_days=15,
                              trades_per_day=40.0, n_colluders=30))
     path = tmp_path / "sim.csv"
-    write_transactions(res.log, path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_transactions(res.log, fh)
     again = parse_transactions(path, res.log.meta)
     assert again == res.log
 
@@ -161,7 +165,8 @@ def test_written_files_take_the_column_pass(tmp_path, monkeypatch):
     res = simulate(SimConfig(rng_seed=5, n_traders=150, n_days=15,
                              trades_per_day=40.0, n_colluders=30))
     path = tmp_path / "sim.csv"
-    write_transactions(res.log, path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_transactions(res.log, fh)
 
     def fail(data):
         raise AssertionError("line loop reached")
@@ -171,6 +176,73 @@ def test_written_files_take_the_column_pass(tmp_path, monkeypatch):
     for source in (path, str(path), data, io.BytesIO(data),
                    io.StringIO(data.decode())):
         assert parse_transactions(source, res.log.meta) == res.log
+
+
+# ------------------------------------------------ column writers vs per-line writers
+
+def _written(writer, obj) -> str:
+    buf = io.StringIO()
+    writer(obj, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("changes", [
+    {},
+    {"manipulated": True},
+    {"manipulated": True, "manipulation_window": (START, trading_days(START, 15)[9])},
+    {"manipulated": True, "wash_volume_fraction": 0.0},
+], ids=["honest", "manipulated", "partial-window", "no-wash"])
+def test_writers_match_oracle_on_simulated_logs(changes):
+    res = simulate(SimConfig(rng_seed=5, n_traders=150, n_days=15,
+                             trades_per_day=40.0, n_colluders=30, **changes))
+    assert (_written(write_transactions, res.log)
+            == _written(writer_oracle.write_transactions, res.log))
+    net = build_network(res.log)
+    assert _written(write_edge_list, net) == _written(writer_oracle.write_edge_list, net)
+
+
+def test_empty_log_matches_oracle():
+    log = build_log(META, *[()] * 7)
+    text = _written(write_transactions, log)
+    assert text == HEADER == _written(writer_oracle.write_transactions, log)
+    assert parse_transactions(io.StringIO(text), META) == log
+
+
+# Ids hold anything but the characters a CSV line cannot; the numbers reach
+# the extremes of their spellings: years 1 and 9999, the first and last
+# second of a day, int64 volumes, and prices whose repr needs an exponent or
+# all 17 digits.
+ident = st.text(st.characters(exclude_characters=",\n\r\x00"), min_size=1, max_size=4)
+PRICES = [5e-324, 1e16, 0.1 + 0.2, 1.7976931348623157e308]
+record = st.tuples(
+    st.one_of(st.sampled_from([1, dt.date(9999, 12, 31).toordinal()]),
+              st.integers(1, dt.date(9999, 12, 31).toordinal())),
+    st.one_of(st.sampled_from([0, 86399]), st.integers(0, 86399)),
+    ident, ident, ident,
+    st.one_of(st.just(np.iinfo(np.int64).max), st.integers(1, np.iinfo(np.int64).max)),
+    st.one_of(st.sampled_from(PRICES),
+              st.floats(5e-324, 1.7976931348623157e308, allow_infinity=False)))
+
+
+@settings(max_examples=150)
+@given(records=st.lists(record, max_size=8, unique_by=lambda r: (r[0], r[2])))
+def test_writer_matches_oracle_and_roundtrips(records):
+    log = build_log(META, *(list(zip(*records)) or [()] * 7))
+    text = _written(write_transactions, log)
+    assert text == _written(writer_oracle.write_transactions, log)
+    assert parse_transactions(io.StringIO(text), META) == log
+
+
+@pytest.mark.parametrize("field", ["txn_id", "buyer_id", "seller_id"])
+@pytest.mark.parametrize("bad", ["B,1", "B\n1", "B\r1", "B\x001", ""],
+                         ids=["comma", "newline", "carriage-return", "nul", "empty"])
+def test_build_log_rejects_unwritable_id(field, bad):
+    """Every log build_log makes can be written and read back, so it
+    refuses an id no CSV field can hold, and names it."""
+    cols = [[731588], [3600], ["1"], ["B1"], ["S1"], [5], [7.25]]
+    cols[HEADER.split(",").index(field)] = [bad]
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        build_log(META, *cols)
 
 
 # ------------------------------------------------ column pass vs line loop
@@ -393,7 +465,8 @@ def test_meta_sidecar_roundtrip(tmp_path):
                      manipulated=True,
                      manipulation_period=(dt.date(2004, 1, 2), dt.date(2004, 9, 3)))
     path = tmp_path / "S1.json"
-    write_stock_meta(meta, path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_stock_meta(meta, fh)
     assert read_stock_meta(path) == meta
 
 
@@ -427,8 +500,10 @@ def test_sidecar_field_types_checked(field, value):
 def test_load_corpus_rejects_duplicate_symbol(tmp_path):
     log = parse("2004-01-08,09:30:01,1,B1,S1,500,7.25\n")
     for name in ("A", "B"):
-        write_transactions(log, tmp_path / f"{name}.csv")
-        write_stock_meta(META, tmp_path / f"{name}.json")
+        with open(tmp_path / f"{name}.csv", "w", encoding="utf-8", newline="") as fh:
+            write_transactions(log, fh)
+        with open(tmp_path / f"{name}.json", "w", encoding="utf-8", newline="") as fh:
+            write_stock_meta(META, fh)
     with pytest.raises(ValueError, match="'TEST' names two stocks") as exc:
         load_corpus(tmp_path)
     assert str(tmp_path / "A.csv") in str(exc.value)
