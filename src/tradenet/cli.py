@@ -79,13 +79,11 @@ def _effective_config(args: argparse.Namespace) -> dict:
 def _write_manifest(out: Path, subcommand: str, cfg: dict, inputs: list[str]) -> None:
     manifest = {
         "subcommand": subcommand,
-        "config": {k: cfg[k] for k in sorted(cfg) if k != "groups"},
+        "config": cfg,
         "inputs": sorted(inputs),
         "toolkit_version": __version__,
         "timestamp": dt.datetime.now(dt.timezone.utc).isoformat(),
     }
-    if "groups" in cfg:
-        manifest["config"]["groups"] = cfg["groups"]
     _atomic_write(out / "manifest.json", _dump_json(manifest))
 
 
@@ -193,7 +191,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     logs = load_corpus(args.corpus)
     for sym in sorted(logs):
         tails = tail_samples(build_network(logs[sym]))
-        fits = {stat: fit_tail(sample, gof_cfg, max_candidates=cap).to_dict()
+        fits = {stat: fit_tail(sample, gof_cfg, max_candidates=cap)
                 for stat, (sample, cap) in tails.items()}
         _atomic_write(out / "fits" / f"{sym}.json",
                       _dump_json({"symbol": sym, "fits": fits}))
@@ -206,41 +204,39 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- features
 
-def _feature_columns() -> list[str]:
-    cols = ["symbol", "n_days", "avg_degree", "return_ratio_corr"]
-    for stat in TAIL_STATS:
-        for field in ("xmin", "alpha", "ccdf_exponent", "ks_distance",
-                      "p_value", "n_tail", "levy_stable"):
-            cols.append(f"{stat}_{field}")
-    return cols
+# features.csv's columns per tail statistic: (column suffix, TailFit field).
+FIT_COLUMNS = (("xmin", "x_min"), ("alpha", "alpha"), ("ccdf_exponent", "ccdf_exponent"),
+               ("ks_distance", "ks_distance"), ("p_value", "p_value"),
+               ("n_tail", "n_tail"), ("levy_stable", "levy_stable"))
+STOCK_COLUMNS = ("symbol", "n_days", "avg_degree", "return_ratio_corr")
+
+
+def _cell(value) -> str:
+    """One features.csv cell: None empty, booleans in lower case, floats in
+    repr form."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def _feature_row(feats) -> list[str]:
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, bool):
-            return str(v).lower()
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    row = [feats.symbol, str(feats.n_days), repr(feats.avg_degree),
-           cell(feats.return_ratio_corr)]
+    row = [_cell(getattr(feats, col)) for col in STOCK_COLUMNS]
     for stat in TAIL_STATS:
         fit = feats.fits.get(stat)
-        if fit is None:
-            row.extend([""] * 7)
-        else:
-            row.extend([str(fit.x_min), repr(fit.alpha), repr(fit.ccdf_exponent),
-                        repr(fit.ks_distance), cell(fit.p_value),
-                        str(fit.n_tail), str(fit.levy_stable).lower()])
+        row.extend(_cell(None if fit is None else getattr(fit, name))
+                   for _, name in FIT_COLUMNS)
     return row
 
 
 def _write_features_csv(path: Path, features_by_symbol: dict) -> None:
+    header = [*STOCK_COLUMNS,
+              *(f"{stat}_{suffix}" for stat in TAIL_STATS for suffix, _ in FIT_COLUMNS)]
     rows = [_feature_row(features_by_symbol[sym]) for sym in sorted(features_by_symbol)]
-    _atomic_write(path, partial(_write_rows, header=_feature_columns(), rows=rows))
+    _atomic_write(path, partial(_write_rows, header=header, rows=rows))
 
 
 def _cmd_features(args: argparse.Namespace) -> int:
@@ -278,8 +274,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     gof_cfg = _gof_config(cfg)
     logs = load_corpus(args.corpus)
     reports = detect_corpus(logs, gof_cfg, _detector_config(cfg))
-    _atomic_write(out / "reports.json",
-                  _dump_json([r.to_dict() for r in reports]))
+    _atomic_write(out / "reports.json", _dump_json(reports))
     _write_manifest(out, "detect", cfg, [str(args.corpus)])
     flagged = [r.symbol for r in reports if r.verdict]
     print(f"{len(reports)} stocks evaluated, {len(flagged)} flagged"
@@ -289,14 +284,16 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(p: argparse.ArgumentParser, *, out_required: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, *, seed: bool) -> None:
+    """Options of every subcommand that writes files; ``seed`` for those
+    that draw random numbers."""
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("--dump-config", action="store_true",
                    help="print the effective configuration and exit")
-    p.add_argument("--seed", type=int, help="master RNG seed")
+    if seed:
+        p.add_argument("--seed", type=int, help="master RNG seed")
     p.add_argument("-v", "--verbose", action="store_true")
-    if out_required:
-        p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True, help="output directory")
 
 
 def _add_gof(p: argparse.ArgumentParser) -> None:
@@ -317,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic corpus")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--honest", type=int, help="honest stocks to generate")
     p.add_argument("--manipulated", type=int, help="manipulated stocks")
     p.add_argument("--partial", type=int,
@@ -335,30 +332,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="parse-only check of transaction CSVs")
     p.add_argument("files", nargs="*", help="transaction CSV files")
     p.add_argument("--corpus", help="directory of SYMBOL.csv files")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--dump-config", action="store_true")
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("build", help="export merged trading networks")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("fit", help="power-law tail fits per stock")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--corpus", required=True)
     _add_gof(p)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("features", help="feature table and plot data")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--corpus", required=True)
     _add_gof(p)
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("detect", help="reference comparison and verdicts")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--corpus", required=True)
     _add_gof(p)
     p.add_argument("--corr-threshold", dest="corr_threshold", type=float)

@@ -36,13 +36,6 @@ class DetectorConfig:
     elevation_factor: float = 1.25
     decision_threshold: float = 0.5
 
-    def to_dict(self) -> dict:
-        return {
-            "corr_threshold": self.corr_threshold,
-            "elevation_factor": self.elevation_factor,
-            "decision_threshold": self.decision_threshold,
-        }
-
 
 @dataclass(frozen=True)
 class ReferenceGroup:
@@ -73,17 +66,6 @@ class ManipulationReport:
     thresholds: DetectorConfig
     target_values: dict[str, float | None] = field(default_factory=dict)
     reference_values: dict[str, float | None] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "symbol": self.symbol,
-            "flags": dict(self.flags),
-            "score": self.score,
-            "verdict": self.verdict,
-            "thresholds": self.thresholds.to_dict(),
-            "target_values": dict(self.target_values),
-            "reference_values": dict(self.reference_values),
-        }
 
 
 def feature_vector(features: StockFeatures) -> dict[str, float | None]:
@@ -150,11 +132,8 @@ def evaluate(target_features: StockFeatures, reference: ReferenceValues | Mappin
     for key in XMIN_FEATURES + ("avg_degree",):
         t_val = target[key]
         r_val = ref_means.get(key)
-        flag_name = "avg_degree_elevated" if key == "avg_degree" else f"{key}_elevated"
-        if t_val is None or r_val is None:
-            flags[flag_name] = None
-        else:
-            flags[flag_name] = bool(t_val > cfg.elevation_factor * r_val)
+        flags[f"{key}_elevated"] = (None if t_val is None or r_val is None
+                                    else bool(t_val > cfg.elevation_factor * r_val))
 
     evaluated = [v for v in flags.values() if v is not None]
     score = (sum(evaluated) / len(evaluated)) if evaluated else 0.0

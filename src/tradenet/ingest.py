@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,18 +50,6 @@ class StockMeta:
             start, end = self.manipulation_period
             if start > end:
                 raise ValueError("manipulation_period start must be <= end")
-
-    def to_dict(self) -> dict:
-        period = None
-        if self.manipulation_period is not None:
-            period = [d.isoformat() for d in self.manipulation_period]
-        return {
-            "symbol": self.symbol,
-            "capitalization_bucket": self.capitalization_bucket,
-            "sector": self.sector,
-            "manipulated": self.manipulated,
-            "manipulation_period": period,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "StockMeta":
@@ -122,15 +110,9 @@ class TransactionLog:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TransactionLog):
             return NotImplemented
-        return (self.meta == other.meta
-                and self.accounts == other.accounts
-                and np.array_equal(self.dates, other.dates)
-                and np.array_equal(self.times, other.times)
-                and np.array_equal(self.txn_ids, other.txn_ids)
-                and np.array_equal(self.buyers, other.buyers)
-                and np.array_equal(self.sellers, other.sellers)
-                and np.array_equal(self.volumes, other.volumes)
-                and np.array_equal(self.prices, other.prices))
+        pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)]
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in pairs)
 
 
 def _sorted_log(meta: StockMeta, dates, times, txn_ids, txn_keys, buyers, sellers,
@@ -138,10 +120,34 @@ def _sorted_log(meta: StockMeta, dates, times, txn_ids, txn_keys, buyers, seller
     """The log of these records in (date, time, txn_id) order.
 
     ``txn_keys`` sort like ``txn_ids`` (the ids themselves, or their ranks);
-    ``buyers``/``sellers`` index the account ids ``names``.
+    ``buyers``/``sellers`` index the account ids ``names``.  A record no
+    transaction file can hold is a ValueError worded like ``_check_line``'s:
+    a volume below 1, a price that is not finite and > 0, a time outside the
+    day, or a repeated (date, txn_id).
     """
     dates = np.asarray(dates, dtype=np.int64)
     times = np.asarray(times, dtype=np.int64)
+    volumes = np.asarray(volumes, dtype=np.int64)
+    prices = np.asarray(prices, dtype=np.float64)
+    bad = volumes < 1
+    if bad.any():
+        raise ValueError(f"volume must be >= 1, got {int(volumes[bad][0])}")
+    bad = ~(np.isfinite(prices) & (prices > 0))
+    if bad.any():
+        raise ValueError(f"price must be > 0, got {float(prices[bad][0])!r}")
+    bad = (times < 0) | (times >= 86_400)
+    if bad.any():
+        raise ValueError(f"time {int(times[bad][0])} s out of range")
+    # A repeat is a neighbour in (date, txn_id) order, which simulated rows
+    # already run in.
+    by_txn = (txn_keys, dates)
+    order = np.arange(dates.size) if _lexsorted(by_txn) else np.lexsort(by_txn)
+    day, key = dates[order], txn_keys[order]
+    repeat = (day[1:] == day[:-1]) & (key[1:] == key[:-1])
+    if repeat.any():
+        i = order[repeat.argmax() + 1]
+        raise ValueError(f"duplicate (date, txn_id) = "
+                         f"({dt.date.fromordinal(int(dates[i]))}, {txn_ids[i]})")
     keys = (txn_keys, times, dates)
     # Files written by write_transactions are already in order, and a check
     # is far cheaper than a sort.
@@ -149,8 +155,7 @@ def _sorted_log(meta: StockMeta, dates, times, txn_ids, txn_keys, buyers, seller
     kept, buyers, sellers = _first_appearance(buyers[order], sellers[order])
     return TransactionLog(meta=meta, dates=dates[order], times=times[order],
                           txn_ids=txn_ids[order], buyers=buyers, sellers=sellers,
-                          volumes=np.asarray(volumes, dtype=np.int64)[order],
-                          prices=np.asarray(prices, dtype=np.float64)[order],
+                          volumes=volumes[order], prices=prices[order],
                           accounts=tuple(str(a) for a in names[kept]))
 
 
@@ -203,7 +208,8 @@ def build_log(meta: StockMeta, dates, times, txn_ids, buyer_ids, seller_ids,
     are sorted by (date, time, txn_id) and the accounts numbered densely in
     first-appearance order (buyer before seller) over the sorted sequence,
     exactly like a parsed file, so in-memory construction and CSV
-    round-trips agree bit for bit; an id no CSV field can hold is a ValueError.
+    round-trips agree bit for bit.  A record or id no CSV line can hold is a
+    ValueError, so every log built here can be written and read back.
     """
     txn_ids = np.asarray(txn_ids, dtype=np.str_)
     ids = np.concatenate((np.asarray(buyer_ids, dtype=np.str_),
@@ -320,10 +326,10 @@ def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog | None:
     """Parse a well-formed file in whole-column passes over its bytes.
 
     Returns None whenever a check fails: a NUL byte, invalid UTF-8, a
-    ``"\\r"`` that does not end a line, or a bad field.  Every check here is
-    one ``_check_line`` makes, and every check it makes is made here, so
-    this pass gives the log of every file that parses and declines exactly
-    the files with a bad line.
+    ``"\\r"`` that does not end a line, or a bad field or record.  Every
+    check here or in ``_sorted_log`` is one ``_check_line`` makes, and every
+    check it makes is made in one of the two, so this pass gives the log of
+    every file that parses and declines exactly the files with a bad line.
     """
     buf = np.frombuffer(data, np.uint8)
     newlines = np.flatnonzero(buf == ord("\n"))
@@ -374,13 +380,6 @@ def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog | None:
         prices = _map_distinct(p_col, float, np.float64)
     except (ValueError, OverflowError):
         return None
-    if (volumes < 1).any() or not (np.isfinite(prices) & (prices > 0)).all():
-        return None
-    txn_rank, _ = _distinct(txn_col)
-    order = np.lexsort((txn_rank, dates))
-    if ((dates[order][1:] == dates[order][:-1])
-            & (txn_rank[order][1:] == txn_rank[order][:-1])).any():
-        return None
 
     def text(col):
         if not ascii_only:
@@ -391,8 +390,12 @@ def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog | None:
 
     ids = np.concatenate((b_col, s_col))
     codes, first = _distinct(ids)
-    return _sorted_log(meta, dates, times, text(txn_col), txn_rank, codes[:n], codes[n:],
-                       text(ids[first]), volumes, prices)
+    txn_rank, _ = _distinct(txn_col)
+    try:
+        return _sorted_log(meta, dates, times, text(txn_col), txn_rank, codes[:n],
+                           codes[n:], text(ids[first]), volumes, prices)
+    except ValueError:
+        return None
 
 
 def _data_lines(data: bytes):
@@ -462,9 +465,18 @@ def _write_rows(stream, header, rows) -> None:
     stream.writelines(map("{}\n".format, map(",".join, rows)))
 
 
+def _json_default(value):
+    """A dataclass record as its fields, a date as its ISO string."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return asdict(value)
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _dump_json(payload) -> str:
     """The one JSON spelling of every sidecar and JSON artifact."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def write_transactions(log: TransactionLog, dest) -> None:
@@ -494,7 +506,7 @@ def read_stock_meta(source) -> StockMeta:
 
 def write_stock_meta(meta: StockMeta, dest) -> None:
     """Write a JSON sidecar to an open text stream."""
-    dest.write(_dump_json(meta.to_dict()))
+    dest.write(_dump_json(meta))
 
 
 def filter_period(log: TransactionLog, interval: tuple[dt.date, dt.date]) -> TransactionLog:

@@ -75,18 +75,6 @@ class TailFit:
     levy_stable: bool
     alpha_at_bound: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "x_min": self.x_min,
-            "alpha": self.alpha,
-            "ccdf_exponent": self.ccdf_exponent,
-            "ks_distance": self.ks_distance,
-            "p_value": self.p_value,
-            "n_tail": self.n_tail,
-            "levy_stable": self.levy_stable,
-            "alpha_at_bound": self.alpha_at_bound,
-        }
-
 
 def _as_int_array(samples) -> np.ndarray:
     arr = np.asarray(samples)

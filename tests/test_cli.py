@@ -174,7 +174,7 @@ def test_missing_corpus_single_line_error(tmp_path, capsys):
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 99, "min_tail": 25}))
-    rc = main(["detect", "--corpus", "unused", "--out", "unused",
+    rc = main(["fit", "--corpus", "unused", "--out", "unused",
                "--config", str(cfg), "--seed", "3", "--dump-config"])
     assert rc == 0
     effective = json.loads(capsys.readouterr().out)
@@ -203,6 +203,20 @@ def test_removed_options_rejected(tmp_path, capsys, key):
                "--config", str(cfg), "--dump-config"])
     assert rc != 0
     assert "unknown config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--corpus", "unused", "--out", "unused", "--seed", "1"],
+    ["detect", "--corpus", "unused", "--out", "unused", "--seed", "1"],
+    ["validate", "--config", "unused.json"],
+    ["validate", "--dump-config"],
+], ids=["build-seed", "detect-seed", "validate-config", "validate-dump-config"])
+def test_inert_options_rejected(argv):
+    """build and detect draw no random numbers, and validate reads no config,
+    so they take no option that could not change their output."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 # The effective defaults of each subcommand, written out as literals so that
@@ -292,13 +306,18 @@ def test_sidecar_error_names_the_file(tmp_path, capsys, edit, message):
 
 # SHA-256 digests of a small seeded session's artifacts: a change to how any
 # file is written must keep every byte.  Owning the Hurwitz zeta (ROADMAP
-# item 2) may move the last digits of the alphas, and so re-pin
-# "features.csv" only.
+# item 2) may move the last digits of the alphas, and so re-pin "fits" and
+# "features.csv" only; "reports.json" holds x_min values and verdicts, never
+# alphas, and must not move.
 PINNED_DIGESTS = {
     "corpus": "a0d78a94e3f63b4483ad1abea6c30f684bb41b79f9850e610e34b9aa908fddc9",
+    "corpus_manifest.json":
+        "b7b1f822c5f7f11b8560fc16e033734efe8b12bf7ef518d42811e259234d889c",
     "networks": "0c70f7382f134d1c9ab36aabc42fae9d216a8c354defafdc8445e6295c659329",
     "plotdata": "ba62bd4c0c9dbd5641f3a861fd9a0feebeb579d8b4472c9f41a16d1eb4a1e87a",
     "features.csv": "b108f4d7d1cbb0fda0c350b59e4aaf1e134f3b2d5122f7cc54394451caceaf77",
+    "fits": "a31c657f526c1c3005480055d7411319862020f8de972b26d5780001841dab28",
+    "reports.json": "641f95315aa4cbdd55c4e2cbff467ff914d16e20a2c6e32c11b6b4a443572d53",
 }
 
 
@@ -318,10 +337,17 @@ def test_artifacts_pinned(tmp_path):
     assert main(["build", "--corpus", str(corpus), "--out", str(out)]) == 0
     assert main(["features", "--corpus", str(corpus), "--out", str(out),
                  "--bootstrap", "0", "--min-tail", "10"]) == 0
+    assert main(["fit", "--corpus", str(corpus), "--out", str(out), "--bootstrap", "5",
+                 "--seed", "5", "--min-tail", "10"]) == 0
+    assert main(["detect", "--corpus", str(corpus), "--out", str(out),
+                 "--min-tail", "10"]) == 1  # S003 is flagged
     digests = {
         "corpus": _digest([*corpus.glob("S*.csv"), *corpus.glob("S*.json")]),
+        "corpus_manifest.json": _digest([corpus / "corpus_manifest.json"]),
         "networks": _digest((out / "networks").iterdir()),
         "plotdata": _digest((out / "plotdata").iterdir()),
         "features.csv": _digest([out / "features.csv"]),
+        "fits": _digest((out / "fits").iterdir()),
+        "reports.json": _digest([out / "reports.json"]),
     }
     assert digests == PINNED_DIGESTS

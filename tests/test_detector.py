@@ -190,8 +190,9 @@ class TestEvaluate:
 
     def test_report_serializable(self):
         import json
+        from dataclasses import asdict
         rep = evaluate(features("T", corr=0.1), self.REF)
-        payload = json.dumps(rep.to_dict(), sort_keys=True)
+        payload = json.dumps(asdict(rep), sort_keys=True)
         assert '"verdict"' in payload
 
 

@@ -245,6 +245,29 @@ def test_build_log_rejects_unwritable_id(field, bad):
         build_log(META, *cols)
 
 
+@pytest.mark.parametrize("column, value, message", [
+    ("volume", 0, "volume must be >= 1, got 0"),
+    ("price", 0.0, "price must be > 0, got 0.0"),
+    ("price", -0.0, "price must be > 0, got -0.0"),
+    ("price", float("nan"), "price must be > 0, got nan"),
+    ("price", float("inf"), "price must be > 0, got inf"),
+    ("time", -1, "time -1 s out of range"),
+    ("time", 86_400, "time 86400 s out of range"),
+    ("txn_id", "1", "duplicate (date, txn_id) = (2004-01-05, 1)"),
+    ("txn_id", "2", "duplicate (date, txn_id) = (2004-01-05, 2)"),
+], ids=["volume-0", "price-0", "price-minus-0", "price-nan", "price-inf", "time-negative",
+        "time-86400", "txn-repeat-unsorted", "txn-repeat-sorted"])
+def test_build_log_rejects_unwritable_record(column, value, message):
+    """build_log refuses every record the file format refuses, in the words
+    the line check uses; a repeated (date, txn_id) is found whether or not
+    the rows already run in (date, txn_id) order."""
+    cols = [[dt.date(2004, 1, 5).toordinal()] * 3, [3600, 3700, 3800], ["1", "2", "3"],
+            ["B1"] * 3, ["S1"] * 3, [5] * 3, [7.25] * 3]
+    cols[ingest.CSV_HEADER.index(column)][2] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_log(META, *cols)
+
+
 # ------------------------------------------------ column pass vs line loop
 #
 # The reference parser checks each line on its own: on every source that

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -177,14 +177,14 @@ class TestSelectXmin:
         assert fit.x_min == 10
         assert fit.alpha == pytest.approx(ALPHA_MAX, abs=1e-9)
         assert fit.alpha_at_bound
-        assert fit.to_dict()["alpha_at_bound"] is True
+        assert asdict(fit)["alpha_at_bound"] is True
 
     def test_interior_exponent_not_flagged(self):
         rng = np.random.default_rng(21)
         fit = select_xmin(DiscretePowerLaw(2.5, 3).sample(rng, 3000),
                           GofConfig(min_tail_size=50))
         assert not fit.alpha_at_bound
-        assert fit.to_dict()["alpha_at_bound"] is False
+        assert asdict(fit)["alpha_at_bound"] is False
 
 
 def power_law_sample(alpha, x_min, n, body_frac, seed):
