@@ -482,10 +482,14 @@ def _dump_json(payload) -> str:
 def write_transactions(log: TransactionLog, dest) -> None:
     """Write a log as CSV to an open text stream (inverse of parse_transactions)."""
     names = np.array(log.accounts, dtype=object)
+    # HH:MM: per distinct minute and SS per distinct second, far fewer
+    # strings than one per distinct second of the log.
+    minutes, seconds = np.divmod(log.times, 60)
+    times = (_format_distinct(minutes, lambda m: f"{m // 60:02d}:{m % 60:02d}:")
+             + _format_distinct(seconds, "{:02d}".format))
     _write_rows(dest, CSV_HEADER, zip(
         _format_distinct(log.dates, lambda d: dt.date.fromordinal(d).isoformat()),
-        _format_distinct(log.times,
-                         lambda t: f"{t // 3600:02d}:{t % 3600 // 60:02d}:{t % 60:02d}"),
+        times,
         log.txn_ids, names[log.buyers], names[log.sellers],
         _format_distinct(log.volumes, str), _format_distinct(log.prices, repr)))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import zeta
 
 ALPHA_MIN = 1.0 + 1e-6
@@ -25,9 +26,25 @@ ALPHA_MAX = 20.0
 # Brent stops at 1e-6); the cap leaves room for bisecting the whole bracket.
 ALPHA_XTOL = 1e-10
 _SOLVE_MAX_ITER = 100
+# Rows a + h, a, a - h of the solver's central differences, in one zeta call.
+_STEPS = np.array([[1.0], [0.0], [-1.0]])
 
-# Flat support values per block of the KS pass over all candidates.
+# Support values per block of the KS pass over all candidates.
 KS_BLOCK = 1 << 16
+# The KS pass evaluates the model CDF exactly at every KS_STRIDE-th support
+# value of a fit, and elsewhere only where a bracket could set the maximum.
+KS_STRIDE = 8
+# Margin of that test.  The computed model CDF lies within about 1e-16 of a
+# concave function (zeta's own error, up to ~1e-9 relative for large alpha,
+# varies smoothly in q).  So a chord through two computed values is off by
+# about 2e-16 inside its row, and by 2e-16 * rise / width where a neighbour's
+# chord is extended over a row: the test keeps KS_SLACK, and neighbouring
+# slopes are widened by KS_SLACK / width, ~5000x each.
+KS_SLACK = 1e-12
+
+# Bootstrap samples drawn per batch of replicas, whose far-tail draws share
+# one bisection.
+_DRAW_BLOCK = 1 << 20
 
 # Exponents in (0, 2) on the CCDF scale fall in the Levy-stable regime.
 LEVY_UPPER = 2.0
@@ -113,7 +130,7 @@ def _solve_alpha(log_sums, n_tail, x_min) -> np.ndarray:
             a, xq = alpha[rows], q[rows]
             # Central differences of ln zeta; h shrinks as a -> 1, a pole.
             h = 1e-4 * (a - 1.0)
-            up, mid, down = (np.log(zeta(a + d, xq)) for d in (h, 0.0, -h))
+            up, mid, down = np.log(zeta(a + _STEPS * h, xq))
             grad = mean_log[rows] + (up - down) / (2.0 * h)
             curv = (up - 2.0 * mid + down) / (h * h)
             rising = grad < 0.0  # likelihood still rising: optimum above a
@@ -127,31 +144,92 @@ def _solve_alpha(log_sums, n_tail, x_min) -> np.ndarray:
     return alpha
 
 
+def _shift(x: np.ndarray, k: int) -> np.ndarray:
+    # Element i of the result is x[(i + k) % x.size] (np.roll(x, -k), cheaper).
+    return np.concatenate((x[k:], x[:k]))
+
+
+def _windows(x: np.ndarray) -> np.ndarray:
+    # Row i is x[i:i + KS_STRIDE] (sliding_window_view without its checks).
+    return as_strided(x, (x.size - KS_STRIDE + 1, KS_STRIDE), x.strides * 2,
+                      writeable=False)
+
+
 def _ks_scan(uniq: np.ndarray, cum_counts: np.ndarray, first: np.ndarray,
              x_mins: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """KS distance of each fit (x_mins, alphas) over its support uniq[first:].
 
-    The supports are laid end to end, evaluated with one zeta call and
-    reduced per fit by np.maximum.reduceat, in blocks of about KS_BLOCK
-    values so memory does not grow with fits x distinct values.
+    zeta(a, q) is convex and decreasing in q for a > 1, so each model CDF
+    F(u) = 1 - zeta(a, u + 1) / zeta(a, x_min) is concave and increasing in u.
+    F is evaluated at the pivots, every KS_STRIDE-th support value of a fit
+    and its last one; their largest |ecdf - F| is a lower bound on the fit's
+    KS.  Between two pivots F lies above their chord and below the
+    neighbouring chords extended, and the ecdf is exact, so F is evaluated
+    only where that bracket could reach the lower bound.  Each evaluated
+    distance is the full pass's expression, so the maxima equal the full
+    pass's bit for bit.
+
+    Each fit's support is cut into rows of KS_STRIDE values, a pivot first,
+    and a last row of the last value alone.  The rows are handled in blocks
+    of about KS_BLOCK values so memory does not grow with fits x distinct
+    values.
     """
-    lengths = uniq.size - first
-    ends = np.cumsum(lengths)
-    cum0 = np.concatenate(([0], cum_counts))
+    last = uniq.size - 1
+    n_rows = -(-(last - first) // KS_STRIDE) + 1
+    sizes = n_rows * KS_STRIDE
+    ends = np.cumsum(sizes)
+    below = np.concatenate(([0], cum_counts))[first]
+    # The last value and the values past it read NaN in the rows, whose
+    # brackets never pass the test below; the last row's pivot is set apart.
+    u_rows = _windows(np.concatenate((uniq[:last], np.full(KS_STRIDE, np.nan))))
+    c_rows = _windows(np.concatenate((cum_counts, np.full(KS_STRIDE - 1, cum_counts[-1]))))
     ks = np.empty(first.size)
     start = 0
     while start < first.size:
-        base = ends[start] - lengths[start]
+        base = ends[start] - sizes[start]
         stop = max(start + 1, int(np.searchsorted(ends, base + KS_BLOCK, side="right")))
         blk = slice(start, stop)
-        offsets = ends[blk] - lengths[blk] - base
-        rows = np.repeat(np.arange(stop - start), lengths[blk])
-        pos = first[blk][rows] + np.arange(rows.size) - offsets[rows]
-        below = cum0[first[blk]][rows]
-        ecdf = (cum0[pos + 1] - below) / (cum0[-1] - below)
-        a = alphas[blk]
-        model = 1.0 - zeta(a[rows], uniq[pos] + 1.0) / zeta(a, x_mins[blk])[rows]
-        ks[blk] = np.maximum.reduceat(np.abs(ecdf - model), offsets)
+        a, z_min = alphas[blk], zeta(alphas[blk], x_mins[blk])
+        fill, scale = below[blk, None], cum_counts[-1] - below[blk, None]
+
+        counts = n_rows[blk]
+        fit = np.repeat(np.arange(stop - start), counts)
+        tails = np.cumsum(counts) - 1
+        heads = tails + 1 - counts
+        pos = np.minimum(first[blk][fit] + KS_STRIDE * (np.arange(fit.size) - heads[fit]), last)
+        u = u_rows[pos]
+        u[tails, 0] = uniq[last]
+        ecdf = (c_rows[pos] - fill[fit]) / scale[fit]
+        f0 = 1.0 - zeta(a[fit], u[:, 0] + 1.0) / z_min[fit]
+        lb = np.maximum.reduceat(np.abs(ecdf[:, 0] - f0), heads)
+
+        # Right pivot, chord slope and neighbouring slopes of every row, the
+        # latter widened by KS_SLACK / width against their rounding.  A row
+        # whose values share one float (above 2**53) has F flat at f0, slope
+        # 0, and no chord to extend.  Where no left chord exists, a slope of
+        # 2**53 lifts the bound past 1 >= F one float step (>= 2**-52) right
+        # of u0; where no right chord exists, slope 0 caps F at its right
+        # pivot.  A fit's last row has no values to bracket, so what its
+        # neighbours give it does not matter.
+        u0, u1, f1 = u[:, 0], _shift(u[:, 0], 1), _shift(f0, 1)
+        width = u1 - u0
+        flat = width == 0.0
+        slope = np.divide(f1 - f0, width, out=np.zeros_like(f0), where=~flat)
+        tol = np.divide(KS_SLACK, width, out=np.zeros_like(f0), where=~flat)
+        left = _shift(np.where(flat, 2.0 ** 53, slope + tol), -1)
+        right = _shift(slope - tol, 1)
+        left[heads], right[tails - 1] = 2.0 ** 53, 0.0
+        rise = u[:, 1:] - u0[:, None]
+        lower = f0[:, None] + slope[:, None] * rise
+        upper = np.minimum(f0[:, None] + left[:, None] * rise,
+                           f1[:, None] + right[:, None] * (u[:, 1:] - u1[:, None]))
+        inner = ecdf[:, 1:]
+        gap = np.maximum(inner - lower, upper - inner)
+        r, c = np.nonzero(gap >= (lb - KS_SLACK)[fit, None])
+        at = fit[r]
+        model = 1.0 - zeta(a[at], u[r, c + 1] + 1.0) / z_min[at]
+        np.maximum.at(lb, at, np.abs(inner[r, c] - model))
+        ks[blk] = lb
         start = stop
     return ks
 
@@ -273,8 +351,8 @@ class DiscretePowerLaw:
             lo = np.where(ok, lo, mid + 1)
         return lo
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
+    def _from_uniform(self, u: np.ndarray) -> np.ndarray:
+        # Inverse CDF of uniforms: the table, then one bisection for the rest.
         out = self.x_min + np.searchsorted(self._table_cdf, u, side="left")
         beyond = out > self._table_hi
         if np.any(beyond):
@@ -282,6 +360,34 @@ class DiscretePowerLaw:
             out = out.astype(np.int64)
             out[beyond] = self._bisect(targets)
         return out.astype(np.int64)
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self._from_uniform(rng.random(size))
+
+
+def _replicas(arr: np.ndarray, model: DiscretePowerLaw, seeds):
+    """Semi-parametric bootstrap samples of arr, one per seed: the body
+    (below model.x_min) redrawn from arr, the tail drawn from the model.
+
+    Each replica draws from its own seed in a fixed order.  The tail
+    uniforms of replicas holding up to _DRAW_BLOCK samples in all then go
+    through one table lookup and one bisection.
+    """
+    n = arr.size
+    body = arr[arr < model.x_min]
+    per_block = max(1, _DRAW_BLOCK // n)
+    for lo in range(0, len(seeds), per_block):
+        bodies, uniforms = [], []
+        for seed in seeds[lo:lo + per_block]:
+            rng = np.random.default_rng(seed)
+            n_body = int(rng.binomial(n, body.size / n)) if body.size else 0
+            bodies.append(rng.choice(body, size=n_body, replace=True) if n_body
+                          else body[:0])
+            uniforms.append(rng.random(n - n_body))
+        tails = model._from_uniform(np.concatenate(uniforms))
+        cuts = np.cumsum([u.size for u in uniforms])[:-1]
+        for drawn, tail in zip(bodies, np.split(tails, cuts)):
+            yield np.concatenate((drawn, tail))
 
 
 def gof_pvalue(samples, fit: TailFit, cfg: GofConfig, *,
@@ -295,24 +401,10 @@ def gof_pvalue(samples, fit: TailFit, cfg: GofConfig, *,
     """
     if cfg.bootstrap_replicas < 1:
         raise ValueError("bootstrap_replicas must be >= 1")
-    arr = _as_int_array(samples)
-    n = arr.size
-    body = arr[arr < fit.x_min]
-    p_body = body.size / n
-    model = DiscretePowerLaw(fit.alpha, fit.x_min)
-
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.bootstrap_replicas)
-    observed = fit.ks_distance
     hits = 0
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        n_body = int(rng.binomial(n, p_body)) if body.size else 0
-        parts = []
-        if n_body:
-            parts.append(rng.choice(body, size=n_body, replace=True))
-        if n - n_body:
-            parts.append(model.sample(rng, n - n_body))
-        replica = np.concatenate(parts)
+    for replica in _replicas(_as_int_array(samples),
+                             DiscretePowerLaw(fit.alpha, fit.x_min), seeds):
         try:
             refit = select_xmin(replica, cfg, max_candidates=max_candidates)
             ks = refit.ks_distance
@@ -320,7 +412,7 @@ def gof_pvalue(samples, fit: TailFit, cfg: GofConfig, *,
             # Replica too degenerate to refit: count as an extreme deviation
             # so the test errs toward not rejecting.
             ks = np.inf
-        if ks >= observed:
+        if ks >= fit.ks_distance:
             hits += 1
     return hits / cfg.bootstrap_replicas
 

@@ -1,10 +1,12 @@
-"""Single-fit helpers for the estimator and sampler tests: the exponent of
-one tail at a given lower bound, and the model CDF of a sampler."""
+"""Single-fit helpers and full-pass oracles for the estimator and sampler
+tests: the exponent of one tail at a given lower bound, the model CDF of a
+sampler, the KS pass that evaluates every support value, and the bootstrap
+that draws and refits one replica at a time."""
 
 import numpy as np
 from scipy.special import zeta
 
-from tradenet.powerlaw import _solve_alpha
+from tradenet.powerlaw import DiscretePowerLaw, _as_int_array, _solve_alpha, select_xmin
 
 
 def mle_alpha(samples, x_min: int) -> float:
@@ -19,3 +21,41 @@ def model_cdf(model, x) -> np.ndarray:
     xs = np.asarray(x, dtype=float)
     out = 1.0 - zeta(model.alpha, np.floor(xs) + 1.0) / zeta(model.alpha, model.x_min)
     return np.where(xs < model.x_min, 0.0, out)
+
+
+def full_ks_scan(uniq, cum_counts, first, x_mins, alphas) -> np.ndarray:
+    """``powerlaw._ks_scan`` with zeta at every support value of every fit:
+    the supports laid end to end and reduced per fit by maximum.reduceat."""
+    lengths = uniq.size - first
+    offsets = np.cumsum(lengths) - lengths
+    cum0 = np.concatenate(([0], cum_counts))
+    rows = np.repeat(np.arange(first.size), lengths)
+    pos = first[rows] + np.arange(rows.size) - offsets[rows]
+    below = cum0[first][rows]
+    ecdf = (cum0[pos + 1] - below) / (cum0[-1] - below)
+    model = 1.0 - zeta(alphas[rows], uniq[pos] + 1.0) / zeta(alphas, x_mins)[rows]
+    return np.maximum.reduceat(np.abs(ecdf - model), offsets)
+
+
+def gof_pvalue_oracle(samples, fit, cfg, *, max_candidates=None) -> float:
+    """``powerlaw.gof_pvalue`` drawing and refitting one replica at a time."""
+    arr = _as_int_array(samples)
+    n = arr.size
+    body = arr[arr < fit.x_min]
+    model = DiscretePowerLaw(fit.alpha, fit.x_min)
+    hits = 0
+    for seed in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.bootstrap_replicas):
+        rng = np.random.default_rng(seed)
+        n_body = int(rng.binomial(n, body.size / n)) if body.size else 0
+        parts = []
+        if n_body:
+            parts.append(rng.choice(body, size=n_body, replace=True))
+        if n - n_body:
+            parts.append(model.sample(rng, n - n_body))
+        try:
+            ks = select_xmin(np.concatenate(parts), cfg,
+                             max_candidates=max_candidates).ks_distance
+        except ValueError:
+            ks = np.inf
+        hits += ks >= fit.ks_distance
+    return hits / cfg.bootstrap_replicas

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 
 from brent_oracle import brent_scan_xmin, nll
-from powerlaw_helpers import mle_alpha, model_cdf
+from powerlaw_helpers import full_ks_scan, gof_pvalue_oracle, mle_alpha, model_cdf
 from tradenet import powerlaw
-from tradenet.powerlaw import (ALPHA_MAX, DiscretePowerLaw, GofConfig,
-                               ccdf_points, fit_tail, gof_pvalue, ks_distance,
-                               ls_ccdf_exponent, scan_xmin, select_xmin)
+from tradenet.powerlaw import (ALPHA_MAX, ALPHA_MIN, DiscretePowerLaw, GofConfig,
+                               _ks_scan, _solve_alpha, ccdf_points, fit_tail,
+                               gof_pvalue, ks_distance, ls_ccdf_exponent,
+                               scan_xmin, select_xmin)
 
 
 class TestMleAlpha:
@@ -258,6 +259,172 @@ class TestBatchedScanMatchesBrent:
         np.testing.assert_array_equal(scan_xmin(x, self.CFG)[2], ks)
 
 
+def ks_case(n_values, top, n_fits, alpha_kind, seed):
+    """Inputs of _ks_scan: distinct support values log-uniform in [1, top],
+    their counts, n_fits start indices and each fit's (x_min, alpha)."""
+    rng = np.random.default_rng(seed)
+    uniq = np.unique(np.rint(np.exp(rng.uniform(0.0, np.log(top), n_values))))
+    counts = rng.geometric(rng.uniform(0.05, 1.0), uniq.size)
+    if uniq.size == 1:
+        first = np.zeros(1, dtype=np.int64)
+    else:
+        first = np.sort(rng.choice(uniq.size - 1, min(n_fits, uniq.size - 1),
+                                   replace=False))
+    if alpha_kind == "fitted":
+        tail_sizes = np.cumsum(counts[::-1])[::-1]
+        log_sums = np.cumsum((counts * np.log(uniq))[::-1])[::-1]
+        alphas = _solve_alpha(log_sums[first], tail_sizes[first], uniq[first])
+    else:
+        alphas = {"min": np.full(first.size, ALPHA_MIN),
+                  "max": np.full(first.size, ALPHA_MAX),
+                  "uniform": rng.uniform(ALPHA_MIN, ALPHA_MAX, first.size)}[alpha_kind]
+    return uniq, np.cumsum(counts), first, uniq[first], alphas
+
+
+ks_cases = st.builds(
+    ks_case, n_values=st.integers(1, 400),
+    top=st.sampled_from([10.0, 1e3, 1e6, 1e9, 1e12]), n_fits=st.integers(1, 40),
+    alpha_kind=st.sampled_from(["fitted", "min", "max", "uniform"]),
+    seed=st.integers(0, 2**32 - 1))
+
+
+def interior_max_case():
+    """A tail over 1..20 whose KS maximum lies strictly between pivots: the
+    power-law counts with a spike at 5 put the largest gap at 4."""
+    uniq = np.arange(1.0, 21.0)
+    counts = np.maximum(1, np.rint(uniq ** -2.5 / zeta(2.5, 1) * 2000)).astype(np.int64)
+    counts[4] += 60
+    return uniq, np.cumsum(counts), np.zeros(1, dtype=np.int64), np.ones(1), np.full(1, 2.5)
+
+
+class TestBracketedKsPass:
+    """The bracketed KS pass against the full pass that evaluates zeta at
+    every support value: equal bit for bit."""
+
+    @settings(max_examples=300)
+    @given(case=ks_cases)
+    def test_matches_full_pass(self, case):
+        np.testing.assert_array_equal(_ks_scan(*case), full_ks_scan(*case))
+
+    @pytest.mark.parametrize("alpha", [ALPHA_MIN, 1.0001, 2.5, ALPHA_MAX])
+    @pytest.mark.parametrize("top", [1e3, 1e12])
+    def test_exponent_bounds_and_wide_supports(self, alpha, top):
+        for seed in range(10):
+            uniq, cum, first, x_mins, _ = ks_case(300, top, 30, "fitted", seed)
+            alphas = np.full(first.size, alpha)
+            np.testing.assert_array_equal(_ks_scan(uniq, cum, first, x_mins, alphas),
+                                          full_ks_scan(uniq, cum, first, x_mins, alphas))
+
+    def test_two_value_tails(self):
+        for seed in range(20):
+            case = ks_case(2, 1e6, 1, "fitted", seed)
+            np.testing.assert_array_equal(_ks_scan(*case), full_ks_scan(*case))
+        uniq, cum = np.array([3.0, 1e12]), np.array([5, 6])
+        for alpha in (ALPHA_MIN, 2.0, ALPHA_MAX):
+            case = (uniq, cum, np.zeros(1, dtype=np.int64), uniq[:1], np.array([alpha]))
+            np.testing.assert_array_equal(_ks_scan(*case), full_ks_scan(*case))
+
+    def test_values_sharing_a_float(self):
+        """Distinct values above 2**53 that round to one float: their model
+        CDF is one value, and no bracket divides by a zero width."""
+        x = np.concatenate([np.arange(1, 1500), 2**60 + np.arange(3000)])
+        uniq, counts = np.unique(x, return_counts=True)
+        uniq = uniq.astype(float)
+        first = np.array([0, 1000, 1499])
+        alphas = np.array([1.0001, 1.5, ALPHA_MIN])
+        case = (uniq, np.cumsum(counts), first, uniq[first], alphas)
+        with np.errstate(all="raise"):
+            got = _ks_scan(*case)
+        np.testing.assert_array_equal(got, full_ks_scan(*case))
+
+    @pytest.mark.parametrize("uniq, heavy", [
+        pytest.param(np.concatenate([np.arange(1, 9), 2**60 + spacing * np.arange(9),
+                                     2**61 + 2**58 * np.arange(7), [2**62 - 1]]), -1,
+                     id=f"then-rise-{spacing}")
+        for spacing in (1, 256, 512)
+    ] + [
+        pytest.param(np.concatenate([np.arange(1, 9), 2**57 + 2**54 * np.arange(8),
+                                     2**60 + 4096 + 256 * np.arange(9)]), 16,
+                     id="after-rise"),
+    ])
+    def test_narrow_rows(self, uniq, heavy):
+        """Nine values from 2**60 make a narrow row: one float (spacing 1),
+        or 2,048 or 4,096 wide with equal model CDFs at its ends as computed,
+        or 2,048 wide from 2**60 + 4096 with end CDFs one rounding step
+        apart, far more than F's true rise.  The maximum lies inside the
+        wide row next to it, so no chord of the narrow row may be extended
+        over that row as it is computed."""
+        uniq = uniq.astype(float)
+        counts = np.ones(uniq.size, dtype=np.int64)
+        counts[heavy] = 10**7
+        cum = np.cumsum(counts)
+        model = 1.0 - zeta(1.02, uniq + 1.0) / zeta(1.02, 1.0)
+        assert int(np.argmax(np.abs(cum / cum[-1] - model))) % powerlaw.KS_STRIDE
+        case = (uniq, cum, np.zeros(1, dtype=np.int64), uniq[:1], np.array([1.02]))
+        with np.errstate(all="raise"):
+            got = _ks_scan(*case)
+        np.testing.assert_array_equal(got, full_ks_scan(*case))
+
+    def test_maximum_strictly_between_pivots(self):
+        uniq, cum, first, x_mins, alphas = interior_max_case()
+        ecdf = cum / cum[-1]
+        gaps = np.abs(ecdf - (1.0 - zeta(2.5, uniq + 1.0) / zeta(2.5, 1.0)))
+        peak = int(np.argmax(gaps))
+        assert peak % powerlaw.KS_STRIDE and peak != uniq.size - 1
+        got = _ks_scan(uniq, cum, first, x_mins, alphas)
+        assert got[0] == gaps[peak]
+        np.testing.assert_array_equal(got, full_ks_scan(uniq, cum, first, x_mins, alphas))
+
+    def test_interior_maximum_a_hair_above_a_pivot(self):
+        """Near alpha = 2.32 the largest gap moves from the pivot at 1 to the
+        value 5.  Bisect alpha until value 5 leads by under 1e-10: the pass
+        must still evaluate it, however tight its bracket."""
+        uniq, cum, first, x_mins, _ = interior_max_case()
+        ecdf = cum / cum[-1]
+
+        def gaps(alpha):
+            return np.abs(ecdf - (1.0 - zeta(alpha, uniq + 1.0) / zeta(alpha, 1.0)))
+
+        lo, hi = 2.3, 2.35
+        while True:
+            lead = gaps(hi)[4] - gaps(hi)[0]
+            if lead < 1e-10:
+                break
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if gaps(mid)[4] > gaps(mid)[0] else (mid, hi)
+        assert lead > 0.0 and int(np.argmax(gaps(hi))) == 4
+        alphas = np.full(1, hi)
+        got = _ks_scan(uniq, cum, first, x_mins, alphas)
+        assert got[0] == gaps(hi)[4]
+        np.testing.assert_array_equal(got, full_ks_scan(uniq, cum, first, x_mins, alphas))
+
+    @settings(max_examples=50)
+    @given(case=ks_cases, block=st.integers(1, 64))
+    def test_small_blocks(self, case, block):
+        """Blocks of a few rows put the fits of one scan in many blocks."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(powerlaw, "KS_BLOCK", block)
+            np.testing.assert_array_equal(_ks_scan(*case), full_ks_scan(*case))
+
+    def test_evaluates_a_fraction_of_the_support(self, monkeypatch):
+        """On a realistic scan the brackets leave most support values
+        without a zeta call."""
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.integers(1, 10, 2000),
+                            DiscretePowerLaw(2.2, 10).sample(rng, 3000)])
+        cands, alphas, ks = scan_xmin(x, GofConfig(min_tail_size=50))
+        uniq, counts = np.unique(x, return_counts=True)
+        uniq = uniq.astype(float)
+        first = np.searchsorted(uniq, cands)
+        evaluated = []
+        real = powerlaw.zeta
+        monkeypatch.setattr(powerlaw, "zeta",
+                            lambda a, q: evaluated.append(np.size(q)) or real(a, q))
+        got = _ks_scan(uniq, np.cumsum(counts), first, uniq[first], alphas)
+        np.testing.assert_array_equal(got, ks)
+        assert sum(evaluated) < 0.5 * (uniq.size - first).sum()
+
+
 class TestGof:
     def test_pvalue_deterministic_under_seed(self):
         rng = np.random.default_rng(9)
@@ -286,6 +453,41 @@ class TestGof:
         skipped = fit_tail(x, replace(cfg, bootstrap_replicas=0))
         assert skipped.p_value is None
         assert skipped.x_min == fit.x_min
+
+    @settings(max_examples=30)
+    @given(x=samples_strategy, replicas=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), cap=st.sampled_from([None, 40]))
+    def test_pvalue_matches_replica_loop(self, x, replicas, seed, cap):
+        cfg = GofConfig(bootstrap_replicas=replicas, rng_seed=seed, min_tail_size=50)
+        try:
+            fit = select_xmin(x, cfg, max_candidates=cap)
+        except ValueError:
+            return
+        assert (gof_pvalue(x, fit, cfg, max_candidates=cap)
+                == gof_pvalue_oracle(x, fit, cfg, max_candidates=cap))
+
+    @pytest.mark.parametrize("draw_block", [1, 100, 1 << 20])
+    def test_degenerate_replicas_match_replica_loop(self, monkeypatch, draw_block):
+        """Sixty fives and one six fit an exponent at ALPHA_MAX: some replicas
+        hold only fives and cannot be refit, and count as hits; replicas
+        drawn in batches of any size give the one-at-a-time p-value."""
+        x = np.array([5] * 60 + [6])
+        cfg = GofConfig(bootstrap_replicas=40, rng_seed=5, min_tail_size=50)
+        fit = select_xmin(x, cfg)
+        expected = gof_pvalue_oracle(x, fit, cfg)
+        failed = []
+        real = powerlaw.select_xmin
+
+        def counting(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except ValueError:
+                failed.append(1)
+                raise
+        monkeypatch.setattr(powerlaw, "select_xmin", counting)
+        monkeypatch.setattr(powerlaw, "_DRAW_BLOCK", draw_block)
+        assert gof_pvalue(x, fit, cfg) == expected
+        assert 0 < len(failed) < cfg.bootstrap_replicas
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
