@@ -7,7 +7,7 @@ firmly rejecting exponential data.
 
 import numpy as np
 
-from tradenet import DiscretePowerLaw, GofConfig, fit_tail, ls_ccdf_exponent
+from tradenet import DiscretePowerLaw, GofConfig, fit_tail
 
 rng = np.random.default_rng(7)
 cfg = GofConfig(bootstrap_replicas=200, rng_seed=1, min_tail_size=50)
@@ -20,9 +20,6 @@ print(f"recovered x_min={fit.x_min}, alpha={fit.alpha:.3f} "
 print(f"tail size {fit.n_tail}, KS distance {fit.ks_distance:.4f}, "
       f"bootstrap p={fit.p_value:.3f}")
 print(f"Levy-stable regime (ccdf exponent in (0,2)): {fit.levy_stable}")
-
-ls = ls_ccdf_exponent(x, fit.x_min)
-print(f"least-squares log-CCDF slope (secondary method): {ls:.3f}")
 
 print("\n== exponential data dressed as a tail (n=5000) ==")
 y = np.ceil(rng.exponential(scale=8.0, size=5000)).astype(np.int64)

@@ -19,8 +19,9 @@ from pathlib import Path
 from . import __version__
 from .detector import DetectorConfig, detect_corpus
 from .features import TAIL_STATS, compute_features, tail_samples
-from .ingest import (StockMeta, _dump_json, _write_rows, load_corpus, parse_transactions,
-                     read_stock_meta, write_stock_meta, write_transactions)
+from .ingest import (StockMeta, TransactionParseError, _dump_json, _write_rows,
+                     load_corpus, parse_transactions, read_stock_meta,
+                     write_stock_meta, write_transactions)
 from .network import build_network, write_edge_list
 from .powerlaw import GofConfig, ccdf_points, fit_tail
 from .sim import CorpusSpec, GroupSpec, SimConfig, generate_corpus
@@ -61,19 +62,19 @@ def _atomic_write(path: Path, content) -> None:
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
-    merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    """The subcommand's own DEFAULTS keys, those its parser has options for;
+    a config file may also give ``simulate`` its ``groups``."""
+    merged = {key: DEFAULTS[key] for key in DEFAULTS if hasattr(args, key)}
+    flags = {key: getattr(args, key) for key in merged if getattr(args, key) is not None}
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(DEFAULTS) - {"groups"}
+        allowed = {*merged, "groups"} if args.subcommand == "simulate" else set(merged)
+        unknown = set(file_cfg) - allowed
         if unknown:
             raise ValueError(f"unknown config file keys: {sorted(unknown)}")
         merged.update(file_cfg)
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
+    return {**merged, **flags}
 
 
 def _write_manifest(out: Path, subcommand: str, cfg: dict, inputs: list[str]) -> None:
@@ -88,9 +89,10 @@ def _write_manifest(out: Path, subcommand: str, cfg: dict, inputs: list[str]) ->
 
 
 def _gof_config(cfg: dict) -> GofConfig:
-    """Map CLI numbers onto GofConfig; bootstrap 0 means skip p-values."""
+    """Map CLI numbers onto GofConfig; bootstrap 0 means skip p-values.
+    ``detect`` never bootstraps, so it has no seed."""
     return GofConfig(bootstrap_replicas=int(cfg["bootstrap"]),
-                     rng_seed=int(cfg["seed"]),
+                     rng_seed=int(cfg.get("seed", GofConfig.rng_seed)),
                      min_tail_size=int(cfg["min_tail"]))
 
 
@@ -161,7 +163,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         else:
             meta = StockMeta(symbol=path.stem, capitalization_bucket="unknown",
                              sector="unknown")
-        log = parse_transactions(path, meta)
+        try:
+            log = parse_transactions(path, meta)
+        except TransactionParseError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         print(f"{path.name}: {log.n_records} records")
     return 0
 

@@ -47,15 +47,6 @@ class ReferenceGroup:
 
 
 @dataclass(frozen=True)
-class ReferenceValues:
-    """Per-feature means over the group; counts say how many members
-    actually carried each feature (missing values excluded pairwise)."""
-
-    means: dict[str, float | None]
-    counts: dict[str, int]
-
-
-@dataclass(frozen=True)
 class ManipulationReport:
     """Flag vote outcome for one stock."""
 
@@ -79,11 +70,10 @@ def feature_vector(features: StockFeatures) -> dict[str, float | None]:
     return vector
 
 
-def select_reference(target: StockMeta, universe: Mapping[str, StockMeta] | list[StockMeta]) -> ReferenceGroup:
+def select_reference(target: StockMeta, universe: Mapping[str, StockMeta]) -> ReferenceGroup:
     """Non-manipulated stocks matching the target's bucket and sector."""
-    metas = list(universe.values()) if isinstance(universe, Mapping) else list(universe)
     members = sorted(
-        m.symbol for m in metas
+        m.symbol for m in universe.values()
         if m.symbol != target.symbol
         and not m.manipulated
         and m.capitalization_bucket == target.capitalization_bucket
@@ -97,25 +87,23 @@ def select_reference(target: StockMeta, universe: Mapping[str, StockMeta] | list
 
 
 def reference_values(group: ReferenceGroup,
-                     features: Mapping[str, StockFeatures]) -> ReferenceValues:
-    """Arithmetic per-feature mean over the group members."""
+                     features: Mapping[str, StockFeatures]) -> dict[str, float | None]:
+    """Arithmetic per-feature mean over the group members (None if none has it)."""
     missing = [s for s in group.members if s not in features]
     if missing:
         raise ValueError(f"features missing for reference members: {missing}")
     means: dict[str, float | None] = {}
-    counts: dict[str, int] = {}
     vectors = [feature_vector(features[s]) for s in group.members]
     for key in FEATURE_KEYS:
         vals = [v[key] for v in vectors if v[key] is not None]
-        counts[key] = len(vals)
         means[key] = sum(vals) / len(vals) if vals else None
     if all(v is None for v in means.values()):
         raise ValueError(f"every feature missing across reference group of {group.target}")
-    return ReferenceValues(means=means, counts=counts)
+    return means
 
 
-def evaluate(target_features: StockFeatures, reference: ReferenceValues | Mapping[str, float | None],
-             cfg: DetectorConfig | None = None, *, symbol: str | None = None) -> ManipulationReport:
+def evaluate(target_features: StockFeatures, reference: Mapping[str, float | None],
+             cfg: DetectorConfig | None = None) -> ManipulationReport:
     """Flag the manipulated-direction deviations and take the vote.
 
     A feature missing on either side leaves its flag None and shrinks the
@@ -123,7 +111,6 @@ def evaluate(target_features: StockFeatures, reference: ReferenceValues | Mappin
     against the decision threshold.
     """
     cfg = cfg or DetectorConfig()
-    ref_means = reference.means if isinstance(reference, ReferenceValues) else dict(reference)
     target = feature_vector(target_features)
 
     flags: dict[str, bool | None] = {}
@@ -131,20 +118,20 @@ def evaluate(target_features: StockFeatures, reference: ReferenceValues | Mappin
     flags["corr_below_threshold"] = None if corr is None else bool(corr < cfg.corr_threshold)
     for key in XMIN_FEATURES + ("avg_degree",):
         t_val = target[key]
-        r_val = ref_means.get(key)
+        r_val = reference.get(key)
         flags[f"{key}_elevated"] = (None if t_val is None or r_val is None
                                     else bool(t_val > cfg.elevation_factor * r_val))
 
     evaluated = [v for v in flags.values() if v is not None]
     score = (sum(evaluated) / len(evaluated)) if evaluated else 0.0
     return ManipulationReport(
-        symbol=symbol or target_features.symbol,
+        symbol=target_features.symbol,
         flags=flags,
         score=score,
         verdict=bool(evaluated) and score >= cfg.decision_threshold,
         thresholds=cfg,
         target_values=target,
-        reference_values={k: ref_means.get(k) for k in FEATURE_KEYS},
+        reference_values={k: reference.get(k) for k in FEATURE_KEYS},
     )
 
 
@@ -186,5 +173,5 @@ def detect_corpus(logs: Mapping[str, TransactionLog],
         target_feats = features_for(symbol, window)
         member_feats = {s: features_for(s, window) for s in group.members}
         ref = reference_values(group, member_feats)
-        reports.append(evaluate(target_feats, ref, det_cfg, symbol=symbol))
+        reports.append(evaluate(target_feats, ref, det_cfg))
     return reports

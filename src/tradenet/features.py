@@ -28,10 +28,6 @@ TAIL_STATS = ("degree_in", "degree_out", "strength_in", "strength_out",
 STRENGTH_XMIN_CANDIDATES = 160
 
 
-class UndefinedCorrelationError(ValueError):
-    """Correlation is undefined (constant input or too few points)."""
-
-
 @dataclass(frozen=True, eq=False)
 class DailySeries:
     """Per-trading-day aggregates; days with no trades are absent."""
@@ -116,7 +112,7 @@ def pearson_corr(x, y) -> float:
     sx = float(np.sqrt((dx * dx).sum()))
     sy = float(np.sqrt((dy * dy).sum()))
     if sx == 0.0 or sy == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for constant series")
+        raise ValueError("correlation undefined for constant series")
     r = float((dx * dy).sum() / (sx * sy))
     return min(1.0, max(-1.0, r))
 

@@ -532,27 +532,23 @@ def filter_period(log: TransactionLog, interval: tuple[dt.date, dt.date]) -> Tra
                           accounts=tuple(log.accounts[i] for i in kept))
 
 
-def load_stock(csv_path, meta_path=None) -> TransactionLog:
-    """Load one stock from SYMBOL.csv plus its SYMBOL.json sidecar."""
-    csv_path = Path(csv_path)
-    if meta_path is None:
-        meta_path = csv_path.with_suffix(".json")
-    meta = read_stock_meta(meta_path)
-    return parse_transactions(csv_path, meta)
-
-
 def load_corpus(directory) -> dict[str, TransactionLog]:
     """Load every SYMBOL.csv/SYMBOL.json pair under a corpus directory.
 
-    Two sidecars naming the same symbol are an error, not one stock.
+    Two sidecars naming the same symbol are an error, not one stock, and a
+    file that does not parse is a ValueError that names it.
     """
     directory = Path(directory)
     logs: dict[str, TransactionLog] = {}
     sources: dict[str, Path] = {}
     for csv_path in sorted(directory.glob("*.csv")):
-        if not csv_path.with_suffix(".json").exists():
+        meta_path = csv_path.with_suffix(".json")
+        if not meta_path.exists():
             continue
-        log = load_stock(csv_path)
+        try:
+            log = parse_transactions(csv_path, read_stock_meta(meta_path))
+        except TransactionParseError as exc:
+            raise ValueError(f"{csv_path}: {exc}") from exc
         symbol = log.meta.symbol
         if symbol in sources:
             raise ValueError(f"symbol {symbol!r} names two stocks: "

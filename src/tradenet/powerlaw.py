@@ -1,11 +1,10 @@
 """Power-law tail calibration for integer samples (degrees, strengths).
 
-The primary route is the standard heavy-tail recipe: maximum-likelihood
-exponent for the discrete power law p(x) = x^-alpha / zeta(alpha, x_min),
-lower bound chosen by minimizing the Kolmogorov-Smirnov distance over
-candidate x_min values, and a semi-parametric bootstrap for the
-goodness-of-fit p-value.  A least-squares fit on the log CCDF is kept as a
-secondary, clearly labeled method and is never used for detection.
+Tails follow the standard heavy-tail recipe: maximum-likelihood exponent
+for the discrete power law p(x) = x^-alpha / zeta(alpha, x_min), lower
+bound chosen by minimizing the Kolmogorov-Smirnov distance over candidate
+x_min values, and a semi-parametric bootstrap for the goodness-of-fit
+p-value.
 
 All randomness flows through explicit seeds; results are reproducible and
 independent of scheduling.
@@ -48,10 +47,6 @@ _DRAW_BLOCK = 1 << 20
 
 # Exponents in (0, 2) on the CCDF scale fall in the Levy-stable regime.
 LEVY_UPPER = 2.0
-
-
-class DegenerateSampleError(ValueError):
-    """Sample carries no exponent information (a single distinct value)."""
 
 
 @dataclass(frozen=True)
@@ -427,24 +422,6 @@ def fit_tail(samples, cfg: GofConfig | None = None, *,
         p = gof_pvalue(samples, fit, cfg, max_candidates=max_candidates)
         fit = replace(fit, p_value=p)
     return fit
-
-
-def ls_ccdf_exponent(samples, x_min: int) -> float:
-    """Least-squares slope of the log CCDF above x_min.
-
-    Secondary, clearly labeled alternative to the MLE route: fits a straight
-    line to (ln x, ln P(X >= x)) over the observed tail and returns the
-    negated slope as a CCDF-exponent estimate.  Kept for comparison plots;
-    detection always uses the MLE calibration.
-    """
-    arr = _as_int_array(samples)
-    tail = arr[arr >= x_min]
-    uniq, counts = np.unique(tail, return_counts=True)
-    if uniq.size < 2:
-        raise DegenerateSampleError("need >= 2 distinct tail values")
-    ccdf = np.cumsum(counts[::-1])[::-1] / tail.size
-    slope = np.polyfit(np.log(uniq.astype(float)), np.log(ccdf), 1)[0]
-    return float(-slope)
 
 
 def ccdf_points(samples) -> tuple[np.ndarray, np.ndarray]:

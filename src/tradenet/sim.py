@@ -30,8 +30,9 @@ from .powerlaw import DiscretePowerLaw
 TRADING_OPEN = 9 * 3600 + 30 * 60
 TRADING_CLOSE = 15 * 3600
 
-# Runaway guard: a wash_volume_fraction close to 1 needs unboundedly many
-# circular trades per day; beyond this count the fraction is infeasible.
+# Runaway guard: a wash_volume_fraction close to 1, or a day with a huge
+# volume draw, needs very many circular trades; past this count one last
+# cycle carries the rest of the day's wash volume.
 MAX_WASH_TRADES_PER_DAY = 20_000
 
 BUCKET_SCALE = {"small": 0.8, "mid": 1.0, "large": 1.25}
@@ -210,14 +211,13 @@ def simulate(cfg: SimConfig) -> SimResult:
             wash_buyers, wash_sellers, wash_vols = [], [], []
             total = 0
             while total < target:
-                if len(wash_buyers) > MAX_WASH_TRADES_PER_DAY:
-                    raise ValueError(
-                        f"wash_volume_fraction={f} infeasible on {day}: "
-                        f"more than {MAX_WASH_TRADES_PER_DAY} circular trades needed")
                 cycle_len = int(rng.integers(3, 7))
                 members = colluder_idx[rng.choice(cfg.n_colluders, size=cycle_len,
                                                   replace=False)]
-                v = int(wash_sampler.sample(rng, 1)[0]) * WASH_LOT_SIZE
+                if len(wash_buyers) > MAX_WASH_TRADES_PER_DAY:
+                    v = -(-(target - total) // (cycle_len * WASH_LOT_SIZE)) * WASH_LOT_SIZE
+                else:
+                    v = int(wash_sampler.sample(rng, 1)[0]) * WASH_LOT_SIZE
                 for i in range(cycle_len):
                     wash_sellers.append(members[i])
                     wash_buyers.append(members[(i + 1) % cycle_len])

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from tradenet.cli import main
+from tradenet.cli import build_parser, main
 
 SIM_ARGS = ["--traders", "300", "--trades-per-day", "50", "--days", "50",
             "--colluders", "40"]
@@ -58,7 +60,8 @@ def test_detect_end_to_end(corpus, tmp_path, capsys):
              if p.name != "corpus_manifest.json" and p.name != "manifest.json"
              and json.loads(p.read_text()).get("manipulated")}
     assert truth <= flagged  # both rings caught
-    assert (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["config"]) == sorted(PINNED_DEFAULTS["detect"])
 
 
 def test_fit_writes_reports(corpus, tmp_path):
@@ -220,37 +223,81 @@ def test_inert_options_rejected(argv):
 
 
 # The effective defaults of each subcommand, written out as literals so that
-# a change to a config dataclass's default cannot move them unnoticed.
+# a change to a config dataclass's default cannot move them unnoticed.  Each
+# subcommand has only the keys of its own options.
+GOF_DEFAULTS = {"bootstrap": 1000, "min_tail": 50, "seed": 0}
 PINNED_DEFAULTS = {
-    "bootstrap": 1000,
-    "bucket": "mid",
-    "colluders": 150,
-    "corr_threshold": 0.2,
-    "days": 250,
-    "decision_threshold": 0.5,
-    "elevation_factor": 1.25,
-    "honest": 10,
-    "manipulated": 2,
-    "min_tail": 50,
-    "partial": 0,
-    "sector": "industrials",
-    "seed": 0,
-    "traders": 1200,
-    "trades_per_day": 150.0,
-    "wash_fraction": 0.5,
+    "simulate": {
+        "bucket": "mid",
+        "colluders": 150,
+        "days": 250,
+        "honest": 10,
+        "manipulated": 2,
+        "partial": 0,
+        "sector": "industrials",
+        "seed": 0,
+        "traders": 1200,
+        "trades_per_day": 150.0,
+        "wash_fraction": 0.5,
+    },
+    "build": {},
+    "fit": GOF_DEFAULTS,
+    "features": GOF_DEFAULTS,
+    "detect": {
+        "bootstrap": 1000,
+        "corr_threshold": 0.2,
+        "decision_threshold": 0.5,
+        "elevation_factor": 1.25,
+        "min_tail": 50,
+    },
 }
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--out", "unused"],
-    ["fit", "--corpus", "unused", "--out", "unused"],
-    ["detect", "--corpus", "unused", "--out", "unused"],
-])
-def test_dump_config_defaults_pinned(capsys, argv):
-    assert main([*argv, "--dump-config"]) == 0
+@pytest.mark.parametrize("subcommand", sorted(PINNED_DEFAULTS))
+def test_dump_config_defaults_pinned(capsys, subcommand):
+    corpus = [] if subcommand == "simulate" else ["--corpus", "unused"]
+    assert main([subcommand, *corpus, "--out", "unused", "--dump-config"]) == 0
     out = capsys.readouterr().out
-    assert out == json.dumps(PINNED_DEFAULTS, indent=2, sort_keys=True) + "\n"
-    assert type(json.loads(out)["trades_per_day"]) is float
+    assert out == json.dumps(PINNED_DEFAULTS[subcommand], indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv, key, accepted", [
+    (["simulate"], "groups", True),
+    (["fit", "--corpus", "unused"], "groups", False),
+    (["detect", "--corpus", "unused"], "days", False),
+    (["build", "--corpus", "unused"], "seed", False),
+])
+def test_config_file_takes_the_subcommands_own_keys(tmp_path, capsys, argv, key, accepted):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: []}))
+    rc = main([*argv, "--out", "unused", "--config", str(cfg), "--dump-config"])
+    out, err = capsys.readouterr()
+    if accepted:
+        assert rc == 0 and json.loads(out)[key] == []
+    else:
+        assert rc == 2 and "unknown config" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--corpus", "CORPUS", "--out", "OUT"],
+    ["fit", "--corpus", "CORPUS", "--out", "OUT"],
+    ["validate", "--corpus", "CORPUS"],
+    ["validate", "CORPUS/T.csv"],
+], ids=["build", "fit", "validate-corpus", "validate-file"])
+def test_parse_error_names_the_file(tmp_path, capsys, argv):
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    (corpus / "T.csv").write_text("date,time\n")
+    (corpus / "T.json").write_text(json.dumps({
+        "symbol": "T", "capitalization_bucket": "mid", "sector": "x",
+        "manipulated": False, "manipulation_period": None}))
+    rc = main([a.replace("CORPUS", str(corpus)).replace("OUT", str(tmp_path / "o"))
+               for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    expected = (f"{corpus / 'T.csv'}: line 1: bad header 'date,time'; "
+                "expected date,time,txn_id,buyer_id,seller_id,volume,price")
+    assert err == f"error: {expected}\n"
 
 
 @pytest.fixture(scope="module")
@@ -351,3 +398,16 @@ def test_artifacts_pinned(tmp_path):
         "reports.json": _digest([out / "reports.json"]),
     }
     assert digests == PINNED_DIGESTS
+
+
+def test_readme_session_parses():
+    """Each ``tradenet`` line of the README's "A full session" block parses,
+    so a flag the README documents but the CLI lacks fails here."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A full session:", 1)[1].split("```")[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("tradenet ")]
+    assert {argv[0] for argv in commands} == {
+        "simulate", "validate", "build", "fit", "features", "detect"}
+    for argv in commands:
+        build_parser().parse_args(argv)

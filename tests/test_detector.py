@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tradenet import detector
-from tradenet.detector import (DetectorConfig, ReferenceValues, detect_corpus,
-                               evaluate, feature_vector, reference_values,
+from tradenet.detector import (DetectorConfig, detect_corpus, evaluate,
+                               feature_vector, reference_values,
                                select_reference, FEATURE_KEYS)
 from tradenet.features import TAIL_STATS, StockFeatures
 from tradenet.ingest import StockMeta
@@ -14,6 +14,10 @@ from tradenet.sim import CorpusSpec, GroupSpec, SimConfig, generate_corpus
 def meta(symbol, bucket="mid", sector="tech", manipulated=False, period=None):
     return StockMeta(symbol=symbol, capitalization_bucket=bucket, sector=sector,
                      manipulated=manipulated, manipulation_period=period)
+
+
+def by_symbol(*metas):
+    return {m.symbol: m for m in metas}
 
 
 def tail(x_min, alpha=2.0):
@@ -33,8 +37,8 @@ def features(symbol, deg_xmin=10, stren_xmin=1000, avg_degree=40.0, corr=0.5):
 
 class TestSelectReference:
     def test_matching_honest_stocks(self):
-        universe = [meta("T"), meta("A"), meta("B"), meta("C"),
-                    meta("D", bucket="large"), meta("E", sector="finance")]
+        universe = by_symbol(meta("T"), meta("A"), meta("B"), meta("C"),
+                             meta("D", bucket="large"), meta("E", sector="finance"))
         group = select_reference(meta("T"), universe)
         assert group.members == ("A", "B", "C")
         assert group.target == "T"
@@ -42,16 +46,16 @@ class TestSelectReference:
     def test_manipulated_stocks_excluded(self):
         import datetime as dt
         period = (dt.date(2004, 1, 2), dt.date(2004, 9, 3))
-        universe = [meta("T"), meta("A"),
-                    meta("M", manipulated=True, period=period)]
+        universe = by_symbol(meta("T"), meta("A"),
+                             meta("M", manipulated=True, period=period))
         assert select_reference(meta("T"), universe).members == ("A",)
 
     def test_target_never_its_own_reference(self):
-        universe = [meta("T"), meta("A")]
+        universe = by_symbol(meta("T"), meta("A"))
         assert "T" not in select_reference(meta("T"), universe).members
 
     def test_no_match_suggests_coarser_bucketing(self):
-        universe = [meta("T"), meta("X", bucket="large")]
+        universe = by_symbol(meta("T"), meta("X", bucket="large"))
         with pytest.raises(ValueError, match="coarser"):
             select_reference(meta("T"), universe)
 
@@ -81,18 +85,16 @@ class TestSelectReference:
 
 class TestReferenceValues:
     def test_mean_of_two(self):
-        universe = [meta("T"), meta("A"), meta("B")]
-        group = select_reference(meta("T"), universe)
+        group = select_reference(meta("T"), by_symbol(meta("T"), meta("A"), meta("B")))
         vals = reference_values(group, {"A": features("A", avg_degree=2.0),
                                         "B": features("B", avg_degree=4.0)})
-        assert vals.means["avg_degree"] == pytest.approx(3.0)
-        assert vals.counts["avg_degree"] == 2
+        assert vals["avg_degree"] == pytest.approx(3.0)
 
     def test_single_member_identity(self):
-        group = select_reference(meta("T"), [meta("T"), meta("A")])
+        group = select_reference(meta("T"), by_symbol(meta("T"), meta("A")))
         f = features("A", deg_xmin=17, avg_degree=5.5, corr=0.31)
         vals = reference_values(group, {"A": f})
-        assert vals.means == feature_vector(f)
+        assert vals == feature_vector(f)
 
     def test_means_match_summation_oracle(self):
         rng = np.random.default_rng(3)
@@ -103,38 +105,35 @@ class TestReferenceValues:
                                         stren_xmin=int(rng.integers(500, 5000)),
                                         avg_degree=float(rng.uniform(20, 60)),
                                         corr=float(rng.uniform(-1, 1)))
-        universe = [meta("T")] + [meta(s) for s in members]
+        universe = by_symbol(meta("T"), *(meta(s) for s in members))
         group = select_reference(meta("T"), universe)
         vals = reference_values(group, members)
         for key in FEATURE_KEYS:
             expected = np.mean([feature_vector(f)[key] for f in members.values()])
-            assert vals.means[key] == pytest.approx(expected)
+            assert vals[key] == pytest.approx(expected)
 
     def test_missing_features_excluded_pairwise(self):
         f1 = features("A", avg_degree=2.0)
         f2 = StockFeatures(symbol="B", fits=dict.fromkeys(TAIL_STATS),
                            avg_degree=4.0, return_ratio_corr=None, n_days=2)
-        group = select_reference(meta("T"), [meta("T"), meta("A"), meta("B")])
+        group = select_reference(meta("T"), by_symbol(meta("T"), meta("A"), meta("B")))
         vals = reference_values(group, {"A": f1, "B": f2})
-        assert vals.means["avg_degree"] == pytest.approx(3.0)
-        assert vals.counts["degree_in_xmin"] == 1
-        assert vals.means["degree_in_xmin"] == pytest.approx(10.0)
+        assert vals["avg_degree"] == pytest.approx(3.0)
+        assert vals["degree_in_xmin"] == pytest.approx(10.0)
 
     def test_all_missing_feature_errors(self):
         f = StockFeatures(symbol="A", fits=dict.fromkeys(TAIL_STATS),
                           avg_degree=None, return_ratio_corr=None, n_days=1)
-        group = select_reference(meta("T"), [meta("T"), meta("A")])
+        group = select_reference(meta("T"), by_symbol(meta("T"), meta("A")))
         with pytest.raises(ValueError):
             reference_values(group, {"A": f})
 
 
 class TestEvaluate:
-    REF = ReferenceValues(
-        means={"degree_in_xmin": 10.0, "degree_out_xmin": 10.0,
-               "strength_in_xmin": 1000.0, "strength_out_xmin": 1000.0,
-               "strength_total_xmin": 1000.0, "avg_degree": 40.0,
-               "return_ratio_corr": 0.5},
-        counts={k: 3 for k in FEATURE_KEYS})
+    REF = {"degree_in_xmin": 10.0, "degree_out_xmin": 10.0,
+           "strength_in_xmin": 1000.0, "strength_out_xmin": 1000.0,
+           "strength_total_xmin": 1000.0, "avg_degree": 40.0,
+           "return_ratio_corr": 0.5}
 
     def test_low_correlation_flagged(self):
         rep = evaluate(features("T", corr=0.15), self.REF)

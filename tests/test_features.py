@@ -5,9 +5,8 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from tradenet.features import (DailySeries, UndefinedCorrelationError,
-                               compute_features, daily_series, log_returns,
-                               pearson_corr, return_ratio_correlation,
+from tradenet.features import (DailySeries, compute_features, daily_series,
+                               log_returns, pearson_corr, return_ratio_correlation,
                                seller_buyer_ratio)
 from tradenet.powerlaw import GofConfig
 from tradenet.sim import SimConfig, simulate
@@ -112,7 +111,7 @@ class TestPearson:
         assert abs(pearson_corr(x, 0.01 * y - 4.0) - base) <= 1e-9
 
     def test_constant_series_rejected(self):
-        with pytest.raises(UndefinedCorrelationError):
+        with pytest.raises(ValueError, match="constant series"):
             pearson_corr([1, 1, 1], [1, 2, 3])
 
     def test_length_mismatch(self):

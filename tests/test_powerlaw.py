@@ -11,8 +11,7 @@ from powerlaw_helpers import full_ks_scan, gof_pvalue_oracle, mle_alpha, model_c
 from tradenet import powerlaw
 from tradenet.powerlaw import (ALPHA_MAX, ALPHA_MIN, DiscretePowerLaw, GofConfig,
                                _ks_scan, _solve_alpha, ccdf_points, fit_tail,
-                               gof_pvalue, ks_distance, ls_ccdf_exponent,
-                               scan_xmin, select_xmin)
+                               gof_pvalue, ks_distance, scan_xmin, select_xmin)
 
 
 class TestMleAlpha:
@@ -519,11 +518,3 @@ class TestSampler:
         xs, cc = ccdf_points([1, 1, 2, 5])
         assert list(xs) == [1, 2, 5]
         assert list(cc) == [1.0, 0.5, 0.25]
-
-
-def test_ls_ccdf_exponent_labeled_secondary():
-    """The least-squares route tracks the CCDF slope on clean data."""
-    rng = np.random.default_rng(10)
-    x = DiscretePowerLaw(2.5, 5).sample(rng, 20_000)
-    est = ls_ccdf_exponent(x, 5)
-    assert est == pytest.approx(1.5, abs=0.35)
