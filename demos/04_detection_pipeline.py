@@ -20,7 +20,7 @@ spec = CorpusSpec(
 
 results = generate_corpus(spec)
 logs = {r.log.meta.symbol: r.log for r in results}
-truth = {r.log.meta.symbol: r.truth.manipulated for r in results}
+truth = {r.log.meta.symbol: r.log.meta.manipulated for r in results}
 print(f"generated {len(results)} stocks "
       f"({sum(truth.values())} manipulated, ground truth known)\n")
 

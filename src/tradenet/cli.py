@@ -130,7 +130,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         files.append(sym)
         if args.verbose:
             print(f"{sym}: {res.log.n_records} records "
-                  f"({'manipulated' if res.truth.manipulated else 'honest'})",
+                  f"({'manipulated' if res.log.meta.manipulated else 'honest'})",
                   file=sys.stderr)
 
     corpus_manifest = {

@@ -143,16 +143,18 @@ def detect_corpus(logs: Mapping[str, TransactionLog],
     Labeled manipulated stocks are analyzed over their declared manipulation
     window, and their reference stocks are re-featurized over the same
     window; unlabeled stocks use their full period, as does any stock whose
-    log the window covers whole.  Tails are fitted without p-values, which
-    no report carries.  Returns one report per stock, sorted by symbol.
+    log the window covers whole.  A reference stock with no trade inside the
+    window drops out of that target's group.  Tails are fitted without
+    p-values, which no report carries.  Returns one report per stock, sorted
+    by symbol.
     """
     gof_cfg = replace(gof_cfg or GofConfig(), bootstrap_replicas=0)
     det_cfg = det_cfg or DetectorConfig()
     metas = {sym: log.meta for sym, log in logs.items()}
 
-    cache: dict[tuple[str, tuple | None], StockFeatures] = {}
+    cache: dict[tuple[str, tuple | None], StockFeatures | None] = {}
 
-    def features_for(symbol: str, window) -> StockFeatures:
+    def features_for(symbol: str, window) -> StockFeatures | None:
         log = logs[symbol]
         if window is not None and log.n_records:
             first, last = log.date_range()
@@ -162,7 +164,7 @@ def detect_corpus(logs: Mapping[str, TransactionLog],
         if key not in cache:
             if window is not None:
                 log = filter_period(log, window)
-            cache[key] = compute_features(log, gof_cfg)
+            cache[key] = compute_features(log, gof_cfg) if log.n_records else None
         return cache[key]
 
     reports = []
@@ -170,8 +172,14 @@ def detect_corpus(logs: Mapping[str, TransactionLog],
         meta = metas[symbol]
         window = meta.manipulation_period if meta.manipulated else None
         group = select_reference(meta, metas)
+        span = "its period" if window is None else f"{window[0]}..{window[1]}"
         target_feats = features_for(symbol, window)
-        member_feats = {s: features_for(s, window) for s in group.members}
-        ref = reference_values(group, member_feats)
+        if target_feats is None:
+            raise ValueError(f"{symbol} has no trade in {span}")
+        member_feats = {s: f for s in group.members
+                        if (f := features_for(s, window)) is not None}
+        if not member_feats:
+            raise ValueError(f"no reference stock of {symbol} trades in {span}")
+        ref = reference_values(replace(group, members=tuple(member_feats)), member_feats)
         reports.append(evaluate(target_feats, ref, det_cfg))
     return reports

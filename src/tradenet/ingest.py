@@ -66,7 +66,7 @@ class StockMeta:
                     and all(isinstance(day, str) for day in period)):
                 raise ValueError("manipulation_period must be null or two ISO dates, "
                                  f"got {period!r}")
-            period = (dt.date.fromisoformat(period[0]), dt.date.fromisoformat(period[1]))
+            period = (_parse_date(period[0]), _parse_date(period[1]))
         return cls(
             symbol=d["symbol"],
             capitalization_bucket=d["capitalization_bucket"],
@@ -221,6 +221,15 @@ def build_log(meta: StockMeta, dates, times, txn_ids, buyer_ids, seller_ids,
                        names, volumes, prices)
 
 
+def _parse_date(text: str) -> dt.date:
+    """A ``YYYY-MM-DD`` date; Python 3.11+ ``fromisoformat`` also takes
+    ``YYYYMMDD`` and ISO week dates, which no file may use."""
+    day = dt.date.fromisoformat(text)
+    if day.isoformat() != text:
+        raise ValueError(f"date {text!r} is not YYYY-MM-DD")
+    return day
+
+
 def _parse_time(text: str) -> int:
     parts = text.split(":")
     if len(parts) != 3:
@@ -373,8 +382,7 @@ def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog | None:
         _cut(padded, first, w) for first, w in zip(lo, width))
 
     try:
-        dates = _map_distinct(d_col, lambda s: dt.date.fromisoformat(s).toordinal(),
-                              np.int64)
+        dates = _map_distinct(d_col, lambda s: _parse_date(s).toordinal(), np.int64)
         times = _clock_seconds(t_col)
         volumes = _map_distinct(v_col, int, np.int64)
         prices = _map_distinct(p_col, float, np.float64)
@@ -424,7 +432,7 @@ def _check_line(lineno: int, line: str, seen: set[tuple[int, str]]) -> tuple:
         raise TransactionParseError(lineno, f"expected 7 fields, got {len(fields)}")
     d_s, t_s, txn, buyer, seller, vol_s, price_s = fields
     try:
-        ordinal = dt.date.fromisoformat(d_s).toordinal()
+        ordinal = _parse_date(d_s).toordinal()
         seconds = _parse_time(t_s)
     except ValueError as exc:
         raise TransactionParseError(lineno, f"unparseable timestamp: {exc}") from exc

@@ -73,32 +73,26 @@ def build_network(log: TransactionLog) -> TradingNetwork:
     weights = np.bincount(inverse, weights=log.volumes.astype(np.float64))
     sellers = (uniq_keys // k).astype(np.int64)
     buyers = (uniq_keys % k).astype(np.int64)
-    nodes = np.unique(np.concatenate([sellers, buyers]))
-    return TradingNetwork(nodes=nodes, edge_sellers=sellers, edge_buyers=buyers,
+    # Every account of a log trades, so the nodes are exactly its accounts.
+    return TradingNetwork(nodes=np.arange(k), edge_sellers=sellers, edge_buyers=buyers,
                           edge_weights=weights.astype(np.int64),
                           transaction_count=log.n_records)
 
 
 def degree_sequences(net: TradingNetwork) -> DegreeSequences:
     """Distinct out-/in-neighbor counts per node on the merged graph."""
-    size = int(net.nodes.max()) + 1 if net.node_count else 0
     not_loop = net.edge_sellers != net.edge_buyers
-    out_full = np.bincount(net.edge_sellers[not_loop], minlength=size)
-    in_full = np.bincount(net.edge_buyers[not_loop], minlength=size)
-    out_deg = out_full[net.nodes]
-    in_deg = in_full[net.nodes]
+    out_deg = np.bincount(net.edge_sellers[not_loop], minlength=net.node_count)
+    in_deg = np.bincount(net.edge_buyers[not_loop], minlength=net.node_count)
     return DegreeSequences(nodes=net.nodes, out_deg=out_deg, in_deg=in_deg,
                            tot_deg=out_deg + in_deg)
 
 
 def strength_sequences(net: TradingNetwork) -> StrengthSequences:
     """Per-node bought/sold/total volumes (self-loops included on both sides)."""
-    size = int(net.nodes.max()) + 1 if net.node_count else 0
     w = net.edge_weights.astype(np.float64)
-    s_out_full = np.bincount(net.edge_sellers, weights=w, minlength=size)
-    s_in_full = np.bincount(net.edge_buyers, weights=w, minlength=size)
-    s_out = s_out_full[net.nodes].astype(np.int64)
-    s_in = s_in_full[net.nodes].astype(np.int64)
+    s_out = np.bincount(net.edge_sellers, weights=w, minlength=net.node_count).astype(np.int64)
+    s_in = np.bincount(net.edge_buyers, weights=w, minlength=net.node_count).astype(np.int64)
     return StrengthSequences(nodes=net.nodes, s_in=s_in, s_out=s_out,
                              s_tot=s_in + s_out)
 
@@ -107,8 +101,7 @@ def average_degree(net: TradingNetwork) -> float:
     """Mean total degree, i.e. 2m/n on a self-loop-free merged graph."""
     if net.node_count == 0:
         raise ValueError("empty network")
-    deg = degree_sequences(net)
-    return float(deg.tot_deg.sum() / net.node_count)
+    return 2 * int(np.count_nonzero(net.edge_sellers != net.edge_buyers)) / net.node_count
 
 
 def write_edge_list(net: TradingNetwork, dest) -> None:

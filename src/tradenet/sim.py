@@ -88,10 +88,9 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """A generated log plus its ground truth."""
+    """A generated log, whose meta is the ground truth, plus its ring."""
 
     log: TransactionLog
-    truth: StockMeta
     colluders: frozenset[str]
 
 
@@ -106,14 +105,26 @@ def trading_days(start: dt.date, n_days: int) -> list[dt.date]:
     return days
 
 
-def _pump_schedule(n: int) -> np.ndarray:
-    """Pump-then-dump drift schedule over an n-day manipulation window."""
-    n_up = max(1, int(0.6 * n))
-    return np.concatenate([np.full(n_up, 0.010), np.full(n - n_up, -0.012)])
+def _pump_schedule(days: list[dt.date]) -> dict[dt.date, float]:
+    """Pump-then-dump drift per day of a manipulation window."""
+    n_up = max(1, int(0.6 * len(days)))
+    return {d: 0.010 if i < n_up else -0.012 for i, d in enumerate(days)}
 
 
 def _trader_ids(n: int) -> np.ndarray:
     return np.array([f"A{i:05d}" for i in range(n)])
+
+
+def _counterparties(rng: np.random.Generator, first: np.ndarray, n: int,
+                    p: np.ndarray) -> np.ndarray:
+    """One account per entry of ``first``, drawn from ``p`` and redrawn
+    until none equals its entry of ``first``."""
+    other = rng.choice(n, size=first.size, p=p)
+    clash = other == first
+    while np.any(clash):
+        other[clash] = rng.choice(n, size=int(clash.sum()), p=p)
+        clash = other == first
+    return other
 
 
 def simulate(cfg: SimConfig) -> SimResult:
@@ -134,33 +145,28 @@ def simulate(cfg: SimConfig) -> SimResult:
     passive_weights /= passive_weights.sum()
 
     days = trading_days(START, cfg.n_days)
+    colluder_idx = np.empty(0, dtype=np.int64)
+    window, pump = None, {}
     if cfg.manipulated:
         colluder_idx = np.sort(rng.choice(n, size=cfg.n_colluders, replace=False))
         # Uniform, but passed as p= all the same: a weighted draw consumes
         # the random stream differently from an unweighted one.
         coll_weights = np.full(cfg.n_colluders, 1.0 / cfg.n_colluders)
         window = cfg.manipulation_window or (days[0], days[-1])
-        window_days = [d for d in days if window[0] <= d <= window[1]]
-        pump = _pump_schedule(len(window_days))
-        window_index = {d: i for i, d in enumerate(window_days)}
-    else:
-        colluder_idx = np.empty(0, dtype=np.int64)
-        coll_weights = np.empty(0)
-        window = None
-        window_index = {}
-        pump = np.empty(0)
+        pump = _pump_schedule([d for d in days if window[0] <= d <= window[1]])
+        if not pump:
+            raise ValueError(f"manipulation_window {window[0]}..{window[1]} "
+                             "holds no simulated trading day")
 
     vol_sampler = DiscretePowerLaw(VOLUME_ALPHA, 1)
     wash_sampler = DiscretePowerLaw(WASH_VOLUME_ALPHA, 1)
 
     level = BASE_PRICE
-    all_dates, all_times, all_txn = [], [], []
-    all_buyers, all_sellers, all_vols, all_prices = [], [], [], []
-
+    records = []
     for day in days:
         eps = rng.standard_normal()
         demand = rng.standard_normal()
-        in_window = cfg.manipulated and day in window_index
+        in_window = day in pump
         # The faked turnover draws in real crowd flow, so genuine activity
         # itself runs hotter during the manipulation window.
         rate = cfg.trades_per_day * (CROWD_BOOST if in_window else 1.0)
@@ -169,49 +175,27 @@ def simulate(cfg: SimConfig) -> SimResult:
         p_buy = 1.0 / (1.0 + math.exp(-INITIATION_TILT * demand))
         buyer_initiated = rng.random(n_tr) < p_buy
         aggressive = rng.choice(n, size=n_tr, p=weights)
-        passive = rng.choice(n, size=n_tr, p=passive_weights)
-        clash = aggressive == passive
-        while np.any(clash):
-            passive[clash] = rng.choice(n, size=int(clash.sum()), p=passive_weights)
-            clash = aggressive == passive
+        passive = _counterparties(rng, aggressive, n, passive_weights)
         buyers = np.where(buyer_initiated, aggressive, passive)
         sellers = np.where(buyer_initiated, passive, aggressive)
         volumes = vol_sampler.sample(rng, n_tr) * LOT_SIZE
 
-        imbalance = 2.0 * buyer_initiated.mean() - 1.0
         if in_window:
-            ret = VOLATILITY * eps + pump[window_index[day]]
-        else:
-            ret = VOLATILITY * eps + IMBALANCE_COUPLING * imbalance
-        level *= math.exp(ret)
-
-        if in_window:
+            level *= math.exp(VOLATILITY * eps + pump[day])
             # Ring accounts trade against the public in both directions,
             # independent of demand: busy tape, no information.
             n_ch = int(rng.poisson(CHURN_RATE * n_tr))
-            if n_ch:
-                ring = colluder_idx[rng.choice(cfg.n_colluders, size=n_ch,
-                                               p=coll_weights)]
-                public = rng.choice(n, size=n_ch, p=passive_weights)
-                clash = ring == public
-                while np.any(clash):
-                    public[clash] = rng.choice(n, size=int(clash.sum()),
-                                               p=passive_weights)
-                    clash = ring == public
-                ring_buys = rng.random(n_ch) < 0.5
-                buyers = np.concatenate([buyers, np.where(ring_buys, ring, public)])
-                sellers = np.concatenate([sellers, np.where(ring_buys, public, ring)])
-                volumes = np.concatenate(
-                    [volumes, vol_sampler.sample(rng, n_ch) * LOT_SIZE])
-                n_tr = buyers.size
+            ring = colluder_idx[rng.choice(cfg.n_colluders, size=n_ch, p=coll_weights)]
+            public = _counterparties(rng, ring, n, passive_weights)
+            ring_buys = rng.random(n_ch) < 0.5
+            volumes = np.concatenate([volumes, vol_sampler.sample(rng, n_ch) * LOT_SIZE])
 
-        if in_window and cfg.wash_volume_fraction > 0.0:
             f = cfg.wash_volume_fraction
             target = math.ceil(volumes.sum() * f / (1.0 - f))
             wash_buyers, wash_sellers, wash_vols = [], [], []
             total = 0
             while total < target:
-                cycle_len = int(rng.integers(3, 7))
+                cycle_len = int(rng.integers(3, min(6, cfg.n_colluders) + 1))
                 members = colluder_idx[rng.choice(cfg.n_colluders, size=cycle_len,
                                                   replace=False)]
                 if len(wash_buyers) > MAX_WASH_TRADES_PER_DAY:
@@ -223,35 +207,30 @@ def simulate(cfg: SimConfig) -> SimResult:
                     wash_buyers.append(members[(i + 1) % cycle_len])
                     wash_vols.append(v)
                 total += cycle_len * v
-            buyers = np.concatenate([buyers, np.asarray(wash_buyers, dtype=np.int64)])
-            sellers = np.concatenate([sellers, np.asarray(wash_sellers, dtype=np.int64)])
+            buyers = np.concatenate([buyers, np.where(ring_buys, ring, public),
+                                     np.asarray(wash_buyers, dtype=np.int64)])
+            sellers = np.concatenate([sellers, np.where(ring_buys, public, ring),
+                                      np.asarray(wash_sellers, dtype=np.int64)])
             volumes = np.concatenate([volumes, np.asarray(wash_vols, dtype=np.int64)])
-            n_tr = buyers.size
+        else:
+            imbalance = 2.0 * buyer_initiated.mean() - 1.0
+            level *= math.exp(VOLATILITY * eps + IMBALANCE_COUPLING * imbalance)
+        n_tr = buyers.size
 
         prices = level * np.exp(rng.normal(0.0, INTRADAY_NOISE, n_tr))
         prices = np.maximum(np.round(prices, 2), 0.01)
         seconds = rng.integers(TRADING_OPEN, TRADING_CLOSE, size=n_tr)
         order = np.argsort(seconds, kind="stable")
+        records.append((np.full(n_tr, day.toordinal(), dtype=np.int64), seconds[order],
+                        np.char.zfill(np.arange(1, n_tr + 1).astype("U6"), 6),
+                        ids[buyers[order]], ids[sellers[order]], volumes[order],
+                        prices[order]))
 
-        all_dates.append(np.full(n_tr, day.toordinal(), dtype=np.int64))
-        all_times.append(seconds[order])
-        all_txn.append(np.char.zfill(np.arange(1, n_tr + 1).astype("U6"), 6))
-        all_buyers.append(ids[buyers[order]])
-        all_sellers.append(ids[sellers[order]])
-        all_vols.append(volumes[order])
-        all_prices.append(prices[order])
-
-    truth = StockMeta(symbol=cfg.symbol,
-                      capitalization_bucket=cfg.capitalization_bucket,
-                      sector=cfg.sector, manipulated=cfg.manipulated,
-                      manipulation_period=window)
-    log = build_log(truth,
-                    np.concatenate(all_dates), np.concatenate(all_times),
-                    np.concatenate(all_txn), np.concatenate(all_buyers),
-                    np.concatenate(all_sellers), np.concatenate(all_vols),
-                    np.concatenate(all_prices))
-    colluders = frozenset(str(s) for s in ids[colluder_idx])
-    return SimResult(log=log, truth=truth, colluders=colluders)
+    meta = StockMeta(symbol=cfg.symbol, capitalization_bucket=cfg.capitalization_bucket,
+                     sector=cfg.sector, manipulated=cfg.manipulated,
+                     manipulation_period=window)
+    log = build_log(meta, *map(np.concatenate, zip(*records)))
+    return SimResult(log=log, colluders=frozenset(str(s) for s in ids[colluder_idx]))
 
 
 @dataclass(frozen=True)
@@ -289,34 +268,25 @@ def generate_corpus(spec: CorpusSpec) -> list[SimResult]:
     cover roughly the first two thirds of the period.
     """
     total = sum(g.honest + g.manipulated for g in spec.groups)
-    if total == 0:
-        return []
     seeds = np.random.SeedSequence(spec.master_seed).generate_state(total, dtype=np.uint64)
     days = trading_days(START, spec.base.n_days)
     partial_window = (days[0], days[(2 * len(days)) // 3 - 1])
 
     results = []
-    serial = 0
     for group in spec.groups:
         scale = BUCKET_SCALE.get(group.capitalization_bucket, 1.0)
         sized = replace(spec.base,
                         n_traders=max(2, int(spec.base.n_traders * scale)),
                         trades_per_day=spec.base.trades_per_day * scale)
-        plan = ([False] * group.honest
-                + [True] * group.manipulated)
-        partial_left = group.partial
-        for manipulated in plan:
-            window = None
-            if manipulated and partial_left > 0:
-                window = partial_window
-                partial_left -= 1
+        for i in range(group.honest + group.manipulated):
+            serial = len(results)
+            partial = group.honest <= i < group.honest + group.partial
             cfg = replace(sized,
                           rng_seed=int(seeds[serial]),
                           symbol=f"S{serial:03d}",
                           capitalization_bucket=group.capitalization_bucket,
                           sector=group.sector,
-                          manipulated=manipulated,
-                          manipulation_window=window)
+                          manipulated=i >= group.honest,
+                          manipulation_window=partial_window if partial else None)
             results.append(simulate(cfg))
-            serial += 1
     return results

@@ -202,7 +202,7 @@ def test_criterion_6_manipulation_separation():
     results = generate_corpus(spec)
     assert len(results) == 48
     logs = {r.log.meta.symbol: r.log for r in results}
-    truth = {r.log.meta.symbol: r.truth.manipulated for r in results}
+    truth = {r.log.meta.symbol: r.log.meta.manipulated for r in results}
 
     reports = detect_corpus(logs, GofConfig(min_tail_size=50, rng_seed=5),
                             DetectorConfig())

@@ -329,7 +329,9 @@ def test_duplicate_symbol_rejected(duplicate_symbol_corpus, tmp_path, capsys,
     (lambda meta: meta.pop("sector"), "missing key 'sector'"),
     (lambda meta: meta.update(manipulated="false"), "manipulated must be true or false"),
     (None, "Expecting"),
-], ids=["missing-key", "mistyped", "not-json"])
+    (lambda meta: meta.update(manipulated=True,
+                              manipulation_period=["20040105", "2004-01-09"]), "'20040105'"),
+], ids=["missing-key", "mistyped", "not-json", "basic-date"])
 def test_sidecar_error_names_the_file(tmp_path, capsys, edit, message):
     corpus = tmp_path / "c"
     rc = main(["simulate", "--out", str(corpus), "--honest", "2", "--manipulated", "0",

@@ -1,3 +1,5 @@
+import datetime as dt
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from tradenet.detector import (DetectorConfig, detect_corpus, evaluate,
                                feature_vector, reference_values,
                                select_reference, FEATURE_KEYS)
 from tradenet.features import TAIL_STATS, StockFeatures
-from tradenet.ingest import StockMeta
+from tradenet.ingest import StockMeta, filter_period
 from tradenet.powerlaw import GofConfig, TailFit
 from tradenet.sim import CorpusSpec, GroupSpec, SimConfig, generate_corpus
 
@@ -207,7 +209,7 @@ class TestDetectCorpus:
         reports = detect_corpus(logs, GofConfig(min_tail_size=30, rng_seed=1),
                                 DetectorConfig())
         by_symbol = {r.symbol: r for r in reports}
-        truth = {r.log.meta.symbol: r.truth.manipulated for r in results}
+        truth = {r.log.meta.symbol: r.log.meta.manipulated for r in results}
         manip = [s for s, t in truth.items() if t][0]
         assert by_symbol[manip].verdict
         honest_flags = [by_symbol[s].verdict for s, t in truth.items() if not t]
@@ -245,3 +247,25 @@ class TestDetectCorpus:
         # window covers its log and theirs, so it adds one computation; the
         # partial-window stock and its 3 members are featurized anew.
         assert len(computed) == 3 + 1 + 4
+
+    def test_member_without_trades_in_the_window_drops_out(self):
+        """A reference stock with no trade inside a target's window leaves
+        that target's group; with no member left the error names the target."""
+        spec = CorpusSpec(
+            groups=(GroupSpec("mid", "tech", honest=3, manipulated=1, partial=1),),
+            master_seed=5,
+            base=SimConfig(n_traders=120, n_days=12, trades_per_day=30.0,
+                           n_colluders=20))
+        logs = {r.log.meta.symbol: r.log for r in generate_corpus(spec)}
+        after = (logs["S003"].meta.manipulation_period[1] + dt.timedelta(days=1),
+                 dt.date.max)
+        gof = GofConfig(min_tail_size=10)
+        logs["S001"] = filter_period(logs["S001"], after)
+        edited = {r.symbol: r for r in detect_corpus(logs, gof)}
+        without = {r.symbol: r for r in detect_corpus(
+            {s: log for s, log in logs.items() if s != "S001"}, gof)}
+        assert edited["S003"] == without["S003"]
+        for s in ("S000", "S002"):
+            logs[s] = filter_period(logs[s], after)
+        with pytest.raises(ValueError, match="no reference stock of S003"):
+            detect_corpus(logs, gof)

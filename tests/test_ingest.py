@@ -445,13 +445,16 @@ BEHAVIOUR = [  # (file, line of the error or None for a log, message)
      "bad header"),
     (HEADER + ROW.replace("500", str(2**63)) + "\n", 2,
      f"volume {2**63} exceeds int64"),
+    (HEADER + ROW.replace("2004-01-08", "20040108") + "\n", 2, "unparseable timestamp"),
+    (HEADER + ROW.replace("2004-01-08", "2004-W02-4") + "\n", 2, "unparseable timestamp"),
     (HEADER.replace("\n", "\r"), None, None),
 ]
 
 
 @pytest.mark.parametrize("text, lineno, message", BEHAVIOUR,
                          ids=["lone-cr", "nul", "cr-cr-lf", "cr-only-endings",
-                              "volume-2**63", "header-only-final-cr"])
+                              "volume-2**63", "basic-date", "week-date",
+                              "header-only-final-cr"])
 @pytest.mark.parametrize("kind", ["bytes", "path", "StringIO"])
 def test_same_content_same_outcome(text, lineno, message, kind, tmp_path):
     """One line rule for every source: a line ends at "\\n" or the end of

@@ -1,9 +1,11 @@
+import datetime as dt
 import io
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from tradenet.ingest import filter_period
 from tradenet.network import (average_degree, build_network, degree_sequences,
                               strength_sequences, write_edge_list)
 from tradenet.sim import SimConfig, simulate
@@ -47,6 +49,18 @@ def test_weights_match_bruteforce_accumulation():
     net = build_network(log)
     assert list(zip(net.edge_sellers.tolist(), net.edge_buyers.tolist())) == sorted(expected)
     assert net.edge_weights.tolist() == [expected[pair] for pair in sorted(expected)]
+
+
+def test_nodes_are_the_logs_accounts():
+    """build_network takes every account of a log as a node: parsing and
+    filter_period number exactly the accounts that trade."""
+    log = simulate(SimConfig(rng_seed=21, n_traders=60, n_days=25,
+                             trades_per_day=5.0, n_colluders=20)).log
+    for part in (log, filter_period(log, (dt.date(2004, 1, 12), dt.date(2004, 1, 14)))):
+        net = build_network(part)
+        endpoints = np.unique(np.concatenate([net.edge_sellers, net.edge_buyers]))
+        assert np.array_equal(endpoints, net.nodes)
+        assert np.array_equal(net.nodes, np.arange(len(part.accounts)))
 
 
 def test_single_edge_degrees(make_log):

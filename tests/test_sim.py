@@ -1,5 +1,7 @@
 import datetime as dt
+import hashlib
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,21 +23,19 @@ def test_same_seed_identical_log():
 
 
 def test_different_seed_differs():
-    from dataclasses import replace
     a = simulate(SMALL)
     b = simulate(replace(SMALL, rng_seed=4))
     assert a.log != b.log
 
 
 def test_truth_matches_config():
-    from dataclasses import replace
     honest = simulate(SMALL)
-    assert honest.truth.manipulated is False
-    assert honest.truth.manipulation_period is None
+    assert honest.log.meta.manipulated is False
+    assert honest.log.meta.manipulation_period is None
     assert honest.colluders == frozenset()
     manip = simulate(replace(SMALL, manipulated=True))
-    assert manip.truth.manipulated is True
-    assert manip.truth.manipulation_period is not None
+    assert manip.log.meta.manipulated is True
+    assert manip.log.meta.manipulation_period is not None
     assert len(manip.colluders) == SMALL.n_colluders
 
 
@@ -50,7 +50,6 @@ def ring_share_by_day(res) -> np.ndarray:
 
 
 def test_wash_volume_fraction_enforced():
-    from dataclasses import replace
     res = simulate(replace(SMALL, manipulated=True, wash_volume_fraction=0.6))
     assert ring_share_by_day(res).min() >= 0.6
 
@@ -58,24 +57,71 @@ def test_wash_volume_fraction_enforced():
 def test_wash_fraction_near_one_met_past_the_trade_cap():
     """Past MAX_WASH_TRADES_PER_DAY circular trades, one last cycle carries
     the rest of the day's wash volume."""
-    from dataclasses import replace
     res = simulate(replace(SMALL, manipulated=True, wash_volume_fraction=0.9999, n_days=2))
     assert np.bincount(res.log.dates).max() > MAX_WASH_TRADES_PER_DAY
     assert ring_share_by_day(res).min() >= 0.9999
 
 
+# S011 of ``simulate --seed 623 --days 30 --partial 1``: a stock with a day
+# whose volume draw needs more than MAX_WASH_TRADES_PER_DAY circular trades
+# at the default fraction.
+CAPPED_DAY = SimConfig(rng_seed=int(np.random.SeedSequence(623).generate_state(
+    12, dtype=np.uint64)[11]), n_days=30, manipulated=True)
+
+
 def test_huge_volume_day_meets_wash_fraction():
-    """S011 of ``simulate --seed 623 --days 30 --partial 1`` has a day whose
-    volume draw needs more than MAX_WASH_TRADES_PER_DAY circular trades at
-    the default fraction, and that day meets it like any other."""
-    seed = np.random.SeedSequence(623).generate_state(12, dtype=np.uint64)[11]
-    res = simulate(SimConfig(rng_seed=int(seed), n_days=30, manipulated=True))
+    """The capped day meets the wash fraction like any other."""
+    res = simulate(CAPPED_DAY)
     assert np.bincount(res.log.dates).max() > MAX_WASH_TRADES_PER_DAY
     assert ring_share_by_day(res).min() >= SimConfig.wash_volume_fraction
 
 
+@pytest.mark.parametrize("n_colluders", [3, 4, 5])
+def test_small_ring_meets_wash_fraction(n_colluders):
+    """Cycles take 3 to min(6, ring size) members, so a ring of 3 to 5
+    colluders can wash trade."""
+    res = simulate(replace(SMALL, manipulated=True, n_colluders=n_colluders, n_days=5))
+    assert len(res.colluders) == n_colluders
+    assert ring_share_by_day(res).min() >= SMALL.wash_volume_fraction
+
+
+def test_window_without_trading_day_rejected():
+    saturday = dt.date(2004, 1, 10)
+    cfg = replace(SMALL, manipulated=True, manipulation_window=(saturday, saturday))
+    with pytest.raises(ValueError, match="2004-01-10..2004-01-10"):
+        simulate(cfg)
+
+
+# SHA-256 of each log's write_transactions text followed by its sorted
+# colluders: a rewrite of the simulator must keep every random draw in
+# order, so every corpus keeps its bytes.
+PINNED_SIMULATIONS = {
+    "capped-day": (CAPPED_DAY,
+                   "658c1e1b5c7563bdaf4044999a29ebe0f3727a223e24bb7416996a324f8b71ff"),
+    "no-wash": (replace(SMALL, manipulated=True, wash_volume_fraction=0.0),
+                "3a2bc58bcde51c4c1d8ce4849ed6a5d5cb3111943929890c66ac1a79a7914db1"),
+    "days-without-churn": (SimConfig(rng_seed=11, n_days=20, n_traders=50,
+                                     trades_per_day=0.2, n_colluders=8, manipulated=True),
+                           "cbc5683e74718121a7923988df59c5f1c22b2a8aa106c6dc8d8b9fa808158844"),
+    "partial-window": (replace(SMALL, manipulated=True, manipulation_window=(
+        dt.date(2004, 1, 12), dt.date(2004, 1, 30))),
+        "5cc231bf73d7113a9a8ba33d138a3c40e8507dc5b745cc2a48f2bdd6485491b7"),
+    "honest": (SMALL, "b5f2a0969fe965f5cc52436911fb9ca0dfc7d232243a8f2b3a204b9b7e0e001d"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SIMULATIONS)
+def test_simulation_pinned(name):
+    cfg, digest = PINNED_SIMULATIONS[name]
+    res = simulate(cfg)
+    buf = io.StringIO()
+    write_transactions(res.log, buf)
+    h = hashlib.sha256(buf.getvalue().encode())
+    h.update(",".join(sorted(res.colluders)).encode())
+    assert h.hexdigest() == digest
+
+
 def test_no_self_trades():
-    from dataclasses import replace
     res = simulate(replace(SMALL, manipulated=True))
     assert not np.any(res.log.buyers == res.log.sellers)
 
@@ -115,9 +161,9 @@ class TestCorpus:
                           master_seed=9, base=self.BASE)
         results = generate_corpus(spec)
         assert len(results) == 6
-        labels = [r.truth.manipulated for r in results]
+        labels = [r.log.meta.manipulated for r in results]
         assert sum(labels) == 2
-        assert all(r.truth.manipulated == (r.colluders != frozenset())
+        assert all(r.log.meta.manipulated == (r.colluders != frozenset())
                    for r in results)
 
     def test_partial_window_is_subperiod(self):
@@ -125,7 +171,7 @@ class TestCorpus:
                                             manipulated=2, partial=1),),
                           master_seed=9, base=self.BASE)
         results = generate_corpus(spec)
-        windows = [r.truth.manipulation_period for r in results]
+        windows = [r.log.meta.manipulation_period for r in results]
         days = trading_days(START, self.BASE.n_days)
         full = (days[0], days[-1])
         assert full in windows
@@ -157,7 +203,6 @@ class TestCorpus:
 
 def test_manipulated_average_degree_exceeds_honest_median():
     """Corpus-level comparison over 20 seed pairs at matched size."""
-    from dataclasses import replace
     cfg = SimConfig(n_traders=250, n_days=40, trades_per_day=50.0,
                     n_colluders=40)
     honest, manip = [], []
