@@ -26,11 +26,11 @@ log = parse_transactions(io.StringIO(CSV), meta)
 print(f"parsed {log.n_records} records, {len(log.accounts)} accounts: "
       f"{', '.join(log.accounts)}")
 print(f"span {log.date_range()[0]} .. {log.date_range()[1]}, "
-      f"total volume {log.total_volume()}")
+      f"total volume {int(log.volumes.sum())}")
 
 net = build_network(log)
 print(f"\nnetwork: {net.node_count} nodes, {net.edge_count} merged edges "
-      f"(from {net.transaction_count} trades), "
+      f"(from {log.n_records} trades), "
       f"{int((net.edge_sellers == net.edge_buyers).sum())} self-loop")
 print("edges (seller -> buyer: shares):")
 for s, b, w in zip(net.edge_sellers, net.edge_buyers, net.edge_weights):
@@ -41,8 +41,8 @@ stren = strength_sequences(net)
 print("\nper-trader summary (self-trade counts toward strength, "
       "not degree):")
 print(f"{'trader':>7} {'out':>4} {'in':>4} {'sold':>6} {'bought':>7}")
-for i, node in enumerate(deg.nodes):
-    print(f"{log.accounts[node]:>7} {deg.out_deg[i]:>4} {deg.in_deg[i]:>4} "
+for i, account in enumerate(log.accounts):  # node i is account i
+    print(f"{account:>7} {deg.out_deg[i]:>4} {deg.in_deg[i]:>4} "
           f"{stren.s_out[i]:>6} {stren.s_in[i]:>7}")
 
 print(f"\naverage degree: {average_degree(net):.3f}")

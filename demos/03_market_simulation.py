@@ -26,7 +26,7 @@ for label, res in (("honest", honest), ("manipulated", manip)):
     ratio = seller_buyer_ratio(series)
     print(f"== {label} ==")
     print(f"records {log.n_records}, traders {len(log.accounts)}, "
-          f"volume {log.total_volume()}")
+          f"volume {int(log.volumes.sum())}")
     print(f"average degree {average_degree(net):.1f}, "
           f"corr(return, seller/buyer ratio) {corr:+.3f}")
     print(f"daily seller/buyer ratio: median {np.median(ratio):.2f}, "
@@ -35,7 +35,7 @@ for label, res in (("honest", honest), ("manipulated", manip)):
         coll = {i for i, a in enumerate(log.accounts) if a in res.colluders}
         mask = (np.isin(log.sellers, list(coll))
                 & np.isin(log.buyers, list(coll)))
-        share = log.volumes[mask].sum() / log.total_volume()
+        share = log.volumes[mask].sum() / log.volumes.sum()
         print(f"colluder ring: {len(res.colluders)} accounts, "
               f"intra-ring volume share {share:.2f}")
     print()

@@ -7,9 +7,8 @@ against matched reference stocks.  A seeded market simulator provides
 ground truth for evaluation.
 """
 
-from .detector import (DetectorConfig, ManipulationReport, ReferenceGroup,
-                       detect_corpus, evaluate, reference_values,
-                       select_reference)
+from .detector import (DetectorConfig, ManipulationReport, detect_corpus,
+                       evaluate, reference_values, select_reference)
 from .features import (DailySeries, StockFeatures, compute_features,
                        daily_series, log_returns, pearson_corr,
                        return_ratio_correlation, seller_buyer_ratio)
@@ -20,8 +19,7 @@ from .network import (DegreeSequences, StrengthSequences, TradingNetwork,
                       average_degree, build_network, degree_sequences,
                       strength_sequences, write_edge_list)
 from .powerlaw import (DiscretePowerLaw, GofConfig, TailFit, ccdf_points,
-                       fit_tail, gof_pvalue, ks_distance, scan_xmin,
-                       select_xmin)
+                       fit_tail, gof_pvalue, scan_xmin, select_xmin)
 from .sim import (CorpusSpec, GroupSpec, SimConfig, SimResult,
                   generate_corpus, simulate, trading_days)
 

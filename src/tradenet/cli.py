@@ -18,12 +18,12 @@ from pathlib import Path
 
 from . import __version__
 from .detector import DetectorConfig, detect_corpus
-from .features import TAIL_STATS, compute_features, tail_samples
+from .features import TAIL_STATS, compute_features
 from .ingest import (StockMeta, TransactionParseError, _dump_json, _write_rows,
                      load_corpus, parse_transactions, read_stock_meta,
                      write_stock_meta, write_transactions)
 from .network import build_network, write_edge_list
-from .powerlaw import GofConfig, ccdf_points, fit_tail
+from .powerlaw import GofConfig, ccdf_points
 from .sim import CorpusSpec, GroupSpec, SimConfig, generate_corpus
 
 # Each default lives on its config dataclass; only the corpus's stock counts
@@ -195,13 +195,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     gof_cfg = _gof_config(cfg)
     logs = load_corpus(args.corpus)
     for sym in sorted(logs):
-        tails = tail_samples(build_network(logs[sym]))
-        fits = {stat: fit_tail(sample, gof_cfg, max_candidates=cap)
-                for stat, (sample, cap) in tails.items()}
+        # A statistic whose tail cannot be fit is written as null.
+        fits = compute_features(logs[sym], gof_cfg).fits
         _atomic_write(out / "fits" / f"{sym}.json",
                       _dump_json({"symbol": sym, "fits": fits}))
         if args.verbose:
-            print(f"{sym}: fitted {len(fits)} statistics", file=sys.stderr)
+            fitted = sum(fit is not None for fit in fits.values())
+            print(f"{sym}: fitted {fitted} of {len(fits)} statistics", file=sys.stderr)
     _write_manifest(out, "fit", cfg, [str(args.corpus)])
     print(f"wrote fits for {len(logs)} stocks to {out / 'fits'}")
     return 0
@@ -337,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="parse-only check of transaction CSVs")
     p.add_argument("files", nargs="*", help="transaction CSV files")
     p.add_argument("--corpus", help="directory of SYMBOL.csv files")
-    p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("build", help="export merged trading networks")

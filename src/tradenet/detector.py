@@ -38,15 +38,6 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class ReferenceGroup:
-    """Reference stocks of one target (same bucket and sector, not labeled
-    manipulated, never the target itself)."""
-
-    target: str
-    members: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class ManipulationReport:
     """Flag vote outcome for one stock."""
 
@@ -70,8 +61,9 @@ def feature_vector(features: StockFeatures) -> dict[str, float | None]:
     return vector
 
 
-def select_reference(target: StockMeta, universe: Mapping[str, StockMeta]) -> ReferenceGroup:
-    """Non-manipulated stocks matching the target's bucket and sector."""
+def select_reference(target: StockMeta, universe: Mapping[str, StockMeta]) -> tuple[str, ...]:
+    """Symbols of the reference stocks of a target: the non-manipulated
+    stocks matching its bucket and sector, never the target itself."""
     members = sorted(
         m.symbol for m in universe.values()
         if m.symbol != target.symbol
@@ -83,22 +75,19 @@ def select_reference(target: StockMeta, universe: Mapping[str, StockMeta]) -> Re
             f"no reference stocks for {target.symbol} "
             f"(bucket={target.capitalization_bucket!r}, sector={target.sector!r}); "
             "consider a coarser capitalization bucketing")
-    return ReferenceGroup(target=target.symbol, members=tuple(members))
+    return tuple(members)
 
 
-def reference_values(group: ReferenceGroup,
-                     features: Mapping[str, StockFeatures]) -> dict[str, float | None]:
-    """Arithmetic per-feature mean over the group members (None if none has it)."""
-    missing = [s for s in group.members if s not in features]
-    if missing:
-        raise ValueError(f"features missing for reference members: {missing}")
+def reference_values(members: Mapping[str, StockFeatures]) -> dict[str, float | None]:
+    """Arithmetic per-feature mean over the reference stocks' features (None
+    if none has it)."""
     means: dict[str, float | None] = {}
-    vectors = [feature_vector(features[s]) for s in group.members]
+    vectors = [feature_vector(f) for f in members.values()]
     for key in FEATURE_KEYS:
         vals = [v[key] for v in vectors if v[key] is not None]
         means[key] = sum(vals) / len(vals) if vals else None
     if all(v is None for v in means.values()):
-        raise ValueError(f"every feature missing across reference group of {group.target}")
+        raise ValueError(f"every feature missing across reference stocks {sorted(members)}")
     return means
 
 
@@ -170,16 +159,15 @@ def detect_corpus(logs: Mapping[str, TransactionLog],
     reports = []
     for symbol in sorted(logs):
         meta = metas[symbol]
-        window = meta.manipulation_period if meta.manipulated else None
-        group = select_reference(meta, metas)
+        window = meta.manipulation_period
+        members = select_reference(meta, metas)
         span = "its period" if window is None else f"{window[0]}..{window[1]}"
         target_feats = features_for(symbol, window)
         if target_feats is None:
             raise ValueError(f"{symbol} has no trade in {span}")
-        member_feats = {s: f for s in group.members
+        member_feats = {s: f for s in members
                         if (f := features_for(s, window)) is not None}
         if not member_feats:
             raise ValueError(f"no reference stock of {symbol} trades in {span}")
-        ref = reference_values(replace(group, members=tuple(member_feats)), member_feats)
-        reports.append(evaluate(target_feats, ref, det_cfg))
+        reports.append(evaluate(target_feats, reference_values(member_feats), det_cfg))
     return reports

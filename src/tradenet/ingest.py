@@ -2,8 +2,9 @@
 
 One stock's executed trades live in one UTF-8 CSV with the fixed header
 ``date,time,txn_id,buyer_id,seller_id,volume,price`` plus a JSON sidecar
-carrying the stock metadata.  Parsed logs are immutable and columnar
-(numpy arrays).
+carrying the stock metadata.  Dates are ``YYYY-MM-DD``, times ``HH:MM:SS``,
+volumes ASCII digits, and prices ASCII digits with an optional fraction and
+exponent.  Parsed logs are immutable and columnar (numpy arrays).
 
 Account identifiers are opaque strings mapped to dense integer indices in a
 canonical order (first appearance, buyer before seller, over the sorted
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import re
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -97,9 +99,6 @@ class TransactionLog:
     @property
     def n_records(self) -> int:
         return self.dates.size
-
-    def total_volume(self) -> int:
-        return int(self.volumes.sum())
 
     def date_range(self) -> tuple[dt.date, dt.date]:
         if self.n_records == 0:
@@ -230,14 +229,23 @@ def _parse_date(text: str) -> dt.date:
     return day
 
 
-def _parse_time(text: str) -> int:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"time {text!r} is not HH:MM:SS")
-    h, m, s = (int(p) for p in parts)
-    if not (0 <= h < 24 and 0 <= m < 60 and 0 <= s < 60):
-        raise ValueError(f"time {text!r} out of range")
-    return h * 3600 + m * 60 + s
+def _parse_volume(text: str) -> int:
+    """A volume in ASCII digits; ``int`` also takes signs, blanks, ``_``
+    and non-ASCII digits, which no file may use."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"bad volume {text!r}")
+    return int(text)
+
+
+_PRICE = re.compile(r"[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
+def _parse_price(text: str) -> float:
+    """A price in ASCII digits with an optional fraction and exponent, as
+    every ``repr`` of a positive finite float is spelled."""
+    if not _PRICE.fullmatch(text):
+        raise ValueError(f"bad price {text!r}")
+    return float(text)
 
 
 def _read_bytes(source) -> bytes:
@@ -318,17 +326,20 @@ def _map_distinct(col: np.ndarray, convert, dtype) -> np.ndarray:
 
 
 def _clock_seconds(col: np.ndarray) -> np.ndarray:
-    """Seconds since midnight of a time column.  Fields strictly of the form
-    ``HH:MM:SS`` are read by digit arithmetic; any other column goes
-    through ``_parse_time`` one distinct field at a time."""
+    """Seconds since midnight of a bytes column of ``HH:MM:SS`` times in
+    ASCII digits, read by digit arithmetic.  Any other field is a ValueError
+    that quotes the first one."""
+    ok = np.zeros(col.size, bool)
     if col.dtype.itemsize == 8:
         chars = col.view(np.uint8).reshape(col.size, 8)
         digits = chars[:, [0, 1, 3, 4, 6, 7]].astype(np.int64) - ord("0")
         h, m, s = digits[:, 0::2].T * 10 + digits[:, 1::2].T
-        if ((chars[:, [2, 5]] == ord(":")).all() and ((digits >= 0) & (digits <= 9)).all()
-                and (h < 24).all() and (m < 60).all() and (s < 60).all()):
-            return h * 3600 + m * 60 + s
-    return _map_distinct(col, _parse_time, np.int64)
+        ok = ((chars[:, [2, 5]] == ord(":")).all(axis=1)
+              & ((digits >= 0) & (digits <= 9)).all(axis=1) & (h < 24) & (m < 60) & (s < 60))
+    if not ok.all():
+        raise ValueError(f"time {col[ok.argmin()].decode('utf-8')!r} is not HH:MM:SS "
+                         "within a day")
+    return h * 3600 + m * 60 + s
 
 
 def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog | None:
@@ -384,8 +395,8 @@ def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog | None:
     try:
         dates = _map_distinct(d_col, lambda s: _parse_date(s).toordinal(), np.int64)
         times = _clock_seconds(t_col)
-        volumes = _map_distinct(v_col, int, np.int64)
-        prices = _map_distinct(p_col, float, np.float64)
+        volumes = _map_distinct(v_col, _parse_volume, np.int64)
+        prices = _map_distinct(p_col, _parse_price, np.float64)
     except (ValueError, OverflowError):
         return None
 
@@ -433,21 +444,21 @@ def _check_line(lineno: int, line: str, seen: set[tuple[int, str]]) -> tuple:
     d_s, t_s, txn, buyer, seller, vol_s, price_s = fields
     try:
         ordinal = _parse_date(d_s).toordinal()
-        seconds = _parse_time(t_s)
+        seconds = int(_clock_seconds(np.array([t_s.encode()]))[0])
     except ValueError as exc:
         raise TransactionParseError(lineno, f"unparseable timestamp: {exc}") from exc
     try:
-        volume = int(vol_s)
+        volume = _parse_volume(vol_s)
     except ValueError as exc:
-        raise TransactionParseError(lineno, f"bad volume {vol_s!r}") from exc
+        raise TransactionParseError(lineno, str(exc)) from exc
     if volume < 1:
         raise TransactionParseError(lineno, f"volume must be >= 1, got {volume}")
     if volume > np.iinfo(np.int64).max:
         raise TransactionParseError(lineno, f"volume {volume} exceeds int64")
     try:
-        price = float(price_s)
+        price = _parse_price(price_s)
     except ValueError as exc:
-        raise TransactionParseError(lineno, f"bad price {price_s!r}") from exc
+        raise TransactionParseError(lineno, str(exc)) from exc
     if not price > 0 or not np.isfinite(price):
         raise TransactionParseError(lineno, f"price must be > 0, got {price_s}")
     if not buyer or not seller or not txn:
@@ -502,18 +513,16 @@ def write_transactions(log: TransactionLog, dest) -> None:
         _format_distinct(log.volumes, str), _format_distinct(log.prices, repr)))
 
 
-def read_stock_meta(source) -> StockMeta:
-    """Read a JSON sidecar from a path or an open text stream.  Any error in
-    a sidecar read from a path is a ValueError that names the file."""
-    if not isinstance(source, (str, Path)):
-        return StockMeta.from_dict(json.load(source))
+def read_stock_meta(path) -> StockMeta:
+    """Read the JSON sidecar at a path.  Any error in it is a ValueError
+    that names the file."""
     try:
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return StockMeta.from_dict(json.load(fh))
     except KeyError as exc:
-        raise ValueError(f"{source}: missing key {exc}") from exc
+        raise ValueError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{source}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_stock_meta(meta: StockMeta, dest) -> None:

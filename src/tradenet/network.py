@@ -20,19 +20,16 @@ from .ingest import TransactionLog, _format_distinct, _write_rows
 class TradingNetwork:
     """Merged directed graph of one stock over one period.
 
-    ``edge_sellers``/``edge_buyers``/``edge_weights`` are parallel arrays,
-    one entry per distinct ordered (seller, buyer) pair, sorted by that pair.
+    Node i is the log's account ``accounts[i]``; every account trades, so
+    there are exactly ``node_count`` of them.  ``edge_sellers``/
+    ``edge_buyers``/``edge_weights`` are parallel arrays, one entry per
+    distinct ordered (seller, buyer) pair, sorted by that pair.
     """
 
-    nodes: np.ndarray
+    node_count: int
     edge_sellers: np.ndarray
     edge_buyers: np.ndarray
     edge_weights: np.ndarray
-    transaction_count: int
-
-    @property
-    def node_count(self) -> int:
-        return self.nodes.size
 
     @property
     def edge_count(self) -> int:
@@ -44,20 +41,17 @@ class TradingNetwork:
 
 @dataclass(frozen=True, eq=False)
 class DegreeSequences:
-    """Per-node distinct-counterparty counts, aligned with ``nodes``."""
+    """Per-node distinct-counterparty counts; index i is node i."""
 
-    nodes: np.ndarray
     out_deg: np.ndarray
     in_deg: np.ndarray
-    tot_deg: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class StrengthSequences:
-    """Per-node traded volumes, aligned with ``nodes``: s_in bought,
-    s_out sold, s_tot their sum."""
+    """Per-node traded volumes, index i for node i: s_in bought, s_out sold,
+    s_tot their sum."""
 
-    nodes: np.ndarray
     s_in: np.ndarray
     s_out: np.ndarray
     s_tot: np.ndarray
@@ -73,10 +67,8 @@ def build_network(log: TransactionLog) -> TradingNetwork:
     weights = np.bincount(inverse, weights=log.volumes.astype(np.float64))
     sellers = (uniq_keys // k).astype(np.int64)
     buyers = (uniq_keys % k).astype(np.int64)
-    # Every account of a log trades, so the nodes are exactly its accounts.
-    return TradingNetwork(nodes=np.arange(k), edge_sellers=sellers, edge_buyers=buyers,
-                          edge_weights=weights.astype(np.int64),
-                          transaction_count=log.n_records)
+    return TradingNetwork(node_count=k, edge_sellers=sellers, edge_buyers=buyers,
+                          edge_weights=weights.astype(np.int64))
 
 
 def degree_sequences(net: TradingNetwork) -> DegreeSequences:
@@ -84,8 +76,7 @@ def degree_sequences(net: TradingNetwork) -> DegreeSequences:
     not_loop = net.edge_sellers != net.edge_buyers
     out_deg = np.bincount(net.edge_sellers[not_loop], minlength=net.node_count)
     in_deg = np.bincount(net.edge_buyers[not_loop], minlength=net.node_count)
-    return DegreeSequences(nodes=net.nodes, out_deg=out_deg, in_deg=in_deg,
-                           tot_deg=out_deg + in_deg)
+    return DegreeSequences(out_deg=out_deg, in_deg=in_deg)
 
 
 def strength_sequences(net: TradingNetwork) -> StrengthSequences:
@@ -93,8 +84,7 @@ def strength_sequences(net: TradingNetwork) -> StrengthSequences:
     w = net.edge_weights.astype(np.float64)
     s_out = np.bincount(net.edge_sellers, weights=w, minlength=net.node_count).astype(np.int64)
     s_in = np.bincount(net.edge_buyers, weights=w, minlength=net.node_count).astype(np.int64)
-    return StrengthSequences(nodes=net.nodes, s_in=s_in, s_out=s_out,
-                             s_tot=s_in + s_out)
+    return StrengthSequences(s_in=s_in, s_out=s_out, s_tot=s_in + s_out)
 
 
 def average_degree(net: TradingNetwork) -> float:

@@ -90,19 +90,13 @@ class TailFit:
 
 def _as_int_array(samples) -> np.ndarray:
     arr = np.asarray(samples)
-    if arr.ndim != 1:
-        arr = arr.ravel()
+    if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError("samples must be a 1-D integer array")
     if arr.size == 0:
         raise ValueError("empty sample")
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.all(np.isfinite(arr)) or np.any(np.abs(arr - rounded) > 1e-9):
-            raise ValueError("samples must be integer-valued")
-        arr = rounded
-    arr = arr.astype(np.int64)
     if arr.min() < 1:
         raise ValueError("samples must be positive integers")
-    return arr
+    return arr.astype(np.int64)
 
 
 def _solve_alpha(log_sums, n_tail, x_min) -> np.ndarray:
@@ -229,24 +223,6 @@ def _ks_scan(uniq: np.ndarray, cum_counts: np.ndarray, first: np.ndarray,
     return ks
 
 
-def ks_distance(samples, x_min: int, alpha: float) -> float:
-    """Max |empirical CDF - model CDF| over the observed tail support.
-
-    The model is the discrete power law truncated below at x_min; both CDFs
-    are evaluated at every observed distinct value >= x_min.
-    """
-    arr = _as_int_array(samples)
-    if alpha <= 1.0:
-        raise ValueError("alpha must exceed 1")
-    if x_min < 1:
-        raise ValueError("x_min must be >= 1")
-    if arr.min() < x_min:
-        raise ValueError("all samples must be >= x_min")
-    uniq, counts = np.unique(arr, return_counts=True)
-    return float(_ks_scan(uniq.astype(float), np.cumsum(counts), np.zeros(1, int),
-                          np.array([x_min], float), np.array([alpha], float))[0])
-
-
 def _candidate_indices(uniq: np.ndarray, tail_sizes: np.ndarray,
                        min_tail_size: int, max_candidates: int | None) -> np.ndarray:
     """Indices into uniq usable as x_min: >= 2 distinct tail values and a
@@ -303,8 +279,7 @@ def select_xmin(samples, cfg: GofConfig | None = None, *,
         ccdf_exponent=alpha - 1.0,
         ks_distance=float(ks[best]),
         p_value=None,
-        # The scan accepted the samples as integers to within 1e-9.
-        n_tail=int(np.count_nonzero(np.asarray(samples) > x_min - 0.5)),
+        n_tail=int(np.count_nonzero(np.asarray(samples) >= x_min)),
         levy_stable=0.0 < alpha - 1.0 < LEVY_UPPER,
         alpha_at_bound=min(alpha - ALPHA_MIN, ALPHA_MAX - alpha) <= ALPHA_XTOL,
     )

@@ -80,6 +80,8 @@ class SimConfig:
             raise ValueError("n_colluders must lie in [0, n_traders)")
         if self.manipulated and self.n_colluders < 3:
             raise ValueError("manipulation needs at least 3 colluders for cycles")
+        if self.manipulation_window is not None and not self.manipulated:
+            raise ValueError("a manipulation_window needs manipulated=True")
         if not 0.0 <= self.wash_volume_fraction < 1.0:
             raise ValueError("wash_volume_fraction must lie in [0, 1)")
         if self.n_days < 1 or self.trades_per_day <= 0:
@@ -265,8 +267,11 @@ def generate_corpus(spec: CorpusSpec) -> list[SimResult]:
     """Generate every stock of the spec with independent derived seeds.
 
     Stocks are named S000, S001, ... in generation order; partial windows
-    cover roughly the first two thirds of the period.
+    cover roughly the first two thirds of the period, so they need a period
+    of at least 2 days.
     """
+    if spec.base.n_days < 2 and any(g.partial for g in spec.groups):
+        raise ValueError("a partial manipulation window needs n_days >= 2")
     total = sum(g.honest + g.manipulated for g in spec.groups)
     seeds = np.random.SeedSequence(spec.master_seed).generate_state(total, dtype=np.uint64)
     days = trading_days(START, spec.base.n_days)

@@ -1,12 +1,13 @@
 """Single-fit helpers and full-pass oracles for the estimator and sampler
-tests: the exponent of one tail at a given lower bound, the model CDF of a
-sampler, the KS pass that evaluates every support value, and the bootstrap
-that draws and refits one replica at a time."""
+tests: the exponent and the KS distance of one tail at a given lower bound,
+the model CDF of a sampler, the KS pass that evaluates every support value,
+and the bootstrap that draws and refits one replica at a time."""
 
 import numpy as np
 from scipy.special import zeta
 
-from tradenet.powerlaw import DiscretePowerLaw, _as_int_array, _solve_alpha, select_xmin
+from tradenet.powerlaw import (DiscretePowerLaw, _as_int_array, _ks_scan, _solve_alpha,
+                               select_xmin)
 
 
 def mle_alpha(samples, x_min: int) -> float:
@@ -14,6 +15,25 @@ def mle_alpha(samples, x_min: int) -> float:
     scan's likelihood solve on one row."""
     x = np.asarray(samples, dtype=float)
     return float(_solve_alpha(np.log(x).sum(), x.size, x_min)[0])
+
+
+def ks_distance(samples, x_min: int, alpha: float) -> float:
+    """Max |empirical CDF - model CDF| over the observed tail support, by the
+    scan's KS pass on one fit.
+
+    The model is the discrete power law truncated below at x_min; both CDFs
+    are evaluated at every observed distinct value >= x_min.
+    """
+    arr = _as_int_array(samples)
+    if alpha <= 1.0:
+        raise ValueError("alpha must exceed 1")
+    if x_min < 1:
+        raise ValueError("x_min must be >= 1")
+    if arr.min() < x_min:
+        raise ValueError("all samples must be >= x_min")
+    uniq, counts = np.unique(arr, return_counts=True)
+    return float(_ks_scan(uniq.astype(float), np.cumsum(counts), np.zeros(1, int),
+                          np.array([x_min], float), np.array([alpha], float))[0])
 
 
 def model_cdf(model, x) -> np.ndarray:

@@ -110,6 +110,8 @@ def test_fit_and_features_agree(corpus, tmp_path):
 
 
 def test_fit_degenerate_sample_diagnostic(tmp_path, capsys):
+    """A statistic whose tail cannot be fit is written as null, as
+    features.csv leaves it empty, and the run goes on."""
     corpus = tmp_path / "tiny"
     corpus.mkdir()
     (corpus / "T.csv").write_text(
@@ -121,9 +123,21 @@ def test_fit_degenerate_sample_diagnostic(tmp_path, capsys):
         "manipulated": False, "manipulation_period": None}))
     rc = main(["fit", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
                "--bootstrap", "0", "--min-tail", "1"])
-    err = capsys.readouterr().err
-    assert rc != 0
-    assert "error:" in err and err.count("\n") == 1
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((tmp_path / "o" / "fits" / "T.json").read_text())
+    assert doc == {"symbol": "T", "fits": {
+        stat: None for stat in ("degree_in", "degree_out", "strength_in",
+                                "strength_out", "strength_total")}}
+
+
+def test_simulate_partial_window_needs_two_days(tmp_path, capsys):
+    """A partial window covers part of the period; on one day it would be
+    the whole period."""
+    rc = main(["simulate", "--out", str(tmp_path), "--days", "1", "--partial", "1"])
+    assert rc == 2
+    assert "partial manipulation window needs n_days >= 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_features_csv(corpus, tmp_path):
@@ -213,10 +227,13 @@ def test_removed_options_rejected(tmp_path, capsys, key):
     ["detect", "--corpus", "unused", "--out", "unused", "--seed", "1"],
     ["validate", "--config", "unused.json"],
     ["validate", "--dump-config"],
-], ids=["build-seed", "detect-seed", "validate-config", "validate-dump-config"])
+    ["validate", "-v", "unused.csv"],
+], ids=["build-seed", "detect-seed", "validate-config", "validate-dump-config",
+        "validate-verbose"])
 def test_inert_options_rejected(argv):
-    """build and detect draw no random numbers, and validate reads no config,
-    so they take no option that could not change their output."""
+    """build and detect draw no random numbers, and validate reads no config
+    and prints nothing more when verbose, so they take no option that could
+    not change their output."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

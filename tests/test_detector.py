@@ -41,20 +41,18 @@ class TestSelectReference:
     def test_matching_honest_stocks(self):
         universe = by_symbol(meta("T"), meta("A"), meta("B"), meta("C"),
                              meta("D", bucket="large"), meta("E", sector="finance"))
-        group = select_reference(meta("T"), universe)
-        assert group.members == ("A", "B", "C")
-        assert group.target == "T"
+        assert select_reference(meta("T"), universe) == ("A", "B", "C")
 
     def test_manipulated_stocks_excluded(self):
         import datetime as dt
         period = (dt.date(2004, 1, 2), dt.date(2004, 9, 3))
         universe = by_symbol(meta("T"), meta("A"),
                              meta("M", manipulated=True, period=period))
-        assert select_reference(meta("T"), universe).members == ("A",)
+        assert select_reference(meta("T"), universe) == ("A",)
 
     def test_target_never_its_own_reference(self):
         universe = by_symbol(meta("T"), meta("A"))
-        assert "T" not in select_reference(meta("T"), universe).members
+        assert "T" not in select_reference(meta("T"), universe)
 
     def test_no_match_suggests_coarser_bucketing(self):
         universe = by_symbol(meta("T"), meta("X", bucket="large"))
@@ -79,7 +77,7 @@ class TestSelectReference:
                           and m.capitalization_bucket == target.capitalization_bucket
                           and m.sector == target.sector)
         if expected:
-            assert list(select_reference(target, universe).members) == expected
+            assert list(select_reference(target, universe)) == expected
         else:
             with pytest.raises(ValueError):
                 select_reference(target, universe)
@@ -87,15 +85,13 @@ class TestSelectReference:
 
 class TestReferenceValues:
     def test_mean_of_two(self):
-        group = select_reference(meta("T"), by_symbol(meta("T"), meta("A"), meta("B")))
-        vals = reference_values(group, {"A": features("A", avg_degree=2.0),
-                                        "B": features("B", avg_degree=4.0)})
+        vals = reference_values({"A": features("A", avg_degree=2.0),
+                                 "B": features("B", avg_degree=4.0)})
         assert vals["avg_degree"] == pytest.approx(3.0)
 
     def test_single_member_identity(self):
-        group = select_reference(meta("T"), by_symbol(meta("T"), meta("A")))
         f = features("A", deg_xmin=17, avg_degree=5.5, corr=0.31)
-        vals = reference_values(group, {"A": f})
+        vals = reference_values({"A": f})
         assert vals == feature_vector(f)
 
     def test_means_match_summation_oracle(self):
@@ -107,9 +103,7 @@ class TestReferenceValues:
                                         stren_xmin=int(rng.integers(500, 5000)),
                                         avg_degree=float(rng.uniform(20, 60)),
                                         corr=float(rng.uniform(-1, 1)))
-        universe = by_symbol(meta("T"), *(meta(s) for s in members))
-        group = select_reference(meta("T"), universe)
-        vals = reference_values(group, members)
+        vals = reference_values(members)
         for key in FEATURE_KEYS:
             expected = np.mean([feature_vector(f)[key] for f in members.values()])
             assert vals[key] == pytest.approx(expected)
@@ -118,17 +112,15 @@ class TestReferenceValues:
         f1 = features("A", avg_degree=2.0)
         f2 = StockFeatures(symbol="B", fits=dict.fromkeys(TAIL_STATS),
                            avg_degree=4.0, return_ratio_corr=None, n_days=2)
-        group = select_reference(meta("T"), by_symbol(meta("T"), meta("A"), meta("B")))
-        vals = reference_values(group, {"A": f1, "B": f2})
+        vals = reference_values({"A": f1, "B": f2})
         assert vals["avg_degree"] == pytest.approx(3.0)
         assert vals["degree_in_xmin"] == pytest.approx(10.0)
 
     def test_all_missing_feature_errors(self):
         f = StockFeatures(symbol="A", fits=dict.fromkeys(TAIL_STATS),
                           avg_degree=None, return_ratio_corr=None, n_days=1)
-        group = select_reference(meta("T"), by_symbol(meta("T"), meta("A")))
         with pytest.raises(ValueError):
-            reference_values(group, {"A": f})
+            reference_values({"A": f})
 
 
 class TestEvaluate:

@@ -447,6 +447,13 @@ BEHAVIOUR = [  # (file, line of the error or None for a log, message)
      f"volume {2**63} exceeds int64"),
     (HEADER + ROW.replace("2004-01-08", "20040108") + "\n", 2, "unparseable timestamp"),
     (HEADER + ROW.replace("2004-01-08", "2004-W02-4") + "\n", 2, "unparseable timestamp"),
+    # Times, volumes and prices in ASCII digits only: Python's int and float
+    # also take these spellings.
+    *[(HEADER + ROW.replace("09:30:01", t) + "\n", 2, "unparseable timestamp")
+      for t in ("9:30:01", "+9:30:01", "\u06609:30:01", "09:30:1")],
+    *[(HEADER + ROW.replace("500", v) + "\n", 2, "bad volume") for v in ("1_0", "\u0663", " 7")],
+    *[(HEADER + ROW.replace("7.25", p) + "\n", 2, "bad price")
+      for p in ("1_0.5", "\u0663.5", "+5", " 7")],
     (HEADER.replace("\n", "\r"), None, None),
 ]
 
@@ -454,6 +461,10 @@ BEHAVIOUR = [  # (file, line of the error or None for a log, message)
 @pytest.mark.parametrize("text, lineno, message", BEHAVIOUR,
                          ids=["lone-cr", "nul", "cr-cr-lf", "cr-only-endings",
                               "volume-2**63", "basic-date", "week-date",
+                              "time-one-digit-hour", "time-plus", "time-arabic-indic",
+                              "time-one-digit-second", "volume-underscore",
+                              "volume-arabic-indic", "volume-blank", "price-underscore",
+                              "price-arabic-indic", "price-plus", "price-blank",
                               "header-only-final-cr"])
 @pytest.mark.parametrize("kind", ["bytes", "path", "StringIO"])
 def test_same_content_same_outcome(text, lineno, message, kind, tmp_path):

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 
 from brent_oracle import brent_scan_xmin, nll
-from powerlaw_helpers import full_ks_scan, gof_pvalue_oracle, mle_alpha, model_cdf
+from powerlaw_helpers import (full_ks_scan, gof_pvalue_oracle, ks_distance, mle_alpha,
+                              model_cdf)
 from tradenet import powerlaw
 from tradenet.powerlaw import (ALPHA_MAX, ALPHA_MIN, DiscretePowerLaw, GofConfig,
                                _ks_scan, _solve_alpha, ccdf_points, fit_tail,
-                               gof_pvalue, ks_distance, scan_xmin, select_xmin)
+                               gof_pvalue, scan_xmin, select_xmin)
 
 
 class TestMleAlpha:

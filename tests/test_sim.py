@@ -85,6 +85,14 @@ def test_small_ring_meets_wash_fraction(n_colluders):
     assert ring_share_by_day(res).min() >= SMALL.wash_volume_fraction
 
 
+def test_window_on_honest_stock_rejected():
+    """A window is a manipulated stock's; an honest one refuses it rather
+    than simulating a stock whose period is None."""
+    window = (dt.date(2004, 1, 5), dt.date(2004, 1, 6))
+    with pytest.raises(ValueError, match="manipulated=True"):
+        replace(SMALL, manipulation_window=window)
+
+
 def test_window_without_trading_day_rejected():
     saturday = dt.date(2004, 1, 10)
     cfg = replace(SMALL, manipulated=True, manipulation_window=(saturday, saturday))
