@@ -86,8 +86,6 @@ def reference_values(members: Mapping[str, StockFeatures]) -> dict[str, float | 
     for key in FEATURE_KEYS:
         vals = [v[key] for v in vectors if v[key] is not None]
         means[key] = sum(vals) / len(vals) if vals else None
-    if all(v is None for v in means.values()):
-        raise ValueError(f"every feature missing across reference stocks {sorted(members)}")
     return means
 
 

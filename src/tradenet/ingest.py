@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -120,7 +121,7 @@ def _sorted_log(meta: StockMeta, dates, times, txn_ids, txn_keys, buyers, seller
 
     ``txn_keys`` sort like ``txn_ids`` (the ids themselves, or their ranks);
     ``buyers``/``sellers`` index the account ids ``names``.  A record no
-    transaction file can hold is a ValueError worded like ``_check_line``'s:
+    transaction file can hold is a ValueError worded like the file parser's:
     a volume below 1, a price that is not finite and > 0, a time outside the
     day, or a repeated (date, txn_id).
     """
@@ -230,22 +231,30 @@ def _parse_date(text: str) -> dt.date:
 
 
 def _parse_volume(text: str) -> int:
-    """A volume in ASCII digits; ``int`` also takes signs, blanks, ``_``
-    and non-ASCII digits, which no file may use."""
+    """A volume in ASCII digits, at least 1 and within int64; ``int`` also
+    takes signs, blanks, ``_`` and non-ASCII digits, which no file may use."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"bad volume {text!r}")
-    return int(text)
+    volume = int(text)
+    if volume < 1:
+        raise ValueError(f"volume must be >= 1, got {volume}")
+    if volume >= 2**63:
+        raise ValueError(f"volume {volume} exceeds int64")
+    return volume
 
 
 _PRICE = re.compile(r"[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
 
 
 def _parse_price(text: str) -> float:
-    """A price in ASCII digits with an optional fraction and exponent, as
-    every ``repr`` of a positive finite float is spelled."""
+    """A finite price > 0 in ASCII digits with an optional fraction and
+    exponent, as every ``repr`` of a positive finite float is spelled."""
     if not _PRICE.fullmatch(text):
         raise ValueError(f"bad price {text!r}")
-    return float(text)
+    price = float(text)
+    if not 0 < price < math.inf:
+        raise ValueError(f"price must be > 0, got {text}")
+    return price
 
 
 def _read_bytes(source) -> bytes:
@@ -268,23 +277,34 @@ def parse_transactions(source, meta: StockMeta) -> TransactionLog:
     every source holding the same bytes gives the same outcome.
 
     A line ends at ``"\\n"`` or at the end of the file, and one ``"\\r"``
-    right before that end is dropped.  A NUL byte or any other ``"\\r"``
-    makes the line malformed.  Blank lines are skipped.  Every malformed
-    line raises TransactionParseError with its line number; no record is
-    dropped silently.
+    right before that end is dropped.  A NUL byte, any other ``"\\r"`` or
+    bytes that are not UTF-8 make the line malformed.  Blank lines are
+    skipped.  Every malformed line raises TransactionParseError with its
+    line number; no record is dropped silently.
 
-    Every file that parses is parsed in whole-column passes
-    (``_parse_columns``); a file that pass declines is checked line by line
-    (``_check_line``) only to name its first bad line.
+    A file is parsed in whole-column passes (``_parse_columns``).  Each rule
+    reads one line, or one line and an earlier one for a repeated
+    (date, txn_id), so the file cut after line k parses exactly when k comes
+    before the first bad line; a bisection over those cuts names that line.
     """
     data = _read_bytes(source)
-    log = _parse_columns(data, meta)
-    if log is not None:
-        return log
-    seen: set[tuple[int, str]] = set()
-    for lineno, line in _data_lines(data):
-        _check_line(lineno, line, seen)
-    raise AssertionError("the column pass declined a file with no bad line")
+    try:
+        return _parse_columns(data, meta)
+    except ValueError as exc:
+        error = exc
+    cuts = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n")) + 1
+    if not data.endswith(b"\n"):
+        cuts = np.append(cuts, len(data))
+    # Lines up to ``good`` are good; the cut after line ``bad`` does not parse.
+    good, bad = 0, cuts.size
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _parse_columns(data[:cuts[mid - 1]], meta)
+            good = mid
+        except ValueError as exc:
+            bad, error = mid, exc
+    raise TransactionParseError(bad, str(error)) from error
 
 
 def _cut(buf: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -329,65 +349,65 @@ def _clock_seconds(col: np.ndarray) -> np.ndarray:
     """Seconds since midnight of a bytes column of ``HH:MM:SS`` times in
     ASCII digits, read by digit arithmetic.  Any other field is a ValueError
     that quotes the first one."""
-    ok = np.zeros(col.size, bool)
-    if col.dtype.itemsize == 8:
-        chars = col.view(np.uint8).reshape(col.size, 8)
-        digits = chars[:, [0, 1, 3, 4, 6, 7]].astype(np.int64) - ord("0")
-        h, m, s = digits[:, 0::2].T * 10 + digits[:, 1::2].T
-        ok = ((chars[:, [2, 5]] == ord(":")).all(axis=1)
-              & ((digits >= 0) & (digits <= 9)).all(axis=1) & (h < 24) & (m < 60) & (s < 60))
+    w = col.dtype.itemsize
+    chars = col.view(np.uint8).reshape(col.size, w)
+    if w < 8:
+        chars = np.pad(chars, ((0, 0), (0, 8 - w)))
+    digits = chars[:, [0, 1, 3, 4, 6, 7]].astype(np.int64) - ord("0")
+    h, m, s = digits[:, 0::2].T * 10 + digits[:, 1::2].T
+    # Bytes past the eighth are the NUL padding of shorter fields.
+    ok = ((chars[:, [2, 5]] == ord(":")).all(axis=1) & ~chars[:, 8:].any(axis=1)
+          & ((digits >= 0) & (digits <= 9)).all(axis=1) & (h < 24) & (m < 60) & (s < 60))
     if not ok.all():
         raise ValueError(f"time {col[ok.argmin()].decode('utf-8')!r} is not HH:MM:SS "
                          "within a day")
     return h * 3600 + m * 60 + s
 
 
-def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog | None:
-    """Parse a well-formed file in whole-column passes over its bytes.
+def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog:
+    """Parse a file in whole-column passes over its bytes.
 
-    Returns None whenever a check fails: a NUL byte, invalid UTF-8, a
-    ``"\\r"`` that does not end a line, or a bad field or record.  Every
-    check here or in ``_sorted_log`` is one ``_check_line`` makes, and every
-    check it makes is made in one of the two, so this pass gives the log of
-    every file that parses and declines exactly the files with a bad line.
+    A bad line is a ValueError that says what is wrong with it.  The checks
+    run in the order they apply to one line: UTF-8, the header, a NUL or a
+    ``"\\r"`` that does not end the line, the field count, the date and
+    time, the volume, the price, empty ids, and a repeated (date, txn_id).
+    So in a file whose only bad line is its last, the error is that line's
+    first fault.
     """
     buf = np.frombuffer(data, np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n"))
-    ends = newlines if data.endswith(b"\n") else np.append(newlines, buf.size)
-    if data[:ends[0]].removesuffix(b"\r") != _HEADER_LINE:
-        return None
-    # numpy ``S`` strings drop trailing NULs, so a NUL would hide in a field.
-    if buf.min() == 0:
-        return None
-    ascii_only = bool(buf.max() < 0x80)
+    ascii_only = bool(buf.max(initial=0) < 0x80)
     if not ascii_only:
         try:
             data.decode("utf-8")
         except UnicodeDecodeError:
-            return None
+            raise ValueError("invalid UTF-8") from None
+    newlines = np.flatnonzero(buf == ord("\n"))
+    ends = newlines if data.endswith(b"\n") else np.append(newlines, buf.size)
+    header = data[:ends[0]].removesuffix(b"\r")
+    if header != _HEADER_LINE:
+        raise ValueError(f"bad header {header.decode()!r}; "
+                         f"expected {_HEADER_LINE.decode()}")
+    # numpy ``S`` strings drop trailing NULs, so a NUL would hide in a field.
     carriage = np.flatnonzero(buf[:-1] == ord("\r"))  # a final "\r" ends its line
-    if (buf[carriage + 1] != ord("\n")).any():
-        return None
+    if buf.min() == 0 or (buf[carriage + 1] != ord("\n")).any():
+        raise ValueError("NUL or carriage return inside a line")
 
-    starts = np.concatenate(([0], ends[:-1] + 1))[1:]
-    stops = (ends - (buf[ends - 1] == ord("\r")))[1:]
-    blank = stops == starts
-    starts, stops = starts[~blank], stops[~blank]
+    starts = ends[:-1] + 1
+    stops = ends[1:] - (buf[ends[1:] - 1] == ord("\r"))
+    kept = stops > starts
+    starts, stops = starts[kept], stops[kept]
     n = starts.size
     if not n:
         return build_log(meta, *[()] * 7)
-    commas = np.flatnonzero(buf == ord(","))[len(CSV_HEADER) - 1:]
-    if commas.size != 6 * n:
-        return None
-    # Every comma lies in some data line, so when each line's six commas
-    # fall inside it, each line holds exactly six.
-    commas = commas.reshape(n, 6)
-    if (commas[:, 0] < starts).any() or (commas[:, 5] >= stops).any():
-        return None
+    commas = np.flatnonzero(buf == ord(","))
+    # A line's commas lie between its end and the previous line's.
+    count = np.diff(np.searchsorted(commas, ends))[kept]
+    if (count != 6).any():
+        raise ValueError(f"expected 7 fields, got {count[count != 6][0] + 1}")
+    # Every comma past the header's lies in a data line, six to a line.
+    commas = commas[len(CSV_HEADER) - 1:].reshape(n, 6)
     lo = [starts, *(commas.T + 1)]
     width = [hi - first for hi, first in zip([*commas.T, stops], lo)]
-    if not all(width[k].all() for k in (2, 3, 4)):
-        return None
     padded = np.concatenate((buf, np.zeros(max(int(w.max()) for w in width), np.uint8)))
     d_col, t_col, txn_col, b_col, s_col, v_col, p_col = (
         _cut(padded, first, w) for first, w in zip(lo, width))
@@ -395,10 +415,12 @@ def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog | None:
     try:
         dates = _map_distinct(d_col, lambda s: _parse_date(s).toordinal(), np.int64)
         times = _clock_seconds(t_col)
-        volumes = _map_distinct(v_col, _parse_volume, np.int64)
-        prices = _map_distinct(p_col, _parse_price, np.float64)
-    except (ValueError, OverflowError):
-        return None
+    except ValueError as exc:
+        raise ValueError(f"unparseable timestamp: {exc}") from exc
+    volumes = _map_distinct(v_col, _parse_volume, np.int64)
+    prices = _map_distinct(p_col, _parse_price, np.float64)
+    if not all(width[k].all() for k in (2, 3, 4)):
+        raise ValueError("empty identifier field")
 
     def text(col):
         if not ascii_only:
@@ -410,64 +432,8 @@ def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog | None:
     ids = np.concatenate((b_col, s_col))
     codes, first = _distinct(ids)
     txn_rank, _ = _distinct(txn_col)
-    try:
-        return _sorted_log(meta, dates, times, text(txn_col), txn_rank, codes[:n],
-                           codes[n:], text(ids[first]), volumes, prices)
-    except ValueError:
-        return None
-
-
-def _data_lines(data: bytes):
-    """Check a file's header and yield ``(lineno, line)`` for each non-blank
-    data line, 1-based, with one final ``"\\r"`` dropped."""
-    lines = data.decode("utf-8").split("\n")
-    header = lines[0].removesuffix("\r")
-    if header != ",".join(CSV_HEADER):
-        raise TransactionParseError(1, f"bad header {header!r}; "
-                                       f"expected {','.join(CSV_HEADER)}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.removesuffix("\r")
-        if line:
-            yield lineno, line
-
-
-def _check_line(lineno: int, line: str, seen: set[tuple[int, str]]) -> tuple:
-    """The parsed fields of one data line: (date ordinal, seconds, txn_id,
-    buyer_id, seller_id, volume, price).  Raises TransactionParseError if
-    the line is malformed or its (date, txn_id) is already in ``seen``, to
-    which it is added."""
-    if "\x00" in line or "\r" in line:
-        raise TransactionParseError(lineno, "NUL or carriage return inside a line")
-    fields = line.split(",")
-    if len(fields) != 7:
-        raise TransactionParseError(lineno, f"expected 7 fields, got {len(fields)}")
-    d_s, t_s, txn, buyer, seller, vol_s, price_s = fields
-    try:
-        ordinal = _parse_date(d_s).toordinal()
-        seconds = int(_clock_seconds(np.array([t_s.encode()]))[0])
-    except ValueError as exc:
-        raise TransactionParseError(lineno, f"unparseable timestamp: {exc}") from exc
-    try:
-        volume = _parse_volume(vol_s)
-    except ValueError as exc:
-        raise TransactionParseError(lineno, str(exc)) from exc
-    if volume < 1:
-        raise TransactionParseError(lineno, f"volume must be >= 1, got {volume}")
-    if volume > np.iinfo(np.int64).max:
-        raise TransactionParseError(lineno, f"volume {volume} exceeds int64")
-    try:
-        price = _parse_price(price_s)
-    except ValueError as exc:
-        raise TransactionParseError(lineno, str(exc)) from exc
-    if not price > 0 or not np.isfinite(price):
-        raise TransactionParseError(lineno, f"price must be > 0, got {price_s}")
-    if not buyer or not seller or not txn:
-        raise TransactionParseError(lineno, "empty identifier field")
-    key = (ordinal, txn)
-    if key in seen:
-        raise TransactionParseError(lineno, f"duplicate (date, txn_id) = ({d_s}, {txn})")
-    seen.add(key)
-    return ordinal, seconds, txn, buyer, seller, volume, price
+    return _sorted_log(meta, dates, times, text(txn_col), txn_rank, codes[:n],
+                       codes[n:], text(ids[first]), volumes, prices)
 
 
 def _format_distinct(values: np.ndarray, fmt) -> np.ndarray:

@@ -23,7 +23,9 @@ class TradingNetwork:
     Node i is the log's account ``accounts[i]``; every account trades, so
     there are exactly ``node_count`` of them.  ``edge_sellers``/
     ``edge_buyers``/``edge_weights`` are parallel arrays, one entry per
-    distinct ordered (seller, buyer) pair, sorted by that pair.
+    distinct ordered (seller, buyer) pair, sorted by that pair.  Every
+    node's bought plus sold volume fits in int64, so every weight and
+    strength is an exact int64 sum.
     """
 
     node_count: int
@@ -57,18 +59,40 @@ class StrengthSequences:
     s_tot: np.ndarray
 
 
+def _sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Per-group int64 sums of int64 ``values``, exact while no sum leaves
+    int64."""
+    sums = np.zeros(size, np.int64)
+    np.add.at(sums, groups, values)
+    return sums
+
+
 def build_network(log: TransactionLog) -> TradingNetwork:
-    """Merge a transaction log into its directed weighted trading network."""
+    """Merge a transaction log into its directed weighted trading network.
+
+    A node whose bought plus sold volume int64 cannot hold is a ValueError
+    naming the stock: that total bounds each weight and strength.
+    """
     if log.n_records == 0:
         raise ValueError("cannot build a network from an empty log")
     k = len(log.accounts)
+    # A node's bought plus sold volume is at most 2 * n_records times the
+    # largest volume.  Only when that bound leaves int64 is each node's
+    # total summed, exactly, in 32-bit halves whose sums cannot overflow.
+    if 2 * log.n_records * int(log.volumes.max()) >= 2**63:
+        nodes = np.concatenate((log.sellers, log.buyers))
+        volumes = np.concatenate((log.volumes, log.volumes))
+        low = _sums(nodes, volumes & 0xFFFFFFFF, k)
+        high = _sums(nodes, volumes >> 32, k) + (low >> 32)
+        if (high >= 2**31).any():
+            raise ValueError(f"{log.meta.symbol}: account {log.accounts[high.argmax()]!r} "
+                             "trades a volume that exceeds int64")
     keys = log.sellers * k + log.buyers
     uniq_keys, inverse = np.unique(keys, return_inverse=True)
-    weights = np.bincount(inverse, weights=log.volumes.astype(np.float64))
     sellers = (uniq_keys // k).astype(np.int64)
     buyers = (uniq_keys % k).astype(np.int64)
     return TradingNetwork(node_count=k, edge_sellers=sellers, edge_buyers=buyers,
-                          edge_weights=weights.astype(np.int64))
+                          edge_weights=_sums(inverse, log.volumes, uniq_keys.size))
 
 
 def degree_sequences(net: TradingNetwork) -> DegreeSequences:
@@ -81,9 +105,8 @@ def degree_sequences(net: TradingNetwork) -> DegreeSequences:
 
 def strength_sequences(net: TradingNetwork) -> StrengthSequences:
     """Per-node bought/sold/total volumes (self-loops included on both sides)."""
-    w = net.edge_weights.astype(np.float64)
-    s_out = np.bincount(net.edge_sellers, weights=w, minlength=net.node_count).astype(np.int64)
-    s_in = np.bincount(net.edge_buyers, weights=w, minlength=net.node_count).astype(np.int64)
+    s_out = _sums(net.edge_sellers, net.edge_weights, net.node_count)
+    s_in = _sums(net.edge_buyers, net.edge_weights, net.node_count)
     return StrengthSequences(s_in=s_in, s_out=s_out, s_tot=s_in + s_out)
 
 

@@ -294,8 +294,9 @@ class DiscretePowerLaw:
     """
 
     _HI_CAP = 2**62
+    _TABLE_SIZE = 4096
 
-    def __init__(self, alpha: float, x_min: int = 1, table_size: int = 4096):
+    def __init__(self, alpha: float, x_min: int = 1):
         if alpha <= 1.0:
             raise ValueError("alpha must exceed 1")
         if x_min < 1:
@@ -303,9 +304,9 @@ class DiscretePowerLaw:
         self.alpha = float(alpha)
         self.x_min = int(x_min)
         self._z0 = float(zeta(self.alpha, self.x_min))
-        xs = np.arange(self.x_min, self.x_min + table_size, dtype=float)
+        xs = np.arange(self.x_min, self.x_min + self._TABLE_SIZE, dtype=float)
         self._table_cdf = 1.0 - zeta(self.alpha, xs + 1.0) / self._z0
-        self._table_hi = self.x_min + table_size - 1
+        self._table_hi = self.x_min + self._TABLE_SIZE - 1
 
     def _bisect(self, targets: np.ndarray) -> np.ndarray:
         # Smallest x with zeta(alpha, x + 1) <= target.

@@ -295,16 +295,25 @@ def test_config_file_takes_the_subcommands_own_keys(tmp_path, capsys, argv, key,
         assert rc == 2 and "unknown config" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["build", "--corpus", "CORPUS", "--out", "OUT"],
-    ["fit", "--corpus", "CORPUS", "--out", "OUT"],
-    ["validate", "--corpus", "CORPUS"],
-    ["validate", "CORPUS/T.csv"],
-], ids=["build", "fit", "validate-corpus", "validate-file"])
-def test_parse_error_names_the_file(tmp_path, capsys, argv):
+PARSERS = {"build": ["build", "--corpus", "CORPUS", "--out", "OUT"],
+           "fit": ["fit", "--corpus", "CORPUS", "--out", "OUT"],
+           "validate-corpus": ["validate", "--corpus", "CORPUS"],
+           "validate-file": ["validate", "CORPUS/T.csv"]}
+BAD_HEADER = (b"date,time\n", "line 1: bad header 'date,time'; "
+              "expected date,time,txn_id,buyer_id,seller_id,volume,price")
+INVALID_UTF8 = (b"date,time,txn_id,buyer_id,seller_id,volume,price\n"
+                b"2004-01-08,09:30:01,1,B1,S1,500,7.25\n"
+                b"2004-01-08,09:30:02,2,B\xff1,S1,500,7.25\n", "line 3: invalid UTF-8")
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    *(pytest.param(argv, *BAD_HEADER, id=name) for name, argv in PARSERS.items()),
+    *(pytest.param(argv, *INVALID_UTF8, id=f"{name}-invalid-utf8")
+      for name, argv in PARSERS.items())])
+def test_parse_error_names_the_file(tmp_path, capsys, argv, content, message):
     corpus = tmp_path / "c"
     corpus.mkdir()
-    (corpus / "T.csv").write_text("date,time\n")
+    (corpus / "T.csv").write_bytes(content)
     (corpus / "T.json").write_text(json.dumps({
         "symbol": "T", "capitalization_bucket": "mid", "sector": "x",
         "manipulated": False, "manipulation_period": None}))
@@ -312,9 +321,7 @@ def test_parse_error_names_the_file(tmp_path, capsys, argv):
                for a in argv])
     err = capsys.readouterr().err
     assert rc == 2
-    expected = (f"{corpus / 'T.csv'}: line 1: bad header 'date,time'; "
-                "expected date,time,txn_id,buyer_id,seller_id,volume,price")
-    assert err == f"error: {expected}\n"
+    assert err == f"error: {corpus / 'T.csv'}: {message}\n"
 
 
 @pytest.fixture(scope="module")

@@ -116,12 +116,6 @@ class TestReferenceValues:
         assert vals["avg_degree"] == pytest.approx(3.0)
         assert vals["degree_in_xmin"] == pytest.approx(10.0)
 
-    def test_all_missing_feature_errors(self):
-        f = StockFeatures(symbol="A", fits=dict.fromkeys(TAIL_STATS),
-                          avg_degree=None, return_ratio_corr=None, n_days=1)
-        with pytest.raises(ValueError):
-            reference_values({"A": f})
-
 
 class TestEvaluate:
     REF = {"degree_in_xmin": 10.0, "degree_out_xmin": 10.0,

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tradenet import ingest
-from tradenet.ingest import (StockMeta, TransactionParseError, _check_line,
-                             _data_lines, _lexsorted, _parse_columns, build_log,
-                             filter_period, load_corpus, parse_transactions,
-                             read_stock_meta, write_stock_meta, write_transactions)
+from tradenet.ingest import (StockMeta, TransactionParseError, _lexsorted,
+                             _parse_columns, build_log, filter_period, load_corpus,
+                             parse_transactions, read_stock_meta, write_stock_meta,
+                             write_transactions)
 from tradenet.network import build_network, write_edge_list
 from tradenet.sim import START, SimConfig, simulate, trading_days
+from line_oracle import _check_line, _data_lines
 import writer_oracle
 
 META = StockMeta(symbol="TEST", capitalization_bucket="mid", sector="industrials")
@@ -160,22 +161,27 @@ def test_roundtrip_simulated_log(tmp_path):
 
 
 def test_written_files_take_the_column_pass(tmp_path, monkeypatch):
-    """The line loop only names bad lines: a file write_transactions made
-    never reaches it, from any kind of source."""
+    """Only a bad file is parsed more than once: a file write_transactions
+    made takes one column pass, from any kind of source."""
     res = simulate(SimConfig(rng_seed=5, n_traders=150, n_days=15,
                              trades_per_day=40.0, n_colluders=30))
     path = tmp_path / "sim.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_transactions(res.log, fh)
 
-    def fail(data):
-        raise AssertionError("line loop reached")
+    passes = []
 
-    monkeypatch.setattr(ingest, "_data_lines", fail)
+    def counted(data, meta):
+        passes.append(len(data))
+        return _parse_columns(data, meta)
+
+    monkeypatch.setattr(ingest, "_parse_columns", counted)
     data = path.read_bytes()
     for source in (path, str(path), data, io.BytesIO(data),
                    io.StringIO(data.decode())):
+        passes.clear()
         assert parse_transactions(source, res.log.meta) == res.log
+        assert passes == [len(data)]
 
 
 # ------------------------------------------------ column writers vs per-line writers
@@ -301,8 +307,9 @@ def _assert_same_as_loop(data: bytes, newline=None) -> None:
     try:
         held = wrapped().read().encode("utf-8")
     except UnicodeDecodeError:
-        # No text holds these bytes: reading the stream fails as parsing them does.
-        assert _outcome(parse_transactions, wrapped()) == expected
+        # No text holds these bytes: the stream raises its own error as it is read.
+        with pytest.raises(UnicodeDecodeError):
+            parse_transactions(wrapped(), META)
         return
     assert _outcome(parse_transactions, io.StringIO(data.decode("utf-8"))) == expected
     assert _outcome(parse_transactions, wrapped()) == _outcome(_reference, held)
@@ -350,8 +357,8 @@ def _render(rows, edits, ending, blanks, final_newline) -> bytes:
 def test_valid_logs_match_line_loop(rows, ending, blanks, final_newline, newline):
     data = _render(rows, [], ending, blanks, final_newline)
     _assert_same_as_loop(data, newline)
-    # A well-formed file never falls back to the loop.
-    assert _parse_columns(data, META) is not None
+    # One column pass alone gives a well-formed file's log.
+    assert _parse_columns(data, META) == _reference(data, META)
 
 
 # Spellings that Python's int, float, date and time parsers each treat in
@@ -391,8 +398,7 @@ def test_odd_shapes_match_line_loop(rows, edits, ending, blanks, final_newline, 
 
 
 # Bytes spliced anywhere after the header, even inside a UTF-8 sequence or a
-# "\r\n": the reference parser must name a line wherever the column pass
-# declines.
+# "\r\n": the column pass must name the line the reference parser names.
 SPLICES = [b"\r", b"\n", b"\r\n", b"\x00", b",", b"\xff", b"\xc3", b"9", b"-", b":", b" "]
 
 
@@ -455,6 +461,12 @@ BEHAVIOUR = [  # (file, line of the error or None for a log, message)
     *[(HEADER + ROW.replace("7.25", p) + "\n", 2, "bad price")
       for p in ("1_0.5", "\u0663.5", "+5", " 7")],
     (HEADER.replace("\n", "\r"), None, None),
+    # A line's faults are named in field order, ids after the numbers.
+    (HEADER + ROW.replace("B1", "").replace("500", "x") + "\n", 2, "bad volume"),
+    # "\udcff" stands for the byte 0xff, which is not UTF-8.
+    (HEADER + ROW + "\n" + ROW.replace("B1", "B\udcff") + "\n", 3, "invalid UTF-8"),
+    (HEADER + ROW.replace("2004-01-08", "2004-13-08") + "\n" + ROW.replace(",1,", ",2,")
+     + "\n" + ROW.replace("B1", "B\udcff") + "\n", 2, "unparseable timestamp"),
 ]
 
 
@@ -465,16 +477,22 @@ BEHAVIOUR = [  # (file, line of the error or None for a log, message)
                               "time-one-digit-second", "volume-underscore",
                               "volume-arabic-indic", "volume-blank", "price-underscore",
                               "price-arabic-indic", "price-plus", "price-blank",
-                              "header-only-final-cr"])
+                              "header-only-final-cr", "empty-id-and-bad-volume",
+                              "invalid-utf8", "bad-date-before-invalid-utf8"])
 @pytest.mark.parametrize("kind", ["bytes", "path", "StringIO"])
 def test_same_content_same_outcome(text, lineno, message, kind, tmp_path):
     """One line rule for every source: a line ends at "\\n" or the end of
     the file, one "\\r" before that end is dropped, and a NUL or any other
     "\\r" makes the line malformed."""
+    data = text.encode("utf-8", "surrogateescape")
     path = tmp_path / "t.csv"
-    path.write_bytes(text.encode("utf-8"))
-    source = {"bytes": text.encode("utf-8"), "path": path,
-              "StringIO": io.StringIO(text)}[kind]
+    path.write_bytes(data)
+    source = {"bytes": data, "path": path, "StringIO": io.StringIO(text)}[kind]
+    if kind == "StringIO" and "\udcff" in text:
+        # No text holds the byte 0xff: a stream of it fails as it is read.
+        with pytest.raises(UnicodeDecodeError):
+            parse_transactions(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), META)
+        return
     if lineno is None:
         assert parse_transactions(source, META).n_records == 0
         return

@@ -23,6 +23,32 @@ def test_multi_edges_merge(make_log):
     assert net.edge_weights.tolist() == [300]
 
 
+@pytest.mark.parametrize("volumes, weight", [
+    ([2**53 + 1, 2], 2**53 + 3),  # no float64 is 2**53 + 3
+    ([2**62, 2**62 - 1], 2**63 - 1),  # the largest int64
+], ids=["beyond-float64", "int64-max"])
+def test_weights_and_strengths_sum_exactly(make_log, volumes, weight):
+    log = make_log([("2004-01-05", "09:30:00", str(i), "B", "A", v, 5.0)
+                    for i, v in enumerate(volumes)])
+    net = build_network(log)
+    assert net.edge_weights.tolist() == [weight]
+    stren = strength_sequences(net)
+    a = log.accounts.index("A")
+    assert (int(stren.s_out[a]), int(stren.s_tot[a])) == (weight, weight)
+
+
+@pytest.mark.parametrize("rows", [
+    [("2004-01-05", "09:30:00", "1", "B", "A", 2**62, 5.0),
+     ("2004-01-05", "09:31:00", "2", "B", "A", 2**62, 5.0)],
+    [("2004-01-05", "09:30:00", "1", "A", "A", 2**62, 5.0)],
+], ids=["weight", "self-trade-strength"])
+def test_sum_beyond_int64_names_the_stock(make_log, rows):
+    """A weight, or a strength (a self-trade counts on both sides), that
+    int64 cannot hold."""
+    with pytest.raises(ValueError, match="^TEST: .*exceeds int64"):
+        build_network(make_log(rows))
+
+
 def test_direction_distinguishes_edges(make_log):
     rows = [("2004-01-05", "09:30:00", "1", "B", "A", 50, 5.0),
             ("2004-01-05", "09:31:00", "2", "A", "B", 50, 5.0)]

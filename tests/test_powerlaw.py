@@ -512,8 +512,9 @@ class TestSampler:
 
     def test_far_tail_reachable_for_heavy_exponent(self):
         rng = np.random.default_rng(5)
-        x = DiscretePowerLaw(1.5, 1, table_size=64).sample(rng, 20_000)
-        assert x.max() > 64  # bisection beyond the table
+        model = DiscretePowerLaw(1.5, 1)
+        x = model.sample(rng, 20_000)
+        assert x.max() > model._table_hi  # bisection beyond the table
 
     def test_ccdf_points(self):
         xs, cc = ccdf_points([1, 1, 2, 5])
