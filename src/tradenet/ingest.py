@@ -15,6 +15,7 @@ how their source files were ordered.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import json
 import math
 import re
@@ -25,6 +26,8 @@ import numpy as np
 
 CSV_HEADER = ("date", "time", "txn_id", "buyer_id", "seller_id", "volume", "price")
 _HEADER_LINE = ",".join(CSV_HEADER).encode()
+# Lines per write of a CSV writer: few writes, and never a whole-file string.
+WRITE_BLOCK = 4096
 
 
 class TransactionParseError(ValueError):
@@ -445,9 +448,12 @@ def _format_distinct(values: np.ndarray, fmt) -> np.ndarray:
 
 def _write_rows(stream, header, rows) -> None:
     """Write a CSV of string cells to an open text stream: the header line,
-    then one comma-joined line per row, streamed rather than built whole."""
+    then the comma-joined rows in blocks of ``WRITE_BLOCK`` lines, one
+    ``write`` per block, so the file is never built as one string."""
     stream.write(",".join(header) + "\n")
-    stream.writelines(map("{}\n".format, map(",".join, rows)))
+    lines = map(",".join, rows)
+    while block := list(itertools.islice(lines, WRITE_BLOCK)):
+        stream.write("\n".join(block) + "\n")
 
 
 def _json_default(value):

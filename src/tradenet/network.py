@@ -38,7 +38,9 @@ class TradingNetwork:
         return self.edge_weights.size
 
     def total_volume(self) -> int:
-        return int(self.edge_weights.sum())
+        """The sum of every weight, exact in Python int: the weights each fit
+        in int64, but their sum need not."""
+        return sum(self.edge_weights.tolist())
 
 
 @dataclass(frozen=True, eq=False)

@@ -324,13 +324,12 @@ class DiscretePowerLaw:
 
     def _from_uniform(self, u: np.ndarray) -> np.ndarray:
         # Inverse CDF of uniforms: the table, then one bisection for the rest.
-        out = self.x_min + np.searchsorted(self._table_cdf, u, side="left")
+        out = self.x_min + np.searchsorted(self._table_cdf, u, side="left").astype(
+            np.int64, copy=False)
         beyond = out > self._table_hi
-        if np.any(beyond):
-            targets = (1.0 - u[beyond]) * self._z0
-            out = out.astype(np.int64)
-            out[beyond] = self._bisect(targets)
-        return out.astype(np.int64)
+        if beyond.any():
+            out[beyond] = self._bisect((1.0 - u[beyond]) * self._z0)
+        return out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self._from_uniform(rng.random(size))

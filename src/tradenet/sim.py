@@ -19,12 +19,13 @@ demand.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ingest import StockMeta, TransactionLog, build_log
+from .ingest import StockMeta, TransactionLog, _sorted_log
 from .powerlaw import DiscretePowerLaw
 
 TRADING_OPEN = 9 * 3600 + 30 * 60
@@ -117,6 +118,14 @@ def _trader_ids(n: int) -> np.ndarray:
     return np.array([f"A{i:05d}" for i in range(n)])
 
 
+@functools.cache
+def _samplers() -> tuple[DiscretePowerLaw, DiscretePowerLaw]:
+    """The trade-size and wash-size samplers, built on first use rather than
+    at import: each holds a table of zeta values, and a sampler keeps no
+    state between draws, so every simulation in a process can share them."""
+    return DiscretePowerLaw(VOLUME_ALPHA, 1), DiscretePowerLaw(WASH_VOLUME_ALPHA, 1)
+
+
 def _counterparties(rng: np.random.Generator, first: np.ndarray, n: int,
                     p: np.ndarray) -> np.ndarray:
     """One account per entry of ``first``, drawn from ``p`` and redrawn
@@ -160,8 +169,7 @@ def simulate(cfg: SimConfig) -> SimResult:
             raise ValueError(f"manipulation_window {window[0]}..{window[1]} "
                              "holds no simulated trading day")
 
-    vol_sampler = DiscretePowerLaw(VOLUME_ALPHA, 1)
-    wash_sampler = DiscretePowerLaw(WASH_VOLUME_ALPHA, 1)
+    vol_sampler, wash_sampler = _samplers()
 
     level = BASE_PRICE
     records = []
@@ -225,13 +233,17 @@ def simulate(cfg: SimConfig) -> SimResult:
         order = np.argsort(seconds, kind="stable")
         records.append((np.full(n_tr, day.toordinal(), dtype=np.int64), seconds[order],
                         np.char.zfill(np.arange(1, n_tr + 1).astype("U6"), 6),
-                        ids[buyers[order]], ids[sellers[order]], volumes[order],
-                        prices[order]))
+                        buyers[order], sellers[order], volumes[order], prices[order]))
 
     meta = StockMeta(symbol=cfg.symbol, capitalization_bucket=cfg.capitalization_bucket,
                      sector=cfg.sector, manipulated=cfg.manipulated,
                      manipulation_period=window)
-    log = build_log(meta, *map(np.concatenate, zip(*records)))
+    dates, times, txn_ids, buyers, sellers, volumes, prices = map(np.concatenate,
+                                                                  zip(*records))
+    # The buyers and sellers index ``ids``; the log numbers accounts by first
+    # appearance, so it equals build_log's from the id strings.
+    log = _sorted_log(meta, dates, times, txn_ids, txn_ids, buyers, sellers, ids,
+                      volumes, prices)
     return SimResult(log=log, colluders=frozenset(str(s) for s in ids[colluder_idx]))
 
 

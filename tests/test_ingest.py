@@ -207,6 +207,30 @@ def test_writers_match_oracle_on_simulated_logs(changes):
     assert _written(write_edge_list, net) == _written(writer_oracle.write_edge_list, net)
 
 
+class _CountingWrites(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("n_rows", [0, 3, 6, 7],
+                         ids=["empty", "one-block", "two-blocks", "partial-block"])
+def test_block_writer_matches_oracle_at_block_edges(monkeypatch, n_rows):
+    """Blocks of 3 lines: one write for the header and one per block, and
+    the bytes of the per-line writer."""
+    monkeypatch.setattr(ingest, "WRITE_BLOCK", 3)
+    log = build_log(META, [START.toordinal()] * n_rows, range(n_rows),
+                    [str(i) for i in range(n_rows)], [f"B{i % 2}" for i in range(n_rows)],
+                    [f"S{i % 3}" for i in range(n_rows)], range(1, n_rows + 1),
+                    [5.0 + i / 8 for i in range(n_rows)])
+    buf = _CountingWrites()
+    write_transactions(log, buf)
+    assert buf.getvalue() == _written(writer_oracle.write_transactions, log)
+    assert buf.writes == 1 + -(-n_rows // 3)
+
+
 def test_empty_log_matches_oracle():
     log = build_log(META, *[()] * 7)
     text = _written(write_transactions, log)

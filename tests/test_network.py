@@ -49,6 +49,13 @@ def test_sum_beyond_int64_names_the_stock(make_log, rows):
         build_network(make_log(rows))
 
 
+def test_total_volume_beyond_int64(make_log):
+    """Every weight fits in int64 but their sum does not."""
+    rows = [("2004-01-05", "09:30:00", "1", "B", "A", 2**62, 5.0),
+            ("2004-01-05", "09:31:00", "2", "D", "C", 2**62, 5.0)]
+    assert build_network(make_log(rows)).total_volume() == 2**63
+
+
 def test_direction_distinguishes_edges(make_log):
     rows = [("2004-01-05", "09:30:00", "1", "B", "A", 50, 5.0),
             ("2004-01-05", "09:31:00", "2", "A", "B", 50, 5.0)]

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tradenet.ingest import parse_transactions, write_transactions
+from tradenet import sim
+from tradenet.ingest import build_log, parse_transactions, write_transactions
 from tradenet.network import average_degree, build_network
 from tradenet.sim import (MAX_WASH_TRADES_PER_DAY, START, CorpusSpec, GroupSpec,
                           SimConfig, generate_corpus, simulate, trading_days)
@@ -115,18 +116,48 @@ PINNED_SIMULATIONS = {
         dt.date(2004, 1, 12), dt.date(2004, 1, 30))),
         "5cc231bf73d7113a9a8ba33d138a3c40e8507dc5b745cc2a48f2bdd6485491b7"),
     "honest": (SMALL, "b5f2a0969fe965f5cc52436911fb9ca0dfc7d232243a8f2b3a204b9b7e0e001d"),
+    # Accounts past A99999 trade, and "A100000" sorts before "A99999", so
+    # an account's index and the rank of its id differ.
+    "past-A99999": (replace(SMALL, rng_seed=5, n_traders=100_050, manipulated=True),
+                    "8e923812a37900b09e752924bbdbd67d20c262d2d9bb6d3a08170d572bf4028d"),
 }
 
 
-@pytest.mark.parametrize("name", PINNED_SIMULATIONS)
-def test_simulation_pinned(name):
-    cfg, digest = PINNED_SIMULATIONS[name]
-    res = simulate(cfg)
+def _digest(res) -> str:
     buf = io.StringIO()
     write_transactions(res.log, buf)
     h = hashlib.sha256(buf.getvalue().encode())
     h.update(",".join(sorted(res.colluders)).encode())
-    assert h.hexdigest() == digest
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", PINNED_SIMULATIONS)
+def test_simulation_pinned(name):
+    """The pinned bytes, and the log build_log makes from the log's own
+    string columns: the simulator hands the log account indices instead."""
+    cfg, digest = PINNED_SIMULATIONS[name]
+    res = simulate(cfg)
+    assert _digest(res) == digest
+    log = res.log
+    names = np.array(log.accounts)
+    assert log == build_log(log.meta, log.dates, log.times, log.txn_ids,
+                            names[log.buyers], names[log.sellers], log.volumes,
+                            log.prices)
+
+
+def test_past_a99999_case_holds_seven_character_ids():
+    cfg, _ = PINNED_SIMULATIONS["past-A99999"]
+    assert any(len(a) == 7 for a in simulate(cfg).log.accounts)
+
+
+def test_shared_samplers_keep_no_state():
+    """Simulations share the size samplers: configs A, B, A in one process
+    give the first A's bytes again, whatever B drew."""
+    a = replace(SMALL, manipulated=True, n_days=10)
+    sim._samplers.cache_clear()
+    first = _digest(simulate(a))
+    simulate(CAPPED_DAY)
+    assert _digest(simulate(a)) == first
 
 
 def test_no_self_trades():
