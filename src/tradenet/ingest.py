@@ -6,10 +6,11 @@ carrying the stock metadata.  Dates are ``YYYY-MM-DD``, times ``HH:MM:SS``,
 volumes ASCII digits, and prices ASCII digits with an optional fraction and
 exponent.  Parsed logs are immutable and columnar (numpy arrays).
 
-Account identifiers are opaque strings mapped to dense integer indices in a
-canonical order (first appearance, buyer before seller, over the sorted
-record sequence), so two logs with the same trades compare equal no matter
-how their source files were ordered.
+Txn and account ids are opaque strings held once each: records carry codes
+into the sorted txn ids and into the accounts in a canonical order (first
+appearance, buyer before seller, over the sorted records).  So a long id
+costs memory once, a day may hold any number of trades, and two logs with
+the same trades compare equal however their source files were ordered.
 """
 
 from __future__ import annotations
@@ -87,18 +88,21 @@ class TransactionLog:
     """Immutable, sorted transaction sequence of one stock.
 
     Columns are parallel numpy arrays sorted by (date, time, txn_id); dates
-    are proleptic ordinals, times seconds since midnight.
+    are proleptic ordinals, times seconds since midnight.  ``txns`` index
+    ``txn_names`` (the used txn ids, sorted) and ``buyers``/``sellers``
+    index ``accounts`` (the used account ids).
     """
 
     meta: StockMeta
     dates: np.ndarray
     times: np.ndarray
-    txn_ids: np.ndarray
+    txns: np.ndarray
     buyers: np.ndarray
     sellers: np.ndarray
     volumes: np.ndarray
     prices: np.ndarray
     accounts: tuple[str, ...]
+    txn_names: tuple[str, ...]
 
     @property
     def n_records(self) -> int:
@@ -118,48 +122,49 @@ class TransactionLog:
                    for a, b in pairs)
 
 
-def _sorted_log(meta: StockMeta, dates, times, txn_ids, txn_keys, buyers, sellers,
+def _sorted_log(meta: StockMeta, dates, times, txns, txn_names, buyers, sellers,
                 names, volumes, prices) -> TransactionLog:
     """The log of these records in (date, time, txn_id) order.
 
-    ``txn_keys`` sort like ``txn_ids`` (the ids themselves, or their ranks);
-    ``buyers``/``sellers`` index the account ids ``names``.  A record no
-    transaction file can hold is a ValueError worded like the file parser's:
-    a volume below 1, a price that is not finite and > 0, a time outside the
-    day, or a repeated (date, txn_id).
+    ``txns`` index the distinct txn ids ``txn_names``, which are listed in
+    sorted order so that the codes sort like the ids; ``buyers``/``sellers``
+    index the account ids ``names``.  Ids no record uses are dropped.  A
+    record no transaction file can hold is a ValueError worded like the file
+    parser's: a volume below 1, a price that is not finite and > 0, a time
+    outside the day, or a repeated (date, txn_id).
     """
     dates = np.asarray(dates, dtype=np.int64)
     times = np.asarray(times, dtype=np.int64)
     volumes = np.asarray(volumes, dtype=np.int64)
     prices = np.asarray(prices, dtype=np.float64)
-    bad = volumes < 1
-    if bad.any():
-        raise ValueError(f"volume must be >= 1, got {int(volumes[bad][0])}")
-    bad = ~(np.isfinite(prices) & (prices > 0))
-    if bad.any():
-        raise ValueError(f"price must be > 0, got {float(prices[bad][0])!r}")
-    bad = (times < 0) | (times >= 86_400)
-    if bad.any():
-        raise ValueError(f"time {int(times[bad][0])} s out of range")
+    for bad, column, message in (
+            (volumes < 1, volumes, "volume must be >= 1, got {}"),
+            (~(np.isfinite(prices) & (prices > 0)), prices, "price must be > 0, got {!r}"),
+            ((times < 0) | (times >= 86_400), times, "time {} s out of range")):
+        if bad.any():
+            raise ValueError(message.format(column[bad][0].item()))
     # A repeat is a neighbour in (date, txn_id) order, which simulated rows
     # already run in.
-    by_txn = (txn_keys, dates)
+    by_txn = (txns, dates)
     order = np.arange(dates.size) if _lexsorted(by_txn) else np.lexsort(by_txn)
-    day, key = dates[order], txn_keys[order]
+    day, key = dates[order], txns[order]
     repeat = (day[1:] == day[:-1]) & (key[1:] == key[:-1])
     if repeat.any():
         i = order[repeat.argmax() + 1]
         raise ValueError(f"duplicate (date, txn_id) = "
-                         f"({dt.date.fromordinal(int(dates[i]))}, {txn_ids[i]})")
-    keys = (txn_keys, times, dates)
+                         f"({dt.date.fromordinal(int(dates[i]))}, {txn_names[txns[i]]})")
+    keys = (txns, times, dates)
     # Files written by write_transactions are already in order, and a check
     # is far cheaper than a sort.
     order = np.arange(dates.size) if _lexsorted(keys) else np.lexsort(keys)
     kept, buyers, sellers = _first_appearance(buyers[order], sellers[order])
+    # Renumbering the used txn names in order keeps the codes sorted like them.
+    used = np.bincount(txns, minlength=len(txn_names)) > 0
     return TransactionLog(meta=meta, dates=dates[order], times=times[order],
-                          txn_ids=txn_ids[order], buyers=buyers, sellers=sellers,
-                          volumes=volumes[order], prices=prices[order],
-                          accounts=tuple(str(a) for a in names[kept]))
+                          txns=(np.cumsum(used) - 1)[txns[order]], buyers=buyers,
+                          sellers=sellers, volumes=volumes[order], prices=prices[order],
+                          accounts=tuple(names[i] for i in kept.tolist()),
+                          txn_names=tuple(itertools.compress(txn_names, used)))
 
 
 def _lexsorted(keys) -> bool:
@@ -205,7 +210,7 @@ def _check_ids(ids: np.ndarray) -> None:
 
 def build_log(meta: StockMeta, dates, times, txn_ids, buyer_ids, seller_ids,
               volumes, prices) -> TransactionLog:
-    """Assemble a log from parallel columns with string account ids.
+    """Assemble a log from parallel columns with string txn and account ids.
 
     Dates are proleptic ordinals, times seconds since midnight.  The records
     are sorted by (date, time, txn_id) and the accounts numbered densely in
@@ -214,14 +219,13 @@ def build_log(meta: StockMeta, dates, times, txn_ids, buyer_ids, seller_ids,
     round-trips agree bit for bit.  A record or id no CSV line can hold is a
     ValueError, so every log built here can be written and read back.
     """
-    txn_ids = np.asarray(txn_ids, dtype=np.str_)
-    ids = np.concatenate((np.asarray(buyer_ids, dtype=np.str_),
-                          np.asarray(seller_ids, dtype=np.str_)))
+    txn_names, txns = np.unique(np.asarray(txn_ids, dtype=np.str_), return_inverse=True)
+    ids = np.concatenate([np.asarray(c, dtype=np.str_) for c in (buyer_ids, seller_ids)])
     names, codes = np.unique(ids, return_inverse=True)
-    _check_ids(np.concatenate((txn_ids, names)))
-    n = txn_ids.size
-    return _sorted_log(meta, dates, times, txn_ids, txn_ids, codes[:n], codes[n:],
-                       names, volumes, prices)
+    _check_ids(np.concatenate((txn_names, names)))
+    n = txns.size
+    return _sorted_log(meta, dates, times, txns, txn_names.tolist(), codes[:n], codes[n:],
+                       names.tolist(), volumes, prices)
 
 
 def _parse_date(text: str) -> dt.date:
@@ -321,9 +325,9 @@ def _cut(buf: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
     return rows.view(f"S{w}")[:, 0]
 
 
-def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(col: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Rank each field of a bytes column among its distinct fields, in byte
-    order; also return the index of one field of each rank."""
+    order; also return the text of the distinct fields in that order."""
     w = col.dtype.itemsize
     padded = np.zeros((col.size, -(-w // 8) * 8), np.uint8)
     padded[:, :w] = col.view(np.uint8).reshape(col.size, w)
@@ -339,13 +343,13 @@ def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         new[1:] |= key[1:] != key[:-1]
     rank = np.empty(col.size, np.int64)
     rank[order] = np.cumsum(new) - 1
-    return rank, order[new]
+    return rank, [col[i].decode("utf-8") for i in order[new].tolist()]
 
 
 def _map_distinct(col: np.ndarray, convert, dtype) -> np.ndarray:
     """Apply ``convert`` to each distinct field of a bytes column."""
-    rank, first = _distinct(col)
-    return np.array([convert(col[i].decode("utf-8")) for i in first], dtype)[rank]
+    rank, texts = _distinct(col)
+    return np.array([convert(text) for text in texts], dtype)[rank]
 
 
 def _clock_seconds(col: np.ndarray) -> np.ndarray:
@@ -377,13 +381,12 @@ def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog:
     So in a file whose only bad line is its last, the error is that line's
     first fault.
     """
-    buf = np.frombuffer(data, np.uint8)
-    ascii_only = bool(buf.max(initial=0) < 0x80)
-    if not ascii_only:
+    if not data.isascii():
         try:
             data.decode("utf-8")
         except UnicodeDecodeError:
             raise ValueError("invalid UTF-8") from None
+    buf = np.frombuffer(data, np.uint8)
     newlines = np.flatnonzero(buf == ord("\n"))
     ends = newlines if data.endswith(b"\n") else np.append(newlines, buf.size)
     header = data[:ends[0]].removesuffix(b"\r")
@@ -425,18 +428,10 @@ def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog:
     if not all(width[k].all() for k in (2, 3, 4)):
         raise ValueError("empty identifier field")
 
-    def text(col):
-        if not ascii_only:
-            return np.char.decode(col, "utf-8")
-        # ASCII bytes widen to the same code points; far faster than astype.
-        chars = col.view(np.uint8).reshape(col.size, col.dtype.itemsize)
-        return chars.astype(np.uint32).view(f"U{col.dtype.itemsize}")[:, 0]
-
-    ids = np.concatenate((b_col, s_col))
-    codes, first = _distinct(ids)
-    txn_rank, _ = _distinct(txn_col)
-    return _sorted_log(meta, dates, times, text(txn_col), txn_rank, codes[:n],
-                       codes[n:], text(ids[first]), volumes, prices)
+    codes, names = _distinct(np.concatenate((b_col, s_col)))
+    txns, txn_names = _distinct(txn_col)
+    return _sorted_log(meta, dates, times, txns, txn_names, codes[:n], codes[n:], names,
+                       volumes, prices)
 
 
 def _format_distinct(values: np.ndarray, fmt) -> np.ndarray:
@@ -473,6 +468,7 @@ def _dump_json(payload) -> str:
 def write_transactions(log: TransactionLog, dest) -> None:
     """Write a log as CSV to an open text stream (inverse of parse_transactions)."""
     names = np.array(log.accounts, dtype=object)
+    txn_names = np.array(log.txn_names, dtype=object)
     # HH:MM: per distinct minute and SS per distinct second, far fewer
     # strings than one per distinct second of the log.
     minutes, seconds = np.divmod(log.times, 60)
@@ -481,7 +477,7 @@ def write_transactions(log: TransactionLog, dest) -> None:
     _write_rows(dest, CSV_HEADER, zip(
         _format_distinct(log.dates, lambda d: dt.date.fromordinal(d).isoformat()),
         times,
-        log.txn_ids, names[log.buyers], names[log.sellers],
+        txn_names[log.txns], names[log.buyers], names[log.sellers],
         _format_distinct(log.volumes, str), _format_distinct(log.prices, repr)))
 
 
@@ -513,12 +509,9 @@ def filter_period(log: TransactionLog, interval: tuple[dt.date, dt.date]) -> Tra
     mask = (log.dates >= start.toordinal()) & (log.dates <= end.toordinal())
     if mask.all():
         return log
-    # The kept records stay in canonical order; only the accounts renumber.
-    kept, buyers, sellers = _first_appearance(log.buyers[mask], log.sellers[mask])
-    return TransactionLog(meta=log.meta, dates=log.dates[mask], times=log.times[mask],
-                          txn_ids=log.txn_ids[mask], buyers=buyers, sellers=sellers,
-                          volumes=log.volumes[mask], prices=log.prices[mask],
-                          accounts=tuple(log.accounts[i] for i in kept))
+    return _sorted_log(log.meta, log.dates[mask], log.times[mask], log.txns[mask],
+                       log.txn_names, log.buyers[mask], log.sellers[mask], log.accounts,
+                       log.volumes[mask], log.prices[mask])
 
 
 def load_corpus(directory) -> dict[str, TransactionLog]:

@@ -76,7 +76,7 @@ def build_network(log: TransactionLog) -> TradingNetwork:
     naming the stock: that total bounds each weight and strength.
     """
     if log.n_records == 0:
-        raise ValueError("cannot build a network from an empty log")
+        raise ValueError(f"{log.meta.symbol}: cannot build a network from an empty log")
     k = len(log.accounts)
     # A node's bought plus sold volume is at most 2 * n_records times the
     # largest volume.  Only when that bound leaves int64 is each node's

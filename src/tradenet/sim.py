@@ -232,17 +232,21 @@ def simulate(cfg: SimConfig) -> SimResult:
         seconds = rng.integers(TRADING_OPEN, TRADING_CLOSE, size=n_tr)
         order = np.argsort(seconds, kind="stable")
         records.append((np.full(n_tr, day.toordinal(), dtype=np.int64), seconds[order],
-                        np.char.zfill(np.arange(1, n_tr + 1).astype("U6"), 6),
-                        buyers[order], sellers[order], volumes[order], prices[order]))
+                        np.arange(n_tr), buyers[order], sellers[order], volumes[order],
+                        prices[order]))
 
     meta = StockMeta(symbol=cfg.symbol, capitalization_bucket=cfg.capitalization_bucket,
                      sector=cfg.sector, manipulated=cfg.manipulated,
                      manipulation_period=window)
-    dates, times, txn_ids, buyers, sellers, volumes, prices = map(np.concatenate,
-                                                                  zip(*records))
+    dates, times, txns, buyers, sellers, volumes, prices = map(np.concatenate, zip(*records))
+    # Each day's txn ids are its serials 1, 2, ..., all zero-padded to one
+    # width so that they sort like the codes that index them.
+    n_max = int(txns.max()) + 1
+    width = max(6, len(str(n_max)))
+    serials = [f"{i:0{width}d}" for i in range(1, n_max + 1)]
     # The buyers and sellers index ``ids``; the log numbers accounts by first
     # appearance, so it equals build_log's from the id strings.
-    log = _sorted_log(meta, dates, times, txn_ids, txn_ids, buyers, sellers, ids,
+    log = _sorted_log(meta, dates, times, txns, serials, buyers, sellers, ids.tolist(),
                       volumes, prices)
     return SimResult(log=log, colluders=frozenset(str(s) for s in ids[colluder_idx]))
 

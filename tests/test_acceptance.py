@@ -96,11 +96,12 @@ def test_criterion_3_network_conservation():
     log = simulate(configs[0]).log
     base = build_network(log)
     accounts = np.asarray(log.accounts)
+    txn_ids = np.asarray(log.txn_names)
     rng = np.random.default_rng(1)
     for _ in range(20):
         perm = rng.permutation(log.n_records)
         shuffled = build_log(log.meta, log.dates[perm], log.times[perm],
-                             log.txn_ids[perm], accounts[log.buyers[perm]],
+                             txn_ids[log.txns[perm]], accounts[log.buyers[perm]],
                              accounts[log.sellers[perm]], log.volumes[perm],
                              log.prices[perm])
         net = build_network(shuffled)

@@ -377,9 +377,25 @@ def test_sidecar_error_names_the_file(tmp_path, capsys, edit, message):
     assert "S001.json" in err and message in err
 
 
+def test_stock_without_trades_named_in_fit_error(tmp_path, capsys):
+    corpus = tmp_path / "c"
+    rc = main(["simulate", "--out", str(corpus), "--honest", "2", "--manipulated", "0",
+               "--days", "5", "--traders", "40", "--trades-per-day", "10",
+               "--colluders", "5"])
+    assert rc == 0
+    (corpus / "S001.csv").write_text("date,time,txn_id,buyer_id,seller_id,volume,price\n")
+    capsys.readouterr()
+    rc = main(["fit", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+               "--bootstrap", "0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "S001" in err
+
+
 # SHA-256 digests of a small seeded session's artifacts: a change to how any
 # file is written must keep every byte.  Owning the Hurwitz zeta (ROADMAP
-# item 2) may move the last digits of the alphas, and so re-pin "fits" and
+# item 4) may move the last digits of the alphas, and so re-pin "fits" and
 # "features.csv" only; "reports.json" holds x_min values and verdicts, never
 # alphas, and must not move.
 PINNED_DIGESTS = {

@@ -1,12 +1,17 @@
 import datetime as dt
+import functools
 import gc
 import io
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradenet import ingest
@@ -35,7 +40,7 @@ def test_single_line():
     assert log.prices.tolist() == [7.25]
     assert log.dates.tolist() == [dt.date(2004, 1, 8).toordinal()]
     assert log.times.tolist() == [9 * 3600 + 30 * 60 + 1]
-    assert log.txn_ids.tolist() == ["1"]
+    assert log.txn_names == ("1",) and log.txns.tolist() == [0]
     assert log.accounts[log.buyers[0]] == "B1"
     assert log.accounts[log.sellers[0]] == "S1"
 
@@ -44,7 +49,7 @@ def test_out_of_order_lines_resorted():
     log = parse("2004-01-08,10:00:00,2,B1,S1,100,5.0\n"
                 "2004-01-08,09:30:00,1,B2,S2,200,5.1\n")
     assert log.times.tolist() == [9 * 3600 + 30 * 60, 10 * 3600]
-    assert log.txn_ids[0] == "1"
+    assert log.txn_names[log.txns[0]] == "1"
 
 
 def test_accounts_in_first_appearance_order():
@@ -59,7 +64,7 @@ def test_accounts_in_first_appearance_order():
 def test_intra_second_tiebreak_by_txn_id():
     log = parse("2004-01-08,10:00:00,b,B1,S1,100,5.0\n"
                 "2004-01-08,10:00:00,a,B2,S2,200,5.1\n")
-    assert log.txn_ids.tolist() == ["a", "b"]
+    assert log.txn_names == ("a", "b") and log.txns.tolist() == [0, 1]
 
 
 def test_zero_volume_rejected_with_line_number():
@@ -315,7 +320,7 @@ def _outcome(parser, source):
         log = parser(source, META)
     except ValueError as exc:
         return type(exc), getattr(exc, "lineno", None), str(exc)
-    return log, log.txn_ids.dtype
+    return log
 
 
 def _assert_same_as_loop(data: bytes, newline=None) -> None:
@@ -525,6 +530,33 @@ def test_same_content_same_outcome(text, lineno, message, kind, tmp_path):
     assert exc.value.lineno == lineno
 
 
+# Run in a fresh interpreter, so its peak RSS before the parse is its own.
+MEMORY_PROBE = """
+import resource
+from tradenet.ingest import StockMeta, parse_transactions
+
+lines = [f"2004-01-05,09:30:00,{i},B{i % 7},S{i % 5},100,7.25" for i in range(2000)]
+lines[0] = "2004-01-05,09:30:00," + "x" * 20_000 + ",B,S,100,7.25"
+data = "\\n".join(["date,time,txn_id,buyer_id,seller_id,volume,price", *lines]).encode()
+meta = StockMeta(symbol="TEST", capitalization_bucket="mid", sector="industrials")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert parse_transactions(data, meta).n_records == 2000
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_one_long_txn_id_costs_less_than_four_bytes_per_line_per_byte():
+    """One 20,000-byte txn id in a 2,000-line file raises peak RSS by less
+    than 4 bytes per line for each byte of it (160 MB): the log holds each
+    distinct id once, not one id-wide field per line."""
+    src = Path(ingest.__file__).resolve().parents[1]
+    probe = subprocess.run([sys.executable, "-c", MEMORY_PROBE], check=True,
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": str(src)})
+    growth_kb = int(probe.stdout)  # Linux reports ru_maxrss in KiB
+    assert growth_kb * 1024 < 4 * 2000 * 20_000
+
+
 @settings(max_examples=200)
 @given(rows=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.text("ab", max_size=2)),
                      max_size=6),
@@ -590,7 +622,9 @@ def test_load_corpus_rejects_duplicate_symbol(tmp_path):
 
 
 class TestFilterPeriod:
-    def _year_log(self):
+    @staticmethod
+    @functools.cache
+    def _year_log():
         res = simulate(SimConfig(rng_seed=9, n_traders=120, n_days=120,
                                  trades_per_day=25.0, n_colluders=30))
         return res.log
@@ -616,23 +650,29 @@ class TestFilterPeriod:
         assert out.n_records == expected
         assert all(lo <= dt.date.fromordinal(d) <= hi for d in out.dates.tolist())
 
-    def test_window_matches_rebuilt_log(self):
-        """The kept records and their accounts renumber exactly as if the
-        window's records were built into a log from their string ids."""
+    # Day offsets from the log's first day (a Monday): the whole period, a
+    # weekend and days before the period hold every record or none.
+    @settings(max_examples=100)
+    @given(offset=st.integers(-5, 175), length=st.integers(0, 180))
+    @example(offset=0, length=165)
+    @example(offset=5, length=1)
+    @example(offset=-5, length=2)
+    def test_window_matches_rebuilt_log(self, offset, length):
+        """The window is the log build_log makes from the window's records
+        as strings: the kept records, their accounts renumbered by first
+        appearance (buyer before seller), and only the kept txn ids."""
         log = self._year_log()
-        interval = (dt.date(2004, 1, 1), dt.date(2004, 1, 10))
-        out = filter_period(log, interval)
-        assert len(out.accounts) < len(log.accounts)
-        mask = ((log.dates >= interval[0].toordinal())
-                & (log.dates <= interval[1].toordinal()))
-        ids = np.asarray(log.accounts)
-        rebuilt = build_log(log.meta, log.dates[mask], log.times[mask],
-                            log.txn_ids[mask], ids[log.buyers[mask]],
-                            ids[log.sellers[mask]], log.volumes[mask],
-                            log.prices[mask])
-        assert out == rebuilt
-        assert out.txn_ids.dtype == rebuilt.txn_ids.dtype
-        # accounts in first-appearance order, buyer before seller
+        start = log.date_range()[0] + dt.timedelta(days=offset)
+        end = start + dt.timedelta(days=length)
+        lo, hi = start.toordinal(), end.toordinal()
+        columns = (log.dates, log.times, log.txns, log.buyers, log.sellers,
+                   log.volumes, log.prices)
+        rows = [(d, t, log.txn_names[x], log.accounts[b], log.accounts[s], v, p)
+                for d, t, x, b, s, v, p in zip(*(c.tolist() for c in columns))
+                if lo <= d <= hi]
+        out = filter_period(log, (start, end))
+        assert out == build_log(log.meta, *(list(zip(*rows)) or [()] * 7))
+        assert out.txn_names == tuple(sorted({row[2] for row in rows}))
         order = [out.accounts[i] for pair in zip(out.buyers, out.sellers) for i in pair]
         assert out.accounts == tuple(dict.fromkeys(order))
 
@@ -650,7 +690,8 @@ class TestFilterPeriod:
         b = filter_period(log, (mid + dt.timedelta(days=1), end))
 
         def resolved(lg):
-            return sorted(zip(lg.dates.tolist(), lg.times.tolist(), lg.txn_ids.tolist(),
+            return sorted(zip(lg.dates.tolist(), lg.times.tolist(),
+                              [lg.txn_names[t] for t in lg.txns],
                               [lg.accounts[b] for b in lg.buyers],
                               [lg.accounts[s] for s in lg.sellers],
                               lg.volumes.tolist(), lg.prices.tolist()))
@@ -666,5 +707,5 @@ def test_filter_preserves_meta_and_order():
     start, _ = log.date_range()
     out = filter_period(log, (start, start + dt.timedelta(days=20)))
     assert out.meta == log.meta
-    key = np.lexsort((out.txn_ids, out.times, out.dates))
+    key = np.lexsort((out.txns, out.times, out.dates))
     assert np.array_equal(key, np.arange(out.n_records))

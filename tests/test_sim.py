@@ -140,7 +140,8 @@ def test_simulation_pinned(name):
     assert _digest(res) == digest
     log = res.log
     names = np.array(log.accounts)
-    assert log == build_log(log.meta, log.dates, log.times, log.txn_ids,
+    assert log == build_log(log.meta, log.dates, log.times,
+                            np.asarray(log.txn_names)[log.txns],
                             names[log.buyers], names[log.sellers], log.volumes,
                             log.prices)
 
@@ -148,6 +149,18 @@ def test_simulation_pinned(name):
 def test_past_a99999_case_holds_seven_character_ids():
     cfg, _ = PINNED_SIMULATIONS["past-A99999"]
     assert any(len(a) == 7 for a in simulate(cfg).log.accounts)
+
+
+def test_day_past_999999_trades_widens_its_serials():
+    """A day of more than 999,999 trades numbers them with seven-digit
+    serials, all distinct, and its log reads back from its own file."""
+    log = simulate(SimConfig(rng_seed=1, n_days=1, trades_per_day=1_002_000.0)).log
+    assert log.n_records > 999_999
+    assert {len(name) for name in log.txn_names} == {7}
+    assert len(set(log.txn_names)) == len(log.txn_names) == log.n_records
+    buf = io.StringIO()
+    write_transactions(log, buf)
+    assert parse_transactions(buf.getvalue().encode(), log.meta) == log
 
 
 def test_shared_samplers_keep_no_state():

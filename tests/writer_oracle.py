@@ -23,7 +23,7 @@ def write_transactions(log, stream) -> None:
         if t_s is None:
             t_s = f"{t // 3600:02d}:{t % 3600 // 60:02d}:{t % 60:02d}"
             time_cache[t] = t_s
-        stream.write(f"{d_s},{t_s},{log.txn_ids[i]},"
+        stream.write(f"{d_s},{t_s},{log.txn_names[log.txns[i]]},"
                      f"{log.accounts[log.buyers[i]]},{log.accounts[log.sellers[i]]},"
                      f"{log.volumes[i]},{float(log.prices[i])!r}\n")
 
