@@ -23,4 +23,4 @@ from .powerlaw import (DiscretePowerLaw, GofConfig, TailFit, ccdf_points,
 from .sim import (CorpusSpec, GroupSpec, SimConfig, SimResult,
                   generate_corpus, simulate, trading_days)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

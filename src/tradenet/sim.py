@@ -138,6 +138,52 @@ def _counterparties(rng: np.random.Generator, first: np.ndarray, n: int,
     return other
 
 
+def _wash_cycles(rng: np.random.Generator, colluder_idx: np.ndarray,
+                 wash_sampler: DiscretePowerLaw, target: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One day's circular trades inside the ring, as int64 (sellers,
+    buyers, volumes), until their volume reaches ``target``.
+
+    Each cycle takes 3 to min(6, ring size) distinct members and one size
+    drawn in WASH_LOT_SIZE lots; each member sells that size to the next,
+    and the last to the first.  The first cycle that starts after more than
+    MAX_WASH_TRADES_PER_DAY trades carries the rest of the target instead,
+    and ends the day.  A zero target draws nothing.
+    """
+    if target <= 0:
+        return (np.empty(0, dtype=np.int64),) * 3
+    ring = colluder_idx.size
+    top = min(6, ring)
+    # A cycle holds at least 3 trades of at least one lot each, so this many
+    # cycles reach the target or the capped cycle; the rest are cut.
+    k = min(-(-target // (3 * WASH_LOT_SIZE)), MAX_WASH_TRADES_PER_DAY // 3 + 2)
+    lengths = rng.integers(3, top + 1, size=k)
+    # Column j draws a rank among the ring - j members its row has not yet
+    # picked; stepping past the picked ones, in increasing order, turns the
+    # rank into a member.
+    members = rng.integers(0, ring - np.arange(top), size=(k, top))
+    for j in range(1, top):
+        column = members[:, j]
+        for picked in np.sort(members[:, :j], axis=1).T:
+            column += column >= picked
+    sizes = wash_sampler.sample(rng, k) * WASH_LOT_SIZE
+
+    starts = np.cumsum(lengths) - lengths
+    reached = np.cumsum(lengths * sizes)
+    last = min(np.searchsorted(reached, target),
+               np.searchsorted(starts, MAX_WASH_TRADES_PER_DAY, side="right"))
+    if starts[last] > MAX_WASH_TRADES_PER_DAY:
+        rest = target - (reached[last - 1] if last else 0)
+        lot = lengths[last] * WASH_LOT_SIZE
+        sizes[last] = -(-rest // lot) * WASH_LOT_SIZE
+    lengths = lengths[:last + 1]
+    cycle = np.repeat(np.arange(last + 1), lengths)
+    pos = np.arange(cycle.size) - starts[cycle]
+    sellers = colluder_idx[members[cycle, pos]]
+    buyers = colluder_idx[members[cycle, (pos + 1) % lengths[cycle]]]
+    return sellers, buyers, sizes[cycle]
+
+
 def simulate(cfg: SimConfig) -> SimResult:
     """Generate one stock's transaction log; deterministic per rng_seed."""
     rng = np.random.default_rng(cfg.rng_seed)
@@ -160,9 +206,6 @@ def simulate(cfg: SimConfig) -> SimResult:
     window, pump = None, {}
     if cfg.manipulated:
         colluder_idx = np.sort(rng.choice(n, size=cfg.n_colluders, replace=False))
-        # Uniform, but passed as p= all the same: a weighted draw consumes
-        # the random stream differently from an unweighted one.
-        coll_weights = np.full(cfg.n_colluders, 1.0 / cfg.n_colluders)
         window = cfg.manipulation_window or (days[0], days[-1])
         pump = _pump_schedule([d for d in days if window[0] <= d <= window[1]])
         if not pump:
@@ -195,33 +238,17 @@ def simulate(cfg: SimConfig) -> SimResult:
             # Ring accounts trade against the public in both directions,
             # independent of demand: busy tape, no information.
             n_ch = int(rng.poisson(CHURN_RATE * n_tr))
-            ring = colluder_idx[rng.choice(cfg.n_colluders, size=n_ch, p=coll_weights)]
+            ring = colluder_idx[rng.integers(cfg.n_colluders, size=n_ch)]
             public = _counterparties(rng, ring, n, passive_weights)
             ring_buys = rng.random(n_ch) < 0.5
             volumes = np.concatenate([volumes, vol_sampler.sample(rng, n_ch) * LOT_SIZE])
 
             f = cfg.wash_volume_fraction
-            target = math.ceil(volumes.sum() * f / (1.0 - f))
-            wash_buyers, wash_sellers, wash_vols = [], [], []
-            total = 0
-            while total < target:
-                cycle_len = int(rng.integers(3, min(6, cfg.n_colluders) + 1))
-                members = colluder_idx[rng.choice(cfg.n_colluders, size=cycle_len,
-                                                  replace=False)]
-                if len(wash_buyers) > MAX_WASH_TRADES_PER_DAY:
-                    v = -(-(target - total) // (cycle_len * WASH_LOT_SIZE)) * WASH_LOT_SIZE
-                else:
-                    v = int(wash_sampler.sample(rng, 1)[0]) * WASH_LOT_SIZE
-                for i in range(cycle_len):
-                    wash_sellers.append(members[i])
-                    wash_buyers.append(members[(i + 1) % cycle_len])
-                    wash_vols.append(v)
-                total += cycle_len * v
-            buyers = np.concatenate([buyers, np.where(ring_buys, ring, public),
-                                     np.asarray(wash_buyers, dtype=np.int64)])
-            sellers = np.concatenate([sellers, np.where(ring_buys, public, ring),
-                                      np.asarray(wash_sellers, dtype=np.int64)])
-            volumes = np.concatenate([volumes, np.asarray(wash_vols, dtype=np.int64)])
+            wash_sellers, wash_buyers, wash_vols = _wash_cycles(
+                rng, colluder_idx, wash_sampler, math.ceil(volumes.sum() * f / (1.0 - f)))
+            buyers = np.concatenate([buyers, np.where(ring_buys, ring, public), wash_buyers])
+            sellers = np.concatenate([sellers, np.where(ring_buys, public, ring), wash_sellers])
+            volumes = np.concatenate([volumes, wash_vols])
         else:
             imbalance = 2.0 * buyer_initiated.mean() - 1.0
             level *= math.exp(VOLATILITY * eps + IMBALANCE_COUPLING * imbalance)

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from tradenet import __version__
 from tradenet.cli import build_parser, main
 
 SIM_ARGS = ["--traders", "300", "--trades-per-day", "50", "--days", "50",
@@ -27,6 +29,17 @@ def test_simulate_layout(corpus):
     manifest = json.loads((corpus / "corpus_manifest.json").read_text())
     assert manifest["master_seed"] == 7
     assert len(manifest["stocks"]) == 12
+
+
+def test_corpus_records_the_project_version(corpus):
+    """A corpus names the version that simulated it: the package's, which
+    pyproject.toml repeats (read with a regex, as Python 3.10 has no
+    tomllib)."""
+    manifest = json.loads((corpus / "corpus_manifest.json").read_text())
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(
+        encoding="utf-8")
+    assert re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)[1] == __version__
+    assert manifest["toolkit_version"] == __version__
 
 
 def test_validate_exit_zero_and_count(corpus, capsys):
@@ -399,14 +412,14 @@ def test_stock_without_trades_named_in_fit_error(tmp_path, capsys):
 # "features.csv" only; "reports.json" holds x_min values and verdicts, never
 # alphas, and must not move.
 PINNED_DIGESTS = {
-    "corpus": "a0d78a94e3f63b4483ad1abea6c30f684bb41b79f9850e610e34b9aa908fddc9",
+    "corpus": "cf20abeb5ab6139bd936f5ed012d702187408079f51397f34ad62f60bc2d4b5e",
     "corpus_manifest.json":
-        "b7b1f822c5f7f11b8560fc16e033734efe8b12bf7ef518d42811e259234d889c",
-    "networks": "0c70f7382f134d1c9ab36aabc42fae9d216a8c354defafdc8445e6295c659329",
-    "plotdata": "ba62bd4c0c9dbd5641f3a861fd9a0feebeb579d8b4472c9f41a16d1eb4a1e87a",
-    "features.csv": "b108f4d7d1cbb0fda0c350b59e4aaf1e134f3b2d5122f7cc54394451caceaf77",
-    "fits": "a31c657f526c1c3005480055d7411319862020f8de972b26d5780001841dab28",
-    "reports.json": "641f95315aa4cbdd55c4e2cbff467ff914d16e20a2c6e32c11b6b4a443572d53",
+        "25880c3dd082d71c076e7fd9db5655670bec629682b153a7fbc64471955a4b9d",
+    "networks": "f640327691a05ce886457dadc81285cad9b5c1c72d62b3509160386052d6fa26",
+    "plotdata": "a33a1edfe631400c01f0edb6c4a8182846fea49022f32a931bb96df653b27f23",
+    "features.csv": "1a43389666dba15530ae48c126ff6455763a6b1100c81e00285793a8c01d7d8e",
+    "fits": "3488ecbed2c5a20a857f309ca60b2a8b7ca6d1a827f3c61c0454b4ffd2032c15",
+    "reports.json": "05487d6f81e95214a05b5ce85e69148e286dad29317b92dfba50e7861e5874b7",
 }
 
 
@@ -429,7 +442,7 @@ def test_artifacts_pinned(tmp_path):
     assert main(["fit", "--corpus", str(corpus), "--out", str(out), "--bootstrap", "5",
                  "--seed", "5", "--min-tail", "10"]) == 0
     assert main(["detect", "--corpus", str(corpus), "--out", str(out),
-                 "--min-tail", "10"]) == 1  # S003 is flagged
+                 "--min-tail", "10"]) == 1  # S002 and S003 are flagged
     digests = {
         "corpus": _digest([*corpus.glob("S*.csv"), *corpus.glob("S*.json")]),
         "corpus_manifest.json": _digest([corpus / "corpus_manifest.json"]),

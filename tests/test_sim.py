@@ -1,16 +1,22 @@
 import datetime as dt
 import hashlib
 import io
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import chisquare
 
+from powerlaw_helpers import ks_distance
 from tradenet import sim
 from tradenet.ingest import build_log, parse_transactions, write_transactions
 from tradenet.network import average_degree, build_network
-from tradenet.sim import (MAX_WASH_TRADES_PER_DAY, START, CorpusSpec, GroupSpec,
-                          SimConfig, generate_corpus, simulate, trading_days)
+from tradenet.sim import (MAX_WASH_TRADES_PER_DAY, START, WASH_LOT_SIZE,
+                          WASH_VOLUME_ALPHA, CorpusSpec, GroupSpec, SimConfig,
+                          generate_corpus, simulate, trading_days)
 
 SMALL = SimConfig(rng_seed=3, n_traders=200, n_days=30, trades_per_day=40.0,
                   n_colluders=30)
@@ -63,11 +69,13 @@ def test_wash_fraction_near_one_met_past_the_trade_cap():
     assert ring_share_by_day(res).min() >= 0.9999
 
 
-# S011 of ``simulate --seed 623 --days 30 --partial 1``: a stock with a day
-# whose volume draw needs more than MAX_WASH_TRADES_PER_DAY circular trades
-# at the default fraction.
-CAPPED_DAY = SimConfig(rng_seed=int(np.random.SeedSequence(623).generate_state(
-    12, dtype=np.uint64)[11]), n_days=30, manipulated=True)
+# A stock with a day whose volume draw needs more than
+# MAX_WASH_TRADES_PER_DAY circular trades at the default fraction: the first
+# such SimConfig(rng_seed=s, n_days=30, manipulated=True) with s running
+# over SeedSequence(m).generate_state(12) in order, for m = 623, 624, ...
+# It is stock 7 of m = 641.
+CAPPED_DAY = SimConfig(rng_seed=int(np.random.SeedSequence(641).generate_state(
+    12, dtype=np.uint64)[7]), n_days=30, manipulated=True)
 
 
 def test_huge_volume_day_meets_wash_fraction():
@@ -75,6 +83,96 @@ def test_huge_volume_day_meets_wash_fraction():
     res = simulate(CAPPED_DAY)
     assert np.bincount(res.log.dates).max() > MAX_WASH_TRADES_PER_DAY
     assert ring_share_by_day(res).min() >= SimConfig.wash_volume_fraction
+
+
+def split_cycles(sellers, buyers, volumes) -> list[tuple[list[int], int]]:
+    """(members in trading order, volume) of each cycle of _wash_cycles'
+    trades, asserting that each is one directed cycle of one volume."""
+    sellers, buyers, volumes = sellers.tolist(), buyers.tolist(), volumes.tolist()
+    cycles, i = [], 0
+    while i < len(sellers):
+        end = buyers.index(sellers[i], i)  # the trade back to the first seller
+        assert sellers[i + 1:end + 1] == buyers[i:end]
+        assert volumes[i:end + 1] == [volumes[i]] * (end + 1 - i)
+        cycles.append((sellers[i:end + 1], volumes[i]))
+        i = end + 1
+    return cycles
+
+
+def seeded_ring(ring: int, seed: int):
+    """A generator of the seed, and a sorted ring of that many accounts
+    out of 1,000 drawn from it."""
+    rng = np.random.default_rng(seed)
+    return rng, np.sort(rng.choice(1000, size=ring, replace=False))
+
+
+def wash_cycles(ring: int, target: int, seed: int):
+    rng, colluder_idx = seeded_ring(ring, seed)
+    return colluder_idx, sim._wash_cycles(rng, colluder_idx, sim._samplers()[1], target)
+
+
+@settings(max_examples=150)
+@given(ring=st.integers(3, 150), target=st.integers(0, 12_000_000),
+       seed=st.integers(0, 2**32 - 1))
+@example(ring=3, target=0, seed=0)
+@example(ring=3, target=1, seed=0)
+@example(ring=150, target=10**12, seed=1)
+def test_wash_cycles_close_at_the_target_or_the_cap(ring, target, seed):
+    """Each cycle has 3 to min(6, ring) distinct ring members and one
+    volume in lots; the day stops at the first cycle whose volume reaches
+    the target, or past MAX_WASH_TRADES_PER_DAY trades at one closing cycle
+    that carries the rest.  A zero target draws nothing."""
+    rng, colluder_idx = seeded_ring(ring, seed)
+    before = rng.bit_generator.state
+    sellers, buyers, volumes = sim._wash_cycles(rng, colluder_idx, sim._samplers()[1], target)
+    assert sellers.dtype == buyers.dtype == volumes.dtype == np.int64
+    if target == 0:
+        assert sellers.size == 0 and rng.bit_generator.state == before
+        return
+    cycles = split_cycles(sellers, buyers, volumes)
+    ring_members = set(colluder_idx.tolist())
+    done = start = 0
+    for i, (members, v) in enumerate(cycles):
+        assert 3 <= len(members) <= min(6, ring)
+        assert len(set(members)) == len(members) and ring_members.issuperset(members)
+        assert v > 0 and v % WASH_LOT_SIZE == 0
+        if start > MAX_WASH_TRADES_PER_DAY:
+            # The closing cycle: the only one that starts past the cap.
+            assert i == len(cycles) - 1
+            lot = len(members) * WASH_LOT_SIZE
+            assert v == -(-(target - done) // lot) * WASH_LOT_SIZE
+        done += len(members) * v
+        start += len(members)
+        assert (done >= target) == (i == len(cycles) - 1)
+
+
+def test_wash_cycle_sizes_follow_the_wash_exponent():
+    """Below the cap every size is a draw from DiscretePowerLaw(
+    WASH_VOLUME_ALPHA) in lots: the KS distance of the 17,163 cycle sizes
+    drawn at seeds 3 to 12 (0.0016) stays below 1.63 / sqrt(n) (0.0124),
+    the 1% critical value."""
+    sizes = []
+    for seed in range(3, 13):
+        _, (sellers, buyers, volumes) = wash_cycles(150, 3_000_000, seed)
+        sizes += [v // WASH_LOT_SIZE for _, v in split_cycles(sellers, buyers, volumes)]
+    assert len(sizes) > 15_000
+    assert ks_distance(sizes, 1, WASH_VOLUME_ALPHA) < 1.63 / np.sqrt(len(sizes))
+
+
+def test_wash_cycle_lengths_and_members_uniform():
+    """In a ring of 6, cycles of 3 to 6 members are alike often, and so
+    are the 120 ordered triples a cycle can start with: over the 44,385
+    cycles drawn at seeds 4 to 13, chi-square tests give p = 0.054 and
+    0.26, and each must give more than 0.001."""
+    lengths, triples = Counter(), Counter()
+    for seed in range(4, 14):
+        colluder_idx, trades = wash_cycles(6, 8_000_000, seed)
+        cycles = [np.searchsorted(colluder_idx, m).tolist() for m, _ in split_cycles(*trades)]
+        lengths.update(len(m) for m in cycles)
+        triples.update(tuple(m[:3]) for m in cycles)
+    assert sorted(lengths) == [3, 4, 5, 6] and len(triples) == 6 * 5 * 4
+    assert chisquare(list(lengths.values())).pvalue > 0.001
+    assert chisquare(list(triples.values())).pvalue > 0.001
 
 
 @pytest.mark.parametrize("n_colluders", [3, 4, 5])
@@ -106,20 +204,20 @@ def test_window_without_trading_day_rejected():
 # order, so every corpus keeps its bytes.
 PINNED_SIMULATIONS = {
     "capped-day": (CAPPED_DAY,
-                   "658c1e1b5c7563bdaf4044999a29ebe0f3727a223e24bb7416996a324f8b71ff"),
+                   "9821d9b8ce13b71c420f84f7ff65ef1948dd1966e83ca0df3766ac9d8a47e020"),
     "no-wash": (replace(SMALL, manipulated=True, wash_volume_fraction=0.0),
-                "3a2bc58bcde51c4c1d8ce4849ed6a5d5cb3111943929890c66ac1a79a7914db1"),
+                "b0c8a0c62181655fd50906f4ac6de0bf77f93ad75cf509ddf5293acc21d18a1f"),
     "days-without-churn": (SimConfig(rng_seed=11, n_days=20, n_traders=50,
                                      trades_per_day=0.2, n_colluders=8, manipulated=True),
-                           "cbc5683e74718121a7923988df59c5f1c22b2a8aa106c6dc8d8b9fa808158844"),
+                           "947b52ccee6e82b1f6db5b7dbd070d08f4fa62b65661a5542f304cac732f3681"),
     "partial-window": (replace(SMALL, manipulated=True, manipulation_window=(
         dt.date(2004, 1, 12), dt.date(2004, 1, 30))),
-        "5cc231bf73d7113a9a8ba33d138a3c40e8507dc5b745cc2a48f2bdd6485491b7"),
+        "ad5316f1ed4ddce0dfb956decd6d5dbecc2575097f86cd66b0709b8fe10939c8"),
     "honest": (SMALL, "b5f2a0969fe965f5cc52436911fb9ca0dfc7d232243a8f2b3a204b9b7e0e001d"),
     # Accounts past A99999 trade, and "A100000" sorts before "A99999", so
     # an account's index and the rank of its id differ.
     "past-A99999": (replace(SMALL, rng_seed=5, n_traders=100_050, manipulated=True),
-                    "8e923812a37900b09e752924bbdbd67d20c262d2d9bb6d3a08170d572bf4028d"),
+                    "67cd1a50b9010fa2314ccfd79edcf429648a73849b98b9bfbda87e08dcef442f"),
 }
 
 
