@@ -13,7 +13,7 @@ from .features import (DailySeries, StockFeatures, compute_features,
                        daily_series, log_returns, pearson_corr,
                        return_ratio_correlation, seller_buyer_ratio)
 from .ingest import (StockMeta, TransactionLog, TransactionParseError,
-                     build_log, filter_period, load_corpus, parse_transactions,
+                     filter_period, load_corpus, parse_transactions,
                      read_stock_meta, write_stock_meta, write_transactions)
 from .network import (DegreeSequences, StrengthSequences, TradingNetwork,
                       average_degree, build_network, degree_sequences,

@@ -19,9 +19,9 @@ from pathlib import Path
 from . import __version__
 from .detector import DetectorConfig, detect_corpus
 from .features import TAIL_STATS, compute_features
-from .ingest import (StockMeta, TransactionParseError, _dump_json, _write_rows,
-                     load_corpus, parse_transactions, read_stock_meta,
-                     write_stock_meta, write_transactions)
+from .ingest import (StockMeta, _dump_json, _write_rows, load_corpus,
+                     parse_transactions, read_stock_meta, write_stock_meta,
+                     write_transactions)
 from .network import build_network, write_edge_list
 from .powerlaw import GofConfig, ccdf_points
 from .sim import CorpusSpec, GroupSpec, SimConfig, generate_corpus
@@ -163,10 +163,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         else:
             meta = StockMeta(symbol=path.stem, capitalization_bucket="unknown",
                              sector="unknown")
-        try:
-            log = parse_transactions(path, meta)
-        except TransactionParseError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        log = parse_transactions(path, meta)
         print(f"{path.name}: {log.n_records} records")
     return 0
 

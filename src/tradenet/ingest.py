@@ -32,10 +32,12 @@ WRITE_BLOCK = 4096
 
 
 class TransactionParseError(ValueError):
-    """Malformed input; carries the 1-based line number of the offender."""
+    """Malformed input; carries the 1-based line number of the offender and
+    names the file it was read from, if any."""
 
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
+    def __init__(self, lineno: int, message: str, path=None):
+        where = "" if path is None else f"{path}: "
+        super().__init__(f"{where}line {lineno}: {message}")
         self.lineno = lineno
 
 
@@ -126,23 +128,13 @@ def _sorted_log(meta: StockMeta, dates, times, txns, txn_names, buyers, sellers,
                 names, volumes, prices) -> TransactionLog:
     """The log of these records in (date, time, txn_id) order.
 
-    ``txns`` index the distinct txn ids ``txn_names``, which are listed in
-    sorted order so that the codes sort like the ids; ``buyers``/``sellers``
-    index the account ids ``names``.  Ids no record uses are dropped.  A
-    record no transaction file can hold is a ValueError worded like the file
-    parser's: a volume below 1, a price that is not finite and > 0, a time
-    outside the day, or a repeated (date, txn_id).
+    Every column is an int64 array but ``prices`` (float64).  ``txns`` index
+    the distinct txn ids ``txn_names``, listed in sorted order so that the
+    codes sort like the ids; ``buyers``/``sellers`` index the account ids
+    ``names``.  Ids no record uses are dropped.  The only record rule checked
+    is a repeated (date, txn_id), a ValueError worded like the parser's: the
+    parser checks the others on every line, and the simulator meets them.
     """
-    dates = np.asarray(dates, dtype=np.int64)
-    times = np.asarray(times, dtype=np.int64)
-    volumes = np.asarray(volumes, dtype=np.int64)
-    prices = np.asarray(prices, dtype=np.float64)
-    for bad, column, message in (
-            (volumes < 1, volumes, "volume must be >= 1, got {}"),
-            (~(np.isfinite(prices) & (prices > 0)), prices, "price must be > 0, got {!r}"),
-            ((times < 0) | (times >= 86_400), times, "time {} s out of range")):
-        if bad.any():
-            raise ValueError(message.format(column[bad][0].item()))
     # A repeat is a neighbour in (date, txn_id) order, which simulated rows
     # already run in.
     by_txn = (txns, dates)
@@ -194,38 +186,6 @@ def _first_appearance(buyers: np.ndarray, sellers: np.ndarray):
     rank = np.empty(first_pos.size, dtype=np.int64)
     rank[appearance] = np.arange(appearance.size)
     return appearance, rank[buyers], rank[sellers]
-
-
-def _check_ids(ids: np.ndarray) -> None:
-    """Raise ValueError naming the first id in a ``U`` array that a CSV field
-    cannot hold: an empty one, or one holding a comma, a line break or NUL."""
-    chars = ids.view(np.uint32).reshape(ids.size, ids.dtype.itemsize // 4)
-    filled = chars != 0  # numpy pads each id with NULs, so its own NULs are gaps
-    bad = (~filled[:, 0] | (filled[:, 1:] > filled[:, :-1]).any(axis=1)
-           | np.isin(chars, [ord(","), ord("\n"), ord("\r")]).any(axis=1))
-    if bad.any():
-        raise ValueError(f"id {str(ids[bad.argmax()])!r} is empty or holds a comma, "
-                         "a line break or NUL")
-
-
-def build_log(meta: StockMeta, dates, times, txn_ids, buyer_ids, seller_ids,
-              volumes, prices) -> TransactionLog:
-    """Assemble a log from parallel columns with string txn and account ids.
-
-    Dates are proleptic ordinals, times seconds since midnight.  The records
-    are sorted by (date, time, txn_id) and the accounts numbered densely in
-    first-appearance order (buyer before seller) over the sorted sequence,
-    exactly like a parsed file, so in-memory construction and CSV
-    round-trips agree bit for bit.  A record or id no CSV line can hold is a
-    ValueError, so every log built here can be written and read back.
-    """
-    txn_names, txns = np.unique(np.asarray(txn_ids, dtype=np.str_), return_inverse=True)
-    ids = np.concatenate([np.asarray(c, dtype=np.str_) for c in (buyer_ids, seller_ids)])
-    names, codes = np.unique(ids, return_inverse=True)
-    _check_ids(np.concatenate((txn_names, names)))
-    n = txns.size
-    return _sorted_log(meta, dates, times, txns, txn_names.tolist(), codes[:n], codes[n:],
-                       names.tolist(), volumes, prices)
 
 
 def _parse_date(text: str) -> dt.date:
@@ -287,7 +247,8 @@ def parse_transactions(source, meta: StockMeta) -> TransactionLog:
     right before that end is dropped.  A NUL byte, any other ``"\\r"`` or
     bytes that are not UTF-8 make the line malformed.  Blank lines are
     skipped.  Every malformed line raises TransactionParseError with its
-    line number; no record is dropped silently.
+    line number, and names the file when ``source`` is a path; no record is
+    dropped silently.
 
     A file is parsed in whole-column passes (``_parse_columns``).  Each rule
     reads one line, or one line and an earlier one for a repeated
@@ -311,7 +272,8 @@ def parse_transactions(source, meta: StockMeta) -> TransactionLog:
             good = mid
         except ValueError as exc:
             bad, error = mid, exc
-    raise TransactionParseError(bad, str(error)) from error
+    path = source if isinstance(source, (str, Path)) else None
+    raise TransactionParseError(bad, str(error), path) from error
 
 
 def _cut(buf: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -404,7 +366,8 @@ def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog:
     starts, stops = starts[kept], stops[kept]
     n = starts.size
     if not n:
-        return build_log(meta, *[()] * 7)
+        none = np.empty(0, np.int64)
+        return _sorted_log(meta, none, none, none, [], none, none, [], none, np.empty(0))
     commas = np.flatnonzero(buf == ord(","))
     # A line's commas lie between its end and the previous line's.
     count = np.diff(np.searchsorted(commas, ends))[kept]
@@ -527,10 +490,7 @@ def load_corpus(directory) -> dict[str, TransactionLog]:
         meta_path = csv_path.with_suffix(".json")
         if not meta_path.exists():
             continue
-        try:
-            log = parse_transactions(csv_path, read_stock_meta(meta_path))
-        except TransactionParseError as exc:
-            raise ValueError(f"{csv_path}: {exc}") from exc
+        log = parse_transactions(csv_path, read_stock_meta(meta_path))
         symbol = log.meta.symbol
         if symbol in sources:
             raise ValueError(f"symbol {symbol!r} names two stocks: "

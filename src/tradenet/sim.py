@@ -271,8 +271,9 @@ def simulate(cfg: SimConfig) -> SimResult:
     n_max = int(txns.max()) + 1
     width = max(6, len(str(n_max)))
     serials = [f"{i:0{width}d}" for i in range(1, n_max + 1)]
-    # The buyers and sellers index ``ids``; the log numbers accounts by first
-    # appearance, so it equals build_log's from the id strings.
+    # Whole lots, prices of at least 0.01 and times within the session meet
+    # every rule of the file format.  The buyers and sellers index ``ids``, and
+    # _sorted_log numbers accounts by first appearance as the parser does.
     log = _sorted_log(meta, dates, times, txns, serials, buyers, sellers, ids.tolist(),
                       volumes, prices)
     return SimResult(log=log, colluders=frozenset(str(s) for s in ids[colluder_idx]))

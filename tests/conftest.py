@@ -3,7 +3,8 @@ import datetime as dt
 import pytest
 from hypothesis import settings
 
-from tradenet.ingest import StockMeta, build_log
+from line_oracle import build_log
+from tradenet.ingest import StockMeta
 
 # Property tests draw the same examples on every run and carry no per-example
 # deadline, so a slow or shared host cannot make them flake.

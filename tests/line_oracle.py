@@ -1,11 +1,31 @@
 """Reference transaction-file parser: each line decoded, split and checked on
 its own with the field parsers of ``tradenet.ingest``, so the tests can check
-that module's column passes against it line for line."""
+that module's column passes against it line for line.  ``build_log`` turns
+its rows, or any records with string ids, into a log."""
 
 import numpy as np
 
 from tradenet.ingest import (CSV_HEADER, TransactionParseError, _clock_seconds,
-                             _parse_date, _parse_price, _parse_volume)
+                             _parse_date, _parse_price, _parse_volume, _sorted_log)
+
+
+def build_log(meta, dates, times, txn_ids, buyer_ids, seller_ids, volumes, prices):
+    """The log of parallel record columns with string txn and account ids.
+
+    Dates are proleptic ordinals, times seconds since midnight.
+    ``np.unique`` ranks the ids in sorted order, then ``_sorted_log`` sorts
+    the records and numbers the accounts by first appearance, as it does for
+    a parsed file.  This is the reference path the column parser is checked
+    against, so it checks no id and no value: only ``_sorted_log``'s
+    repeated (date, txn_id) is an error.
+    """
+    txn_names, txns = np.unique(np.asarray(txn_ids, dtype=np.str_), return_inverse=True)
+    ids = np.concatenate([np.asarray(c, dtype=np.str_) for c in (buyer_ids, seller_ids)])
+    names, codes = np.unique(ids, return_inverse=True)
+    n = txns.size
+    return _sorted_log(meta, np.asarray(dates, np.int64), np.asarray(times, np.int64), txns,
+                       txn_names.tolist(), codes[:n], codes[n:], names.tolist(),
+                       np.asarray(volumes, np.int64), np.asarray(prices, np.float64))
 
 
 def _decoded(lineno: int, line: bytes) -> str:

@@ -11,11 +11,11 @@ import time
 import numpy as np
 from scipy.special import zeta
 
+from line_oracle import build_log
 from powerlaw_helpers import ks_distance
 from tradenet.cli import main
 from tradenet.detector import DetectorConfig, detect_corpus
 from tradenet.features import pearson_corr, tail_samples
-from tradenet.ingest import build_log
 from tradenet.network import (build_network, degree_sequences,
                               strength_sequences)
 from tradenet.powerlaw import DiscretePowerLaw, GofConfig, fit_tail

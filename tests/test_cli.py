@@ -310,6 +310,7 @@ def test_config_file_takes_the_subcommands_own_keys(tmp_path, capsys, argv, key,
 
 PARSERS = {"build": ["build", "--corpus", "CORPUS", "--out", "OUT"],
            "fit": ["fit", "--corpus", "CORPUS", "--out", "OUT"],
+           "detect": ["detect", "--corpus", "CORPUS", "--out", "OUT"],
            "validate-corpus": ["validate", "--corpus", "CORPUS"],
            "validate-file": ["validate", "CORPUS/T.csv"]}
 BAD_HEADER = (b"date,time\n", "line 1: bad header 'date,time'; "

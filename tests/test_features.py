@@ -4,10 +4,14 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from line_oracle import build_log
 from tradenet.features import (DailySeries, compute_features, daily_series,
                                log_returns, pearson_corr, return_ratio_correlation,
                                seller_buyer_ratio)
+from tradenet.ingest import StockMeta
 from tradenet.powerlaw import GofConfig
 from tradenet.sim import SimConfig, simulate
 
@@ -61,6 +65,30 @@ class TestDailySeries:
     def test_empty_log_rejected(self, make_log):
         with pytest.raises(ValueError):
             daily_series(make_log([]))
+
+    # (day offset, second of the day, buyer, seller) per record.
+    @settings(max_examples=150)
+    @given(records=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 86399),
+                                      st.integers(0, 5), st.integers(0, 5)),
+                            min_size=1, max_size=40))
+    @example(records=[(3, 600, 0, 1), (3, 60, 2, 0), (3, 60, 1, 0)])  # one day
+    @example(records=[(0, 5, 0, 0), (4, 5, 0, 0), (4, 1, 0, 0)])  # one account
+    def test_counts_match_unique_form(self, records):
+        """The sort-and-diff counts equal np.unique's over (day, account)
+        pairs, and the days its distinct dates."""
+        days, times, buyers, sellers = zip(*records)
+        log = build_log(StockMeta(symbol="T", capitalization_bucket="mid", sector="x"),
+                        [dt.date(2004, 1, 5).toordinal() + d for d in days], times,
+                        [str(i) for i in range(len(records))], [f"A{b}" for b in buyers],
+                        [f"A{s}" for s in sellers], [100] * len(records),
+                        [5.0] * len(records))
+        s = daily_series(log)
+        day_vals, day_idx = np.unique(log.dates, return_inverse=True)
+        assert s.days == tuple(dt.date.fromordinal(d) for d in day_vals.tolist())
+        k = len(log.accounts)
+        for counts, side in ((s.n_sellers, log.sellers), (s.n_buyers, log.buyers)):
+            expected = np.bincount(np.unique(day_idx * k + side) // k, minlength=day_vals.size)
+            assert np.array_equal(counts, expected)
 
 
 class TestReturnsAndRatio:

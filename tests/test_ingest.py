@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 
 from tradenet import ingest
 from tradenet.ingest import (StockMeta, TransactionParseError, _lexsorted,
-                             _parse_columns, build_log, filter_period, load_corpus,
+                             _parse_columns, filter_period, load_corpus,
                              parse_transactions, read_stock_meta, write_stock_meta,
                              write_transactions)
 from tradenet.network import build_network, write_edge_list
 from tradenet.sim import START, SimConfig, simulate, trading_days
-from line_oracle import _check_line, _data_lines
+from line_oracle import _check_line, _data_lines, build_log
 import writer_oracle
 
 META = StockMeta(symbol="TEST", capitalization_bucket="mid", sector="industrials")
@@ -134,6 +134,21 @@ def test_parsing_a_path_closes_the_file(tmp_path, body):
             pass
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_error_from_a_path_names_the_file(tmp_path):
+    """A path source puts the file name before the line; bytes and streams
+    have no name to give.  The line number is the same from every source."""
+    data = (HEADER + "2004-01-08,09:30:01,1,B1,S1,500,7.25\n"
+            "2004-01-08,09:30:02,2,B1,S1,0,7.25\n").encode()
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    for source, prefix in ((path, f"{path}: "), (str(path), f"{path}: "), (data, ""),
+                           (io.BytesIO(data), "")):
+        with pytest.raises(TransactionParseError) as exc:
+            parse_transactions(source, META)
+        assert str(exc.value) == f"{prefix}line 3: volume must be >= 1, got 0"
+        assert exc.value.lineno == 3
 
 
 def test_caller_stream_left_open():
@@ -268,39 +283,64 @@ def test_writer_matches_oracle_and_roundtrips(records):
     assert parse_transactions(io.StringIO(text), META) == log
 
 
-@pytest.mark.parametrize("field", ["txn_id", "buyer_id", "seller_id"])
-@pytest.mark.parametrize("bad", ["B,1", "B\n1", "B\r1", "B\x001", ""],
-                         ids=["comma", "newline", "carriage-return", "nul", "empty"])
-def test_build_log_rejects_unwritable_id(field, bad):
-    """Every log build_log makes can be written and read back, so it
-    refuses an id no CSV field can hold, and names it."""
-    cols = [[731588], [3600], ["1"], ["B1"], ["S1"], [5], [7.25]]
-    cols[HEADER.split(",").index(field)] = [bad]
-    with pytest.raises(ValueError, match=re.escape(repr(bad))):
-        build_log(META, *cols)
-
-
-@pytest.mark.parametrize("column, value, message", [
-    ("volume", 0, "volume must be >= 1, got 0"),
-    ("price", 0.0, "price must be > 0, got 0.0"),
-    ("price", -0.0, "price must be > 0, got -0.0"),
-    ("price", float("nan"), "price must be > 0, got nan"),
-    ("price", float("inf"), "price must be > 0, got inf"),
-    ("time", -1, "time -1 s out of range"),
-    ("time", 86_400, "time 86400 s out of range"),
-    ("txn_id", "1", "duplicate (date, txn_id) = (2004-01-05, 1)"),
-    ("txn_id", "2", "duplicate (date, txn_id) = (2004-01-05, 2)"),
-], ids=["volume-0", "price-0", "price-minus-0", "price-nan", "price-inf", "time-negative",
-        "time-86400", "txn-repeat-unsorted", "txn-repeat-sorted"])
-def test_build_log_rejects_unwritable_record(column, value, message):
-    """build_log refuses every record the file format refuses, in the words
-    the line check uses; a repeated (date, txn_id) is found whether or not
-    the rows already run in (date, txn_id) order."""
-    cols = [[dt.date(2004, 1, 5).toordinal()] * 3, [3600, 3700, 3800], ["1", "2", "3"],
-            ["B1"] * 3, ["S1"] * 3, [5] * 3, [7.25] * 3]
-    cols[ingest.CSV_HEADER.index(column)][2] = value
+@pytest.mark.parametrize("txn_ids, message", [
+    (["1", "2", "1"], "duplicate (date, txn_id) = (2004-01-05, 1)"),
+    (["1", "2", "2"], "duplicate (date, txn_id) = (2004-01-05, 2)"),
+], ids=["txn-repeat-unsorted", "txn-repeat-sorted"])
+def test_repeated_txn_id_rejected(txn_ids, message):
+    """A repeated (date, txn_id) is found whether or not the rows already
+    run in (date, txn_id) order, in the words the line check uses."""
     with pytest.raises(ValueError, match=re.escape(message)):
-        build_log(META, *cols)
+        build_log(META, [dt.date(2004, 1, 5).toordinal()] * 3, [3600, 3700, 3800],
+                  txn_ids, ["B1"] * 3, ["S1"] * 3, [5] * 3, [7.25] * 3)
+
+
+@pytest.mark.parametrize("field", ["txn_id", "buyer_id", "seller_id"])
+@pytest.mark.parametrize("bad, message", [
+    ("B,1", "expected 7 fields, got 8"),
+    ("B\n1", None),
+    ("B\r1", "NUL or carriage return inside a line"),
+    ("B\x001", "NUL or carriage return inside a line"),
+    ("", "empty identifier field"),
+], ids=["comma", "newline", "carriage-return", "nul", "empty"])
+def test_parser_rejects_unwritable_id(field, bad, message):
+    """No log holds an id that a CSV field cannot: the parser refuses each
+    such field on its line.  A newline cuts the line after the field's
+    first half, so the line holds only the fields up to it."""
+    row = ROW.split(",")
+    column = ingest.CSV_HEADER.index(field)
+    row[column] = bad
+    if message is None:
+        message = f"expected 7 fields, got {column + 1}"
+    with pytest.raises(TransactionParseError) as exc:
+        parse_transactions((HEADER + ",".join(row) + "\n").encode(), META)
+    assert str(exc.value) == f"line 2: {message}"
+    assert exc.value.lineno == 2
+
+
+@pytest.mark.parametrize("column, text, message", [
+    ("volume", "0", "volume must be >= 1, got 0"),
+    ("price", "0.0", "price must be > 0, got 0.0"),
+    ("price", "-0.0", "bad price '-0.0'"),
+    ("price", "nan", "bad price 'nan'"),
+    ("price", "inf", "bad price 'inf'"),
+    ("time", "-00:00:01",
+     "unparseable timestamp: time '-00:00:01' is not HH:MM:SS within a day"),
+    ("time", "24:00:00",
+     "unparseable timestamp: time '24:00:00' is not HH:MM:SS within a day"),
+], ids=["volume-0", "price-0", "price-minus-0", "price-nan", "price-inf", "time-negative",
+        "time-86400"])
+def test_parser_rejects_unwritable_record(column, text, message):
+    """The volume, price and time rules hold on every log because the
+    parser checks them on every line; `_sorted_log` does not repeat them.
+    The bad value sits on the third row, after two good ones."""
+    rows = [ROW.replace(",1,", f",{i},").split(",") for i in (1, 2, 3)]
+    rows[2][ingest.CSV_HEADER.index(column)] = text
+    data = (HEADER + "".join(",".join(row) + "\n" for row in rows)).encode()
+    with pytest.raises(TransactionParseError) as exc:
+        parse_transactions(data, META)
+    assert str(exc.value) == f"line 4: {message}"
+    assert exc.value.lineno == 4
 
 
 # ------------------------------------------------ column pass vs line loop
@@ -468,7 +508,11 @@ def test_edge_files_match_line_loop(text, newline, tmp_path):
     _assert_same_as_loop(data, newline)
     path = tmp_path / "edge.csv"
     path.write_bytes(data)
-    assert _outcome(parse_transactions, path) == _outcome(_reference, data)
+    expected = _outcome(_reference, data)
+    if isinstance(expected, tuple):  # an error from a path names the file
+        kind, lineno, message = expected
+        expected = kind, lineno, f"{path}: {message}"
+    assert _outcome(parse_transactions, path) == expected
 
 
 ROW = "2004-01-08,09:30:01,1,B1,S1,500,7.25"

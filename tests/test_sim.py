@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from line_oracle import build_log
 from powerlaw_helpers import ks_distance
 from tradenet import sim
-from tradenet.ingest import build_log, parse_transactions, write_transactions
+from tradenet.ingest import parse_transactions, write_transactions
 from tradenet.network import average_degree, build_network
 from tradenet.sim import (MAX_WASH_TRADES_PER_DAY, START, WASH_LOT_SIZE,
                           WASH_VOLUME_ALPHA, CorpusSpec, GroupSpec, SimConfig,
