@@ -27,6 +27,8 @@ ALPHA_XTOL = 1e-10
 _SOLVE_MAX_ITER = 100
 # Rows a + h, a, a - h of the solver's central differences, in one zeta call.
 _STEPS = np.array([[1.0], [0.0], [-1.0]])
+# Rows g + 1 and g of the far-tail sampler's check of its guess g.
+_PAIR = np.array([[1.0], [0.0]])
 
 # Support values per block of the KS pass over all candidates.
 KS_BLOCK = 1 << 16
@@ -42,7 +44,7 @@ KS_STRIDE = 8
 KS_SLACK = 1e-12
 
 # Bootstrap samples drawn per batch of replicas, whose far-tail draws share
-# one bisection.
+# one check of their guesses and one search for the guesses that fail it.
 _DRAW_BLOCK = 1 << 20
 
 # Exponents in (0, 2) on the CCDF scale fall in the Levy-stable regime.
@@ -288,9 +290,13 @@ def select_xmin(samples, cfg: GofConfig | None = None, *,
 class DiscretePowerLaw:
     """Sampling from p(x) = x^-alpha / zeta(alpha, x_min), x >= x_min.
 
-    Sampling uses an inverse-CDF table for the bulk and falls back to
-    vectorized bisection on the Hurwitz-zeta CCDF for the far tail, so draws
-    are exact for arbitrarily heavy tails.
+    The bulk is a lookup in a table of Hurwitz-zeta CCDF values, built once
+    per model.  A far-tail draw starts
+    from the approximate discrete inverse (Clauset, Shalizi & Newman,
+    arXiv:0706.1062, Appendix D), which two zeta rows confirm; the draws they
+    do not confirm take a vectorized doubling-and-bisection search.  Either
+    way a draw is the smallest x whose CCDF reaches it, so draws are exact for
+    arbitrarily heavy tails.
     """
 
     _HI_CAP = 2**62
@@ -308,8 +314,28 @@ class DiscretePowerLaw:
         self._table_cdf = 1.0 - zeta(self.alpha, xs + 1.0) / self._z0
         self._table_hi = self.x_min + self._TABLE_SIZE - 1
 
+    def _far_tail(self, targets: np.ndarray) -> np.ndarray:
+        # Smallest x with zeta(alpha, x + 1) <= target.  zeta(alpha, x + 1) is
+        # close to (x + 1/2)^(1 - alpha) / (alpha - 1), which gives a guess g;
+        # two zeta rows confirm it, and the rows they do not take the search.
+        a1 = self.alpha - 1.0
+        with np.errstate(over="ignore", divide="ignore"):
+            guess = np.ceil((a1 * targets) ** (-1.0 / a1) - 0.5)
+        # Past 2**53, g + 1 == g in float and the check proves nothing; that
+        # also keeps every accepted guess below _HI_CAP.
+        ok = np.isfinite(guess) & (guess >= self.x_min) & (guess < 2.0 ** 53)
+        g, t = guess[ok], targets[ok]
+        above, at = zeta(self.alpha, g + _PAIR)
+        ok[ok] = (above <= t) & ((g == self.x_min) | (at > t))
+        out = np.empty(targets.size, dtype=np.int64)
+        out[ok] = guess[ok]
+        if not ok.all():
+            out[~ok] = self._bisect(targets[~ok])
+        return out
+
     def _bisect(self, targets: np.ndarray) -> np.ndarray:
-        # Smallest x with zeta(alpha, x + 1) <= target.
+        # Smallest x with zeta(alpha, x + 1) <= target, by doubling from the
+        # table's end and then bisecting [x_min, hi].
         lo = np.full(targets.size, self.x_min, dtype=np.int64)
         hi_val = max(self._table_hi, self.x_min + 1)
         while zeta(self.alpha, hi_val + 1.0) > targets.min() and hi_val < self._HI_CAP:
@@ -323,12 +349,12 @@ class DiscretePowerLaw:
         return lo
 
     def _from_uniform(self, u: np.ndarray) -> np.ndarray:
-        # Inverse CDF of uniforms: the table, then one bisection for the rest.
+        # Inverse CDF of uniforms: the table, then _far_tail for the rest.
         out = self.x_min + np.searchsorted(self._table_cdf, u, side="left").astype(
             np.int64, copy=False)
         beyond = out > self._table_hi
         if beyond.any():
-            out[beyond] = self._bisect((1.0 - u[beyond]) * self._z0)
+            out[beyond] = self._far_tail((1.0 - u[beyond]) * self._z0)
         return out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -341,7 +367,8 @@ def _replicas(arr: np.ndarray, model: DiscretePowerLaw, seeds):
 
     Each replica draws from its own seed in a fixed order.  The tail
     uniforms of replicas holding up to _DRAW_BLOCK samples in all then go
-    through one table lookup and one bisection.
+    through one table lookup and one far-tail inversion, which checks every
+    guess in one two-row zeta call and searches only where a guess fails.
     """
     n = arr.size
     body = arr[arr < model.x_min]

@@ -114,26 +114,44 @@ def _pump_schedule(days: list[dt.date]) -> dict[dt.date, float]:
     return {d: 0.010 if i < n_up else -0.012 for i, d in enumerate(days)}
 
 
-def _trader_ids(n: int) -> np.ndarray:
-    return np.array([f"A{i:05d}" for i in range(n)])
+@functools.lru_cache(maxsize=4)
+def _trader_ids(n: int) -> tuple[str, ...]:
+    """The account ids of a population of n traders, built once per size; a
+    corpus uses one size per capitalization bucket, and the last four sizes
+    are kept.  A tuple, so no caller can change what the next simulation
+    names its accounts."""
+    return tuple(f"A{i:05d}" for i in range(n))
 
 
 @functools.cache
 def _samplers() -> tuple[DiscretePowerLaw, DiscretePowerLaw]:
     """The trade-size and wash-size samplers, built on first use rather than
-    at import: each holds a table of zeta values, and a sampler keeps no
-    state between draws, so every simulation in a process can share them."""
+    at import.  Each holds its table of zeta values, prepared once, and keeps
+    no state between draws, so every simulation in a process can share them."""
     return DiscretePowerLaw(VOLUME_ALPHA, 1), DiscretePowerLaw(WASH_VOLUME_ALPHA, 1)
 
 
-def _counterparties(rng: np.random.Generator, first: np.ndarray, n: int,
-                    p: np.ndarray) -> np.ndarray:
-    """One account per entry of ``first``, drawn from ``p`` and redrawn
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice`` draws from when given weights / their sum."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
+    """``size`` accounts drawn from the normalised CDF ``cdf``, exactly as
+    ``rng.choice(cdf.size, size, p=p)`` draws them from the p it came from."""
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
+def _counterparties(rng: np.random.Generator, first: np.ndarray,
+                    cdf: np.ndarray) -> np.ndarray:
+    """One account per entry of ``first``, drawn from ``cdf`` and redrawn
     until none equals its entry of ``first``."""
-    other = rng.choice(n, size=first.size, p=p)
+    other = _draw(rng, cdf, first.size)
     clash = other == first
     while np.any(clash):
-        other[clash] = rng.choice(n, size=int(clash.sum()), p=p)
+        other[clash] = _draw(rng, cdf, int(clash.sum()))
         clash = other == first
     return other
 
@@ -196,10 +214,11 @@ def simulate(cfg: SimConfig) -> SimResult:
     # initiators.
     ranks = np.arange(1, n + 1, dtype=np.float64)
     jitter = np.exp(rng.normal(0.0, ACTIVITY_JITTER, n))
-    weights = ranks ** (-ACTIVITY_EXPONENT) * jitter
-    weights /= weights.sum()
-    passive_weights = ranks ** (-PASSIVE_EXPONENT) * jitter
-    passive_weights /= passive_weights.sum()
+    # Generator.choice(n, size, p=p) builds this CDF from p on every call and
+    # then does what _draw does, so building it once per simulation leaves
+    # every draw, and the generator's state after it, as choice leaves them.
+    cdf = _cdf(ranks ** (-ACTIVITY_EXPONENT) * jitter)
+    passive_cdf = _cdf(ranks ** (-PASSIVE_EXPONENT) * jitter)
 
     days = trading_days(START, cfg.n_days)
     colluder_idx = np.empty(0, dtype=np.int64)
@@ -227,8 +246,8 @@ def simulate(cfg: SimConfig) -> SimResult:
 
         p_buy = 1.0 / (1.0 + math.exp(-INITIATION_TILT * demand))
         buyer_initiated = rng.random(n_tr) < p_buy
-        aggressive = rng.choice(n, size=n_tr, p=weights)
-        passive = _counterparties(rng, aggressive, n, passive_weights)
+        aggressive = _draw(rng, cdf, n_tr)
+        passive = _counterparties(rng, aggressive, passive_cdf)
         buyers = np.where(buyer_initiated, aggressive, passive)
         sellers = np.where(buyer_initiated, passive, aggressive)
         volumes = vol_sampler.sample(rng, n_tr) * LOT_SIZE
@@ -239,7 +258,7 @@ def simulate(cfg: SimConfig) -> SimResult:
             # independent of demand: busy tape, no information.
             n_ch = int(rng.poisson(CHURN_RATE * n_tr))
             ring = colluder_idx[rng.integers(cfg.n_colluders, size=n_ch)]
-            public = _counterparties(rng, ring, n, passive_weights)
+            public = _counterparties(rng, ring, passive_cdf)
             ring_buys = rng.random(n_ch) < 0.5
             volumes = np.concatenate([volumes, vol_sampler.sample(rng, n_ch) * LOT_SIZE])
 
@@ -274,9 +293,9 @@ def simulate(cfg: SimConfig) -> SimResult:
     # Whole lots, prices of at least 0.01 and times within the session meet
     # every rule of the file format.  The buyers and sellers index ``ids``, and
     # _sorted_log numbers accounts by first appearance as the parser does.
-    log = _sorted_log(meta, dates, times, txns, serials, buyers, sellers, ids.tolist(),
-                      volumes, prices)
-    return SimResult(log=log, colluders=frozenset(str(s) for s in ids[colluder_idx]))
+    log = _sorted_log(meta, dates, times, txns, serials, buyers, sellers, ids, volumes,
+                      prices)
+    return SimResult(log=log, colluders=frozenset(ids[i] for i in colluder_idx.tolist()))
 
 
 @dataclass(frozen=True)

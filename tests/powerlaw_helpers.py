@@ -1,7 +1,8 @@
 """Single-fit helpers and full-pass oracles for the estimator and sampler
 tests: the exponent and the KS distance of one tail at a given lower bound,
-the model CDF of a sampler, the KS pass that evaluates every support value,
-and the bootstrap that draws and refits one replica at a time."""
+the model CDF of a sampler and its far-tail search, the KS pass that
+evaluates every support value, and the bootstrap that draws and refits one
+replica at a time."""
 
 import numpy as np
 from scipy.special import zeta
@@ -41,6 +42,23 @@ def model_cdf(model, x) -> np.ndarray:
     xs = np.asarray(x, dtype=float)
     out = 1.0 - zeta(model.alpha, np.floor(xs) + 1.0) / zeta(model.alpha, model.x_min)
     return np.where(xs < model.x_min, 0.0, out)
+
+
+def far_tail_oracle(model, targets) -> np.ndarray:
+    """Smallest x with zeta(alpha, x + 1) <= target under a DiscretePowerLaw,
+    by doubling hi from the table's end, capped at _HI_CAP, and then bisecting
+    [x_min, hi] with one zeta call over all targets per halving."""
+    lo = np.full(targets.size, model.x_min, dtype=np.int64)
+    hi_val = max(model._table_hi, model.x_min + 1)
+    while zeta(model.alpha, hi_val + 1.0) > targets.min() and hi_val < model._HI_CAP:
+        hi_val = min(hi_val * 2, model._HI_CAP)
+    hi = np.full(targets.size, hi_val, dtype=np.int64)
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        ok = zeta(model.alpha, mid + 1.0) <= targets
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid + 1)
+    return lo
 
 
 def full_ks_scan(uniq, cum_counts, first, x_mins, alphas) -> np.ndarray:

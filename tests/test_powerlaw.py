@@ -2,13 +2,13 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
 from brent_oracle import brent_scan_xmin, nll
-from powerlaw_helpers import (full_ks_scan, gof_pvalue_oracle, ks_distance, mle_alpha,
-                              model_cdf)
+from powerlaw_helpers import (far_tail_oracle, full_ks_scan, gof_pvalue_oracle,
+                              ks_distance, mle_alpha, model_cdf)
 from tradenet import powerlaw
 from tradenet.powerlaw import (ALPHA_MAX, ALPHA_MIN, DiscretePowerLaw, GofConfig,
                                _ks_scan, _solve_alpha, ccdf_points, fit_tail,
@@ -520,3 +520,39 @@ class TestSampler:
         xs, cc = ccdf_points([1, 1, 2, 5])
         assert list(xs) == [1, 2, 5]
         assert list(cc) == [1.0, 0.5, 0.25]
+
+
+class TestFarTail:
+    """The far-tail inversion against the doubling-and-bisection search it
+    starts ahead of."""
+
+    @settings(max_examples=200)
+    @given(alpha=st.floats(ALPHA_MIN, ALPHA_MAX), x_min=st.integers(1, 10**6),
+           seed=st.integers(0, 2**32 - 1))
+    @example(alpha=ALPHA_MIN, x_min=1, seed=0)
+    @example(alpha=1.05, x_min=10**6, seed=0)
+    @example(alpha=ALPHA_MAX, x_min=1, seed=0)
+    def test_far_tail_matches_search(self, alpha, x_min, seed):
+        """The far-tail inversion gives what the doubling-and-bisection
+        search gives, on log-uniform targets from just below zeta(alpha,
+        x_min) down past zeta(alpha, 2**62 + 1), or down to 2**-60 of
+        zeta(alpha, x_min) where that underflows."""
+        model = DiscretePowerLaw(alpha, x_min)
+        top = float(zeta(alpha, x_min))
+        cap = float(zeta(alpha, 2.0**62 + 1))
+        low = np.log(cap) - 1.0 if cap > 0 else np.log(top) - 60 * np.log(2)
+        rng = np.random.default_rng(seed)
+        targets = np.exp(rng.uniform(low, np.log(top), 300))
+        targets = np.concatenate((targets[targets < top], [np.nextafter(top, 0.0)],
+                                  [cap, np.nextafter(cap, 0.0)] if cap > 0 else []))
+        assert np.array_equal(model._far_tail(targets), far_tail_oracle(model, targets))
+
+    @pytest.mark.parametrize("alpha", [ALPHA_MIN, 1.0 + 1e-4, 1.01])
+    def test_far_tail_capped_row(self, alpha):
+        """Near alpha = 1 a target below zeta(alpha, 2**62 + 1) reaches no x
+        under the cap, and its draw is _HI_CAP, as the search gives."""
+        model = DiscretePowerLaw(alpha, 1)
+        cap = float(zeta(alpha, 2.0**62 + 1))
+        targets = np.array([np.nextafter(cap, 0.0), 0.5 * cap, 1e-3 * cap])
+        assert np.all(model._far_tail(targets) == model._HI_CAP)
+        assert np.array_equal(far_tail_oracle(model, targets), model._far_tail(targets))

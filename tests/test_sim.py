@@ -263,13 +263,40 @@ def test_day_past_999999_trades_widens_its_serials():
 
 
 def test_shared_samplers_keep_no_state():
-    """Simulations share the size samplers: configs A, B, A in one process
-    give the first A's bytes again, whatever B drew."""
+    """Simulations share the size samplers and the account ids: configs A,
+    B, A in one process give the first A's bytes again, whatever B drew, and
+    the shared ids are a tuple that no caller can change."""
     a = replace(SMALL, manipulated=True, n_days=10)
     sim._samplers.cache_clear()
+    sim._trader_ids.cache_clear()
     first = _digest(simulate(a))
     simulate(CAPPED_DAY)
     assert _digest(simulate(a)) == first
+    assert sim._trader_ids.cache_info().hits >= 1
+    assert isinstance(sim._trader_ids(a.n_traders), tuple)
+
+
+@settings(max_examples=100)
+@given(n=st.integers(2, 100_000), size=st.sampled_from([0, 1]) | st.integers(1000, 9999),
+       shaped=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=2, size=0, shaped=True, seed=0)
+@example(n=2, size=1, shaped=False, seed=0)
+@example(n=100_000, size=9999, shaped=True, seed=1)
+def test_draw_matches_generator_choice(n, size, shaped, seed):
+    """Drawing from the CDF simulate builds once gives the indices that
+    Generator.choice(n, size, p=p) gives, and leaves the generator where
+    choice leaves it.  The weights are shaped like simulate's (ranks to a
+    negative power times a log-normal jitter) or skewed random ones."""
+    rng = np.random.default_rng(seed)
+    if shaped:
+        weights = (np.arange(1, n + 1, dtype=np.float64) ** -rng.uniform(0.0, 2.0)
+                   * np.exp(rng.normal(0.0, sim.ACTIVITY_JITTER, n)))
+    else:
+        weights = rng.random(n) ** rng.uniform(1.0, 8.0)
+    ours, theirs = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    drawn = sim._draw(ours, sim._cdf(weights), size)
+    assert np.array_equal(drawn, theirs.choice(n, size=size, p=weights / weights.sum()))
+    assert ours.random() == theirs.random()
 
 
 def test_no_self_trades():
