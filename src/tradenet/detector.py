@@ -90,14 +90,13 @@ def reference_values(members: Mapping[str, StockFeatures]) -> dict[str, float | 
 
 
 def evaluate(target_features: StockFeatures, reference: Mapping[str, float | None],
-             cfg: DetectorConfig | None = None) -> ManipulationReport:
+             cfg: DetectorConfig) -> ManipulationReport:
     """Flag the manipulated-direction deviations and take the vote.
 
     A feature missing on either side leaves its flag None and shrinks the
     vote denominator; score is flagged/evaluated and the verdict compares it
     against the decision threshold.
     """
-    cfg = cfg or DetectorConfig()
     target = feature_vector(target_features)
 
     flags: dict[str, bool | None] = {}
@@ -123,8 +122,8 @@ def evaluate(target_features: StockFeatures, reference: Mapping[str, float | Non
 
 
 def detect_corpus(logs: Mapping[str, TransactionLog],
-                  gof_cfg: GofConfig | None = None,
-                  det_cfg: DetectorConfig | None = None) -> list[ManipulationReport]:
+                  gof_cfg: GofConfig,
+                  det_cfg: DetectorConfig) -> list[ManipulationReport]:
     """Run the full comparison over a corpus of per-stock logs.
 
     Labeled manipulated stocks are analyzed over their declared manipulation
@@ -135,8 +134,7 @@ def detect_corpus(logs: Mapping[str, TransactionLog],
     p-values, which no report carries.  Returns one report per stock, sorted
     by symbol.
     """
-    gof_cfg = replace(gof_cfg or GofConfig(), bootstrap_replicas=0)
-    det_cfg = det_cfg or DetectorConfig()
+    gof_cfg = replace(gof_cfg, bootstrap_replicas=0)
     metas = {sym: log.meta for sym, log in logs.items()}
 
     cache: dict[tuple[str, tuple | None], StockFeatures | None] = {}

@@ -145,14 +145,13 @@ def _try_fit(samples, cfg: GofConfig, max_candidates: int | None) -> TailFit | N
         return None
 
 
-def compute_features(log: TransactionLog, cfg: GofConfig | None = None) -> StockFeatures:
+def compute_features(log: TransactionLog, cfg: GofConfig) -> StockFeatures:
     """Assemble the full per-stock feature vector.
 
     The fits carry p-values unless cfg.bootstrap_replicas is 0.  Component
     failures (degenerate tails, constant series, too few days) leave the
     corresponding feature as None instead of aborting the stock.
     """
-    cfg = cfg or GofConfig()
     net = build_network(log)
     tails = tail_samples(net)
     fits = {name: _try_fit(sample, cfg, max_candidates)

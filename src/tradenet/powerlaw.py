@@ -43,10 +43,6 @@ KS_STRIDE = 8
 # slopes are widened by KS_SLACK / width, ~5000x each.
 KS_SLACK = 1e-12
 
-# Bootstrap samples drawn per batch of replicas, whose far-tail draws share
-# one check of their guesses and one search for the guesses that fail it.
-_DRAW_BLOCK = 1 << 20
-
 # Exponents in (0, 2) on the CCDF scale fall in the Levy-stable regime.
 LEVY_UPPER = 2.0
 
@@ -181,6 +177,10 @@ def _ks_scan(uniq: np.ndarray, cum_counts: np.ndarray, first: np.ndarray,
         stop = max(start + 1, int(np.searchsorted(ends, base + KS_BLOCK, side="right")))
         blk = slice(start, stop)
         a, z_min = alphas[blk], zeta(alphas[blk], x_mins[blk])
+        # A normaliser that underflows to 0 leaves no model CDF: such a fit
+        # reads KS = inf, and z_min = inf keeps its arithmetic finite.
+        lost = z_min == 0.0
+        z_min[lost] = np.inf
         fill, scale = below[blk, None], cum_counts[-1] - below[blk, None]
 
         counts = n_rows[blk]
@@ -220,7 +220,7 @@ def _ks_scan(uniq: np.ndarray, cum_counts: np.ndarray, first: np.ndarray,
         at = fit[r]
         model = 1.0 - zeta(a[at], u[r, c + 1] + 1.0) / z_min[at]
         np.maximum.at(lb, at, np.abs(inner[r, c] - model))
-        ks[blk] = lb
+        ks[blk] = np.where(lost, np.inf, lb)
         start = stop
     return ks
 
@@ -243,14 +243,14 @@ def _candidate_indices(uniq: np.ndarray, tail_sizes: np.ndarray,
     return usable
 
 
-def scan_xmin(samples, cfg: GofConfig | None = None, *,
+def scan_xmin(samples, cfg: GofConfig, *,
               max_candidates: int | None = None):
     """Fit every candidate lower bound and return the full scan.
 
     Returns (candidates, alphas, ks) as parallel arrays, candidates
-    ascending.  select_xmin picks the KS-minimizing row.
+    ascending.  A candidate whose normaliser zeta(alpha, x_min) underflows
+    to 0 reads KS = inf.  select_xmin picks the KS-minimizing row.
     """
-    cfg = cfg or GofConfig()
     arr = _as_int_array(samples)
     uniq, counts = np.unique(arr, return_counts=True)
     tail_sizes = np.cumsum(counts[::-1])[::-1]
@@ -267,12 +267,14 @@ def scan_xmin(samples, cfg: GofConfig | None = None, *,
     return uniq[usable], alphas, ks
 
 
-def select_xmin(samples, cfg: GofConfig | None = None, *,
+def select_xmin(samples, cfg: GofConfig, *,
                 max_candidates: int | None = None) -> TailFit:
-    """Pick the lower bound minimizing the KS distance (ties -> smaller x_min)."""
-    cfg = cfg or GofConfig()
+    """Pick the lower bound minimizing the KS distance (ties -> smaller
+    x_min); ValueError when no candidate has a finite one."""
     cands, alphas, ks = scan_xmin(samples, cfg, max_candidates=max_candidates)
     best = int(np.argmin(ks))  # first minimum = smallest x_min on ties
+    if not np.isfinite(ks[best]):
+        raise ValueError("no candidate x_min has a finite KS distance")
     x_min = int(cands[best])
     alpha = float(alphas[best])
     return TailFit(
@@ -290,11 +292,11 @@ def select_xmin(samples, cfg: GofConfig | None = None, *,
 class DiscretePowerLaw:
     """Sampling from p(x) = x^-alpha / zeta(alpha, x_min), x >= x_min.
 
-    The bulk is a lookup in a table of Hurwitz-zeta CCDF values, built once
-    per model.  A far-tail draw starts
+    Each call inverts its own uniforms.  The bulk is a lookup in a table of
+    Hurwitz-zeta CCDF values, built once per model.  A far-tail draw starts
     from the approximate discrete inverse (Clauset, Shalizi & Newman,
-    arXiv:0706.1062, Appendix D), which two zeta rows confirm; the draws they
-    do not confirm take a vectorized doubling-and-bisection search.  Either
+    arXiv:0706.1062, Appendix D), which two zeta rows confirm; the draws of a
+    call they do not confirm share one doubling-and-bisection search.  Either
     way a draw is the smallest x whose CCDF reaches it, so draws are exact for
     arbitrarily heavy tails.
     """
@@ -348,8 +350,9 @@ class DiscretePowerLaw:
             lo = np.where(ok, lo, mid + 1)
         return lo
 
-    def _from_uniform(self, u: np.ndarray) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # Inverse CDF of uniforms: the table, then _far_tail for the rest.
+        u = rng.random(size)
         out = self.x_min + np.searchsorted(self._table_cdf, u, side="left").astype(
             np.int64, copy=False)
         beyond = out > self._table_hi
@@ -357,54 +360,32 @@ class DiscretePowerLaw:
             out[beyond] = self._far_tail((1.0 - u[beyond]) * self._z0)
         return out
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self._from_uniform(rng.random(size))
-
-
-def _replicas(arr: np.ndarray, model: DiscretePowerLaw, seeds):
-    """Semi-parametric bootstrap samples of arr, one per seed: the body
-    (below model.x_min) redrawn from arr, the tail drawn from the model.
-
-    Each replica draws from its own seed in a fixed order.  The tail
-    uniforms of replicas holding up to _DRAW_BLOCK samples in all then go
-    through one table lookup and one far-tail inversion, which checks every
-    guess in one two-row zeta call and searches only where a guess fails.
-    """
-    n = arr.size
-    body = arr[arr < model.x_min]
-    per_block = max(1, _DRAW_BLOCK // n)
-    for lo in range(0, len(seeds), per_block):
-        bodies, uniforms = [], []
-        for seed in seeds[lo:lo + per_block]:
-            rng = np.random.default_rng(seed)
-            n_body = int(rng.binomial(n, body.size / n)) if body.size else 0
-            bodies.append(rng.choice(body, size=n_body, replace=True) if n_body
-                          else body[:0])
-            uniforms.append(rng.random(n - n_body))
-        tails = model._from_uniform(np.concatenate(uniforms))
-        cuts = np.cumsum([u.size for u in uniforms])[:-1]
-        for drawn, tail in zip(bodies, np.split(tails, cuts)):
-            yield np.concatenate((drawn, tail))
-
 
 def gof_pvalue(samples, fit: TailFit, cfg: GofConfig, *,
                max_candidates: int | None = None) -> float:
     """Semi-parametric bootstrap p-value for the power-law tail hypothesis.
 
-    Each replica redraws the body (below x_min) from the empirical data and
-    the tail from the fitted model, is refit with the same x_min scan, and
-    contributes its KS distance.  The p-value is the fraction of replicas at
-    or above the observed distance; identical seeds give identical results.
+    Replicas are drawn and refit one at a time, each from its own
+    SeedSequence child: a binomial share of the n samples is redrawn from the
+    empirical body (below x_min), the rest from the fitted model.  Each
+    replica is refit with the same x_min scan and is a hit when its KS
+    distance is at or above the observed one.  The p-value is the fraction of
+    hits; identical seeds give identical results.
     """
     if cfg.bootstrap_replicas < 1:
         raise ValueError("bootstrap_replicas must be >= 1")
-    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.bootstrap_replicas)
+    arr = _as_int_array(samples)
+    n = arr.size
+    body = arr[arr < fit.x_min]
+    model = DiscretePowerLaw(fit.alpha, fit.x_min)
     hits = 0
-    for replica in _replicas(_as_int_array(samples),
-                             DiscretePowerLaw(fit.alpha, fit.x_min), seeds):
+    for seed in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.bootstrap_replicas):
+        rng = np.random.default_rng(seed)
+        n_body = int(rng.binomial(n, body.size / n)) if body.size else 0
+        drawn = rng.choice(body, size=n_body, replace=True) if n_body else body[:0]
+        replica = np.concatenate((drawn, model.sample(rng, n - n_body)))
         try:
-            refit = select_xmin(replica, cfg, max_candidates=max_candidates)
-            ks = refit.ks_distance
+            ks = select_xmin(replica, cfg, max_candidates=max_candidates).ks_distance
         except ValueError:
             # Replica too degenerate to refit: count as an extreme deviation
             # so the test errs toward not rejecting.
@@ -414,11 +395,10 @@ def gof_pvalue(samples, fit: TailFit, cfg: GofConfig, *,
     return hits / cfg.bootstrap_replicas
 
 
-def fit_tail(samples, cfg: GofConfig | None = None, *,
+def fit_tail(samples, cfg: GofConfig, *,
              max_candidates: int | None = None) -> TailFit:
     """Full calibration: x_min scan, MLE exponent, and a bootstrap p-value
     unless cfg.bootstrap_replicas is 0."""
-    cfg = cfg or GofConfig()
     fit = select_xmin(samples, cfg, max_candidates=max_candidates)
     if cfg.bootstrap_replicas:
         p = gof_pvalue(samples, fit, cfg, max_candidates=max_candidates)

@@ -124,7 +124,7 @@ class TestEvaluate:
            "return_ratio_corr": 0.5}
 
     def test_low_correlation_flagged(self):
-        rep = evaluate(features("T", corr=0.15), self.REF)
+        rep = evaluate(features("T", corr=0.15), self.REF, DetectorConfig())
         assert rep.flags["corr_below_threshold"] is True
 
     def test_equality_is_not_elevation(self):
@@ -135,7 +135,8 @@ class TestEvaluate:
 
     def test_strong_manipulation_signature_flags_everything(self):
         rep = evaluate(features("T", deg_xmin=40, stren_xmin=8000,
-                                avg_degree=120.0, corr=0.02), self.REF)
+                                avg_degree=120.0, corr=0.02), self.REF,
+                       DetectorConfig())
         assert rep.score == 1.0
         assert rep.verdict
 
@@ -146,7 +147,7 @@ class TestEvaluate:
                           fits={**f.fits, "degree_in": None, "degree_out": None},
                           avg_degree=f.avg_degree,
                           return_ratio_corr=f.return_ratio_corr, n_days=f.n_days)
-        rep = evaluate(f, self.REF)
+        rep = evaluate(f, self.REF, DetectorConfig())
         assert rep.flags["degree_in_xmin_elevated"] is None
         assert rep.score == 1.0  # 5 evaluable, 5 flagged
 
@@ -173,12 +174,13 @@ class TestEvaluate:
 
     def test_evaluate_deterministic(self):
         f = features("T", deg_xmin=40, corr=0.1)
-        assert evaluate(f, self.REF) == evaluate(f, self.REF)
+        assert (evaluate(f, self.REF, DetectorConfig())
+                == evaluate(f, self.REF, DetectorConfig()))
 
     def test_report_serializable(self):
         import json
         from dataclasses import asdict
-        rep = evaluate(features("T", corr=0.1), self.REF)
+        rep = evaluate(features("T", corr=0.1), self.REF, DetectorConfig())
         payload = json.dumps(asdict(rep), sort_keys=True)
         assert '"verdict"' in payload
 
@@ -209,7 +211,8 @@ class TestDetectCorpus:
                            n_colluders=40))
         results = generate_corpus(spec)
         logs = {r.log.meta.symbol: r.log for r in results}
-        reports = detect_corpus(logs, GofConfig(min_tail_size=30, rng_seed=1))
+        reports = detect_corpus(logs, GofConfig(min_tail_size=30, rng_seed=1),
+                                DetectorConfig())
         assert [r.symbol for r in reports] == sorted(logs)
 
     def test_whole_log_window_reuses_full_period_features(self, monkeypatch):
@@ -227,7 +230,8 @@ class TestDetectCorpus:
             return real(log, *args, **kwargs)
 
         monkeypatch.setattr(detector, "compute_features", counting)
-        reports = detect_corpus(logs, GofConfig(min_tail_size=30, rng_seed=1))
+        reports = detect_corpus(logs, GofConfig(min_tail_size=30, rng_seed=1),
+                                DetectorConfig())
         assert len(reports) == 5
         # 3 honest stocks over their full period; the full-window stock's
         # window covers its log and theirs, so it adds one computation; the
@@ -245,13 +249,13 @@ class TestDetectCorpus:
         logs = {r.log.meta.symbol: r.log for r in generate_corpus(spec)}
         after = (logs["S003"].meta.manipulation_period[1] + dt.timedelta(days=1),
                  dt.date.max)
-        gof = GofConfig(min_tail_size=10)
+        gof, det = GofConfig(min_tail_size=10), DetectorConfig()
         logs["S001"] = filter_period(logs["S001"], after)
-        edited = {r.symbol: r for r in detect_corpus(logs, gof)}
+        edited = {r.symbol: r for r in detect_corpus(logs, gof, det)}
         without = {r.symbol: r for r in detect_corpus(
-            {s: log for s, log in logs.items() if s != "S001"}, gof)}
+            {s: log for s, log in logs.items() if s != "S001"}, gof, det)}
         assert edited["S003"] == without["S003"]
         for s in ("S000", "S002"):
             logs[s] = filter_period(logs[s], after)
         with pytest.raises(ValueError, match="no reference stock of S003"):
-            detect_corpus(logs, gof)
+            detect_corpus(logs, gof, det)

@@ -128,6 +128,28 @@ class TestSelectXmin:
         assert fit.ks_distance == ks.min()
         assert fit.x_min == cands[np.argmin(ks)]
 
+    def test_underflowing_normaliser_reads_inf(self):
+        """A bootstrap replica of a tail at alpha = 1.056 fits alpha = 18.28
+        at x_min = 4.5e18, where zeta(alpha, x_min) underflows to 0: that
+        candidate reads KS = inf, with no 0 / 0, and is never picked."""
+        x = DiscretePowerLaw(1.05, 1).sample(np.random.default_rng(1), 2000)
+        cfg = GofConfig(min_tail_size=50)
+        fit = select_xmin(x, cfg)
+        seed = np.random.SeedSequence(3).spawn(1)[0]
+        replica = DiscretePowerLaw(fit.alpha, 1).sample(np.random.default_rng(seed), 2000)
+        cands, alphas, ks = scan_xmin(replica, cfg)
+        lost = zeta(alphas, cands.astype(float)) == 0.0
+        assert lost.any()
+        np.testing.assert_array_equal(np.isinf(ks), lost)
+        assert not np.isnan(ks).any()
+        refit = select_xmin(replica, cfg)
+        assert refit.ks_distance == ks.min() < np.inf
+        # The tail above that candidate, with no smaller candidate allowed,
+        # leaves no finite KS to pick.
+        tail = replica[replica >= cands[lost][0]]
+        with pytest.raises(ValueError, match="finite KS"):
+            select_xmin(tail, GofConfig(min_tail_size=tail.size))
+
     def test_tie_breaks_toward_smaller_xmin(self):
         rng = np.random.default_rng(4)
         x = DiscretePowerLaw(2.5, 1).sample(rng, 2000)
@@ -466,11 +488,9 @@ class TestGof:
         assert (gof_pvalue(x, fit, cfg, max_candidates=cap)
                 == gof_pvalue_oracle(x, fit, cfg, max_candidates=cap))
 
-    @pytest.mark.parametrize("draw_block", [1, 100, 1 << 20])
-    def test_degenerate_replicas_match_replica_loop(self, monkeypatch, draw_block):
+    def test_degenerate_replicas_match_replica_loop(self, monkeypatch):
         """Sixty fives and one six fit an exponent at ALPHA_MAX: some replicas
-        hold only fives and cannot be refit, and count as hits; replicas
-        drawn in batches of any size give the one-at-a-time p-value."""
+        hold only fives and cannot be refit, and count as hits."""
         x = np.array([5] * 60 + [6])
         cfg = GofConfig(bootstrap_replicas=40, rng_seed=5, min_tail_size=50)
         fit = select_xmin(x, cfg)
@@ -485,7 +505,6 @@ class TestGof:
                 failed.append(1)
                 raise
         monkeypatch.setattr(powerlaw, "select_xmin", counting)
-        monkeypatch.setattr(powerlaw, "_DRAW_BLOCK", draw_block)
         assert gof_pvalue(x, fit, cfg) == expected
         assert 0 < len(failed) < cfg.bootstrap_replicas
 
@@ -515,6 +534,24 @@ class TestSampler:
         model = DiscretePowerLaw(1.5, 1)
         x = model.sample(rng, 20_000)
         assert x.max() > model._table_hi  # bisection beyond the table
+
+    @pytest.mark.parametrize("alpha, x_min", [(1.5, 1), (1.2, 50)])
+    def test_sample_inverts_its_own_uniforms(self, alpha, x_min):
+        """A draw of n samples takes the generator's next n uniforms and no
+        more, and maps each to the smallest x whose model CDF reaches it: by
+        the CDF inside the table, by the far-tail search beyond it."""
+        model = DiscretePowerLaw(alpha, x_min)
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        x = model.sample(rng, 20_000)
+        u = twin.random(20_000)
+        assert rng.random() == twin.random()
+        inside = x <= model._table_hi
+        assert inside.any() and not inside.all()
+        xi, ui = x[inside], u[inside]
+        assert np.all(model_cdf(model, xi) >= ui)
+        assert np.all(model_cdf(model, xi - 1) < ui)
+        far = (1.0 - u[~inside]) * zeta(alpha, x_min)
+        np.testing.assert_array_equal(x[~inside], far_tail_oracle(model, far))
 
     def test_ccdf_points(self):
         xs, cc = ccdf_points([1, 1, 2, 5])
