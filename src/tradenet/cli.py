@@ -77,17 +77,6 @@ def _effective_config(args: argparse.Namespace) -> dict:
     return {**merged, **flags}
 
 
-def _write_manifest(out: Path, subcommand: str, cfg: dict, inputs: list[str]) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "config": cfg,
-        "inputs": sorted(inputs),
-        "toolkit_version": __version__,
-        "timestamp": dt.datetime.now(dt.timezone.utc).isoformat(),
-    }
-    _atomic_write(out / "manifest.json", _dump_json(manifest))
-
-
 def _gof_config(cfg: dict) -> GofConfig:
     """Map CLI numbers onto GofConfig; bootstrap 0 means skip p-values.
     ``detect`` never bootstraps, so it has no seed."""
@@ -96,17 +85,9 @@ def _gof_config(cfg: dict) -> GofConfig:
                      min_tail_size=int(cfg["min_tail"]))
 
 
-def _detector_config(cfg: dict) -> DetectorConfig:
-    return DetectorConfig(corr_threshold=float(cfg["corr_threshold"]),
-                          elevation_factor=float(cfg["elevation_factor"]),
-                          decision_threshold=float(cfg["decision_threshold"]))
-
-
 # ---------------------------------------------------------------- simulate
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    out = Path(args.out)
+def _cmd_simulate(args: argparse.Namespace, cfg: dict, out: Path) -> int:
     base = SimConfig(n_days=int(cfg["days"]), n_traders=int(cfg["traders"]),
                      trades_per_day=float(cfg["trades_per_day"]),
                      n_colluders=int(cfg["colluders"]),
@@ -119,29 +100,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                             honest=int(cfg["honest"]),
                             manipulated=int(cfg["manipulated"]),
                             partial=int(cfg["partial"])),)
-    spec = CorpusSpec(groups=groups, master_seed=int(cfg["seed"]), base=base)
-    results = generate_corpus(spec)
-
-    files = []
-    for res in results:
-        sym = res.log.meta.symbol
+    results = generate_corpus(CorpusSpec(groups=groups, master_seed=int(cfg["seed"]),
+                                         base=base))
+    files = [res.log.meta.symbol for res in results]
+    for sym, res in zip(files, results):
         _atomic_write(out / f"{sym}.csv", partial(write_transactions, res.log))
         _atomic_write(out / f"{sym}.json", partial(write_stock_meta, res.log.meta))
-        files.append(sym)
         if args.verbose:
             print(f"{sym}: {res.log.n_records} records "
                   f"({'manipulated' if res.log.meta.manipulated else 'honest'})",
                   file=sys.stderr)
-
-    corpus_manifest = {
+    _atomic_write(out / "corpus_manifest.json", _dump_json({
         "master_seed": int(cfg["seed"]),
-        "stocks": [{"symbol": s,
-                    "csv": f"{s}.csv",
-                    "meta": f"{s}.json"} for s in files],
+        "stocks": [{"symbol": s, "csv": f"{s}.csv", "meta": f"{s}.json"} for s in files],
         "toolkit_version": __version__,
-    }
-    _atomic_write(out / "corpus_manifest.json", _dump_json(corpus_manifest))
-    _write_manifest(out, "simulate", cfg, [])
+    }))
     print(f"wrote {len(files)} stocks to {out}")
     return 0
 
@@ -149,14 +122,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- validate
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    paths: list[Path] = []
-    if args.corpus:
-        paths.extend(sorted(Path(args.corpus).glob("*.csv")))
-    paths.extend(Path(p) for p in args.files)
-    if not paths:
+    """Parse the corpus as the other subcommands load it, then each file."""
+    if not (args.corpus or args.files):
         print("error: no input files", file=sys.stderr)
         return 2
-    for path in paths:
+    if args.corpus:
+        logs = load_corpus(args.corpus)
+        for sym in sorted(logs):
+            print(f"{sym}: {logs[sym].n_records} records")
+    for path in map(Path, args.files):
         meta_path = path.with_suffix(".json")
         if meta_path.exists():
             meta = read_stock_meta(meta_path)
@@ -170,27 +144,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- build
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    out = Path(args.out)
-    logs = load_corpus(args.corpus)
+def _cmd_build(args: argparse.Namespace, cfg: dict, out: Path, logs: dict) -> int:
     for sym in sorted(logs):
         net = build_network(logs[sym])
         _atomic_write(out / "networks" / f"{sym}_edges.csv",
                       partial(write_edge_list, net))
         print(f"{sym}: n={net.node_count} m={net.edge_count} "
               f"volume={net.total_volume()}")
-    _write_manifest(out, "build", cfg, [str(args.corpus)])
     return 0
 
 
 # ---------------------------------------------------------------- fit
 
-def _cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    out = Path(args.out)
+def _cmd_fit(args: argparse.Namespace, cfg: dict, out: Path, logs: dict) -> int:
     gof_cfg = _gof_config(cfg)
-    logs = load_corpus(args.corpus)
     for sym in sorted(logs):
         # A statistic whose tail cannot be fit is written as null.
         fits = compute_features(logs[sym], gof_cfg).fits
@@ -199,7 +166,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         if args.verbose:
             fitted = sum(fit is not None for fit in fits.values())
             print(f"{sym}: fitted {fitted} of {len(fits)} statistics", file=sys.stderr)
-    _write_manifest(out, "fit", cfg, [str(args.corpus)])
     print(f"wrote fits for {len(logs)} stocks to {out / 'fits'}")
     return 0
 
@@ -241,11 +207,8 @@ def _write_features_csv(path: Path, features_by_symbol: dict) -> None:
     _atomic_write(path, partial(_write_rows, header=header, rows=rows))
 
 
-def _cmd_features(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    out = Path(args.out)
+def _cmd_features(args: argparse.Namespace, cfg: dict, out: Path, logs: dict) -> int:
     gof_cfg = _gof_config(cfg)
-    logs = load_corpus(args.corpus)
     feats = {sym: compute_features(logs[sym], gof_cfg) for sym in sorted(logs)}
     _write_features_csv(out / "features.csv", feats)
 
@@ -262,22 +225,17 @@ def _cmd_features(args: argparse.Namespace) -> int:
                    map(str, series.n_sellers.tolist()), map(str, series.n_buyers.tolist()))
         _atomic_write(out / "plotdata" / f"{sym}_daily.csv", partial(
             _write_rows, header=("date", "avg_price", "n_sellers", "n_buyers"), rows=rows))
-
-    _write_manifest(out, "features", cfg, [str(args.corpus)])
     print(f"wrote {out / 'features.csv'} ({len(feats)} stocks)")
     return 0
 
 
 # ---------------------------------------------------------------- detect
 
-def _cmd_detect(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    out = Path(args.out)
-    gof_cfg = _gof_config(cfg)
-    logs = load_corpus(args.corpus)
-    reports = detect_corpus(logs, gof_cfg, _detector_config(cfg))
+def _cmd_detect(args: argparse.Namespace, cfg: dict, out: Path, logs: dict) -> int:
+    thresholds = DetectorConfig(**{key: float(cfg[key]) for key in (
+        "corr_threshold", "elevation_factor", "decision_threshold")})
+    reports = detect_corpus(logs, _gof_config(cfg), thresholds)
     _atomic_write(out / "reports.json", _dump_json(reports))
-    _write_manifest(out, "detect", cfg, [str(args.corpus)])
     flagged = [r.symbol for r in reports if r.verdict]
     print(f"{len(reports)} stocks evaluated, {len(flagged)} flagged"
           + (f": {', '.join(flagged)}" if flagged else ""))
@@ -329,12 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target colluder share of traded volume")
     p.add_argument("--bucket", help="capitalization bucket label")
     p.add_argument("--sector", help="industry sector label")
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("validate", help="parse-only check of transaction CSVs")
     p.add_argument("files", nargs="*", help="transaction CSV files")
     p.add_argument("--corpus", help="directory of SYMBOL.csv files")
-    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("build", help="export merged trading networks")
     _add_common(p, seed=False)
@@ -366,13 +322,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Resolve the configuration, load the corpus, run the subcommand and
+    record the run in ``manifest.json``; ``validate`` writes nothing."""
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "dump_config", False):
-            print(_dump_json(_effective_config(args)), end="")
+        if args.subcommand == "validate":
+            return _cmd_validate(args)
+        cfg = _effective_config(args)
+        if args.dump_config:
+            print(_dump_json(cfg), end="")
             return 0
-        return args.func(args)
+        out = Path(args.out)
+        if args.subcommand == "simulate":
+            inputs, code = [], _cmd_simulate(args, cfg, out)
+        else:
+            inputs = [str(args.corpus)]
+            code = args.func(args, cfg, out, load_corpus(args.corpus))
+        _atomic_write(out / "manifest.json", _dump_json({
+            "subcommand": args.subcommand,
+            "config": cfg,
+            "inputs": inputs,
+            "toolkit_version": __version__,
+            "timestamp": dt.datetime.now(dt.timezone.utc).isoformat(),
+        }))
+        return code
     except BrokenPipeError:
         return 1
     except Exception as exc:  # single-line diagnostic, nonzero exit

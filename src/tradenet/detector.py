@@ -11,6 +11,7 @@ single dissenting feature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -35,6 +36,16 @@ class DetectorConfig:
     corr_threshold: float = 0.2
     elevation_factor: float = 1.25
     decision_threshold: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not -1 <= self.corr_threshold <= 1:
+            raise ValueError(f"corr_threshold must lie in [-1, 1], got {self.corr_threshold}")
+        if not 0 < self.elevation_factor < math.inf:
+            raise ValueError(f"elevation_factor must be finite and > 0, "
+                             f"got {self.elevation_factor}")
+        if not 0 < self.decision_threshold <= 1:
+            raise ValueError(f"decision_threshold must lie in (0, 1], "
+                             f"got {self.decision_threshold}")
 
 
 @dataclass(frozen=True)

@@ -480,8 +480,8 @@ def filter_period(log: TransactionLog, interval: tuple[dt.date, dt.date]) -> Tra
 def load_corpus(directory) -> dict[str, TransactionLog]:
     """Load every SYMBOL.csv/SYMBOL.json pair under a corpus directory.
 
-    Two sidecars naming the same symbol are an error, not one stock, and a
-    file that does not parse is a ValueError that names it.
+    A CSV without its sidecar, two sidecars naming one symbol and a file
+    that does not parse are each a ValueError that names the file.
     """
     directory = Path(directory)
     logs: dict[str, TransactionLog] = {}
@@ -489,7 +489,7 @@ def load_corpus(directory) -> dict[str, TransactionLog]:
     for csv_path in sorted(directory.glob("*.csv")):
         meta_path = csv_path.with_suffix(".json")
         if not meta_path.exists():
-            continue
+            raise ValueError(f"{csv_path}: no sidecar {meta_path.name}")
         log = parse_transactions(csv_path, read_stock_meta(meta_path))
         symbol = log.meta.symbol
         if symbol in sources:

@@ -36,11 +36,11 @@ KS_BLOCK = 1 << 16
 # value of a fit, and elsewhere only where a bracket could set the maximum.
 KS_STRIDE = 8
 # Margin of that test.  The computed model CDF lies within about 1e-16 of a
-# concave function (zeta's own error, up to ~1e-9 relative for large alpha,
-# varies smoothly in q).  So a chord through two computed values is off by
-# about 2e-16 inside its row, and by 2e-16 * rise / width where a neighbour's
-# chord is extended over a row: the test keeps KS_SLACK, and neighbouring
-# slopes are widened by KS_SLACK / width, ~5000x each.
+# concave function (zeta's own error, at most ~5e-16 relative against a
+# 120-digit reference, varies smoothly in q).  So a chord through two computed
+# values is off by about 2e-16 inside its row, and by 2e-16 * rise / width where
+# a neighbour's chord is extended over a row: the test keeps KS_SLACK, and
+# neighbouring slopes are widened by KS_SLACK / width, ~5000x each.
 KS_SLACK = 1e-12
 
 # Exponents in (0, 2) on the CCDF scale fall in the Levy-stable regime.

@@ -85,8 +85,10 @@ class SimConfig:
             raise ValueError("a manipulation_window needs manipulated=True")
         if not 0.0 <= self.wash_volume_fraction < 1.0:
             raise ValueError("wash_volume_fraction must lie in [0, 1)")
-        if self.n_days < 1 or self.trades_per_day <= 0:
-            raise ValueError("need at least one day and a positive trade rate")
+        if self.n_days < 1:
+            raise ValueError("n_days must be >= 1")
+        if not 0 < self.trades_per_day < math.inf:
+            raise ValueError(f"trades_per_day must be finite and > 0, got {self.trades_per_day}")
 
 
 @dataclass(frozen=True)

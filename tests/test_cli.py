@@ -351,16 +351,96 @@ def duplicate_symbol_corpus(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("subcommand", ["build", "fit", "features", "detect"])
+CORPUS_SUBCOMMANDS = ["build", "fit", "features", "detect", "validate"]
+
+
+def _run_on_corpus(subcommand, corpus, out) -> int:
+    """Run a subcommand that reads a corpus; validate takes no --out."""
+    argv = [subcommand, "--corpus", str(corpus)]
+    return main(argv if subcommand == "validate" else [*argv, "--out", str(out)])
+
+
+@pytest.mark.parametrize("subcommand", CORPUS_SUBCOMMANDS)
 def test_duplicate_symbol_rejected(duplicate_symbol_corpus, tmp_path, capsys,
                                    subcommand):
     out = tmp_path / "o"
-    rc = main([subcommand, "--corpus", str(duplicate_symbol_corpus), "--out", str(out)])
-    err = capsys.readouterr().err
+    rc = _run_on_corpus(subcommand, duplicate_symbol_corpus, out)
+    captured = capsys.readouterr()
     assert rc == 2
+    assert captured.out == ""
+    err = captured.err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "S000.csv" in err and "S001.csv" in err and "'S000'" in err
-    assert not (out / "networks").exists()
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def missing_sidecar_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("nosidecar")
+    rc = main(["simulate", "--out", str(out), "--honest", "3", "--manipulated", "0",
+               "--days", "5", "--traders", "40", "--trades-per-day", "10",
+               "--colluders", "5"])
+    assert rc == 0
+    (out / "S001.json").unlink()
+    return out
+
+
+@pytest.mark.parametrize("subcommand", CORPUS_SUBCOMMANDS)
+def test_missing_sidecar_rejected(missing_sidecar_corpus, tmp_path, capsys, subcommand):
+    """A CSV without its sidecar stops the run and is named: the stock never
+    drops out of the corpus, and so out of its reference group, unseen."""
+    out = tmp_path / "o"
+    rc = _run_on_corpus(subcommand, missing_sidecar_corpus, out)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {missing_sidecar_corpus / 'S001.csv'}: "
+                            "no sidecar S001.json\n")
+    assert not out.exists()
+
+
+def test_validate_corpus_lists_each_stock(corpus, capsys):
+    """validate --corpus reports the stocks the analysis subcommands load,
+    one line per symbol."""
+    assert main(["validate", "--corpus", str(corpus)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"S{i:03d}" for i in range(12)]
+    assert all(re.fullmatch(r"S\d{3}: \d+ records", line) for line in lines)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--elevation-factor", "nan"], "elevation_factor"),
+    (["--elevation-factor", "-1"], "elevation_factor"),
+    (["--decision-threshold", "2"], "decision_threshold"),
+    (["--decision-threshold", "0"], "decision_threshold"),
+    (["--corr-threshold", "inf"], "corr_threshold"),
+    ({"decision_threshold": 1.5}, "decision_threshold"),
+    ({"corr_threshold": -2}, "corr_threshold"),
+], ids=["elevation-nan", "elevation-negative", "decision-2", "decision-0",
+        "corr-inf", "file-decision", "file-corr"])
+def test_detect_rejects_thresholds_that_disable_the_vote(corpus, tmp_path, capsys,
+                                                         argv, field):
+    """A threshold outside its range would flag every stock or none."""
+    if isinstance(argv, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(argv))
+        argv = ["--config", str(cfg)]
+    out = tmp_path / "o"
+    rc = main(["detect", "--corpus", str(corpus), "--out", str(out), "--min-tail", "30",
+               *argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {field} must ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_rejects_a_non_finite_trade_rate(tmp_path, capsys, value):
+    rc = main(["simulate", "--out", str(tmp_path), "--trades-per-day", value])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: trades_per_day must be finite and > 0, got {float(value)}\n")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("edit, message", [

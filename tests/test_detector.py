@@ -185,6 +185,32 @@ class TestEvaluate:
         assert '"verdict"' in payload
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestDetectorConfig:
+    """Outside these ranges a threshold flags every stock or none."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("corr_threshold", NAN), ("corr_threshold", INF), ("corr_threshold", 1.01),
+        ("corr_threshold", -1.01),
+        ("elevation_factor", NAN), ("elevation_factor", INF), ("elevation_factor", 0.0),
+        ("elevation_factor", -1.0),
+        ("decision_threshold", NAN), ("decision_threshold", 0.0),
+        ("decision_threshold", 1.01), ("decision_threshold", 2.0),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            DetectorConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("corr_threshold", -1.0), ("corr_threshold", 1.0), ("elevation_factor", 1e-9),
+        ("decision_threshold", 1.0), ("decision_threshold", 1e-9),
+    ])
+    def test_bounds_accepted(self, field, value):
+        assert getattr(DetectorConfig(**{field: value}), field) == value
+
+
 class TestDetectCorpus:
     def test_tiny_corpus_flags_the_ring(self):
         spec = CorpusSpec(

@@ -665,6 +665,18 @@ def test_load_corpus_rejects_duplicate_symbol(tmp_path):
     assert str(tmp_path / "B.csv") in str(exc.value)
 
 
+def test_load_corpus_rejects_a_csv_without_its_sidecar(tmp_path):
+    log = parse("2004-01-08,09:30:01,1,B1,S1,500,7.25\n")
+    for name in ("A", "B"):
+        with open(tmp_path / f"{name}.csv", "w", encoding="utf-8", newline="") as fh:
+            write_transactions(log, fh)
+    with open(tmp_path / "A.json", "w", encoding="utf-8", newline="") as fh:
+        write_stock_meta(META, fh)
+    with pytest.raises(ValueError) as exc:
+        load_corpus(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'B.csv'}: no sidecar B.json"
+
+
 class TestFilterPeriod:
     @staticmethod
     @functools.cache

@@ -317,8 +317,14 @@ def test_config_validation():
         SimConfig(n_colluders=200, n_traders=100)
     with pytest.raises(ValueError):
         SimConfig(wash_volume_fraction=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_days"):
         SimConfig(n_days=0)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_trade_rate_must_be_finite_and_positive(rate):
+    with pytest.raises(ValueError, match="trades_per_day must be finite and > 0"):
+        SimConfig(trades_per_day=rate)
 
 
 def test_trading_days_skip_weekends():
