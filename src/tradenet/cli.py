@@ -144,7 +144,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- build
 
-def _cmd_build(args: argparse.Namespace, cfg: dict, out: Path, logs: dict) -> int:
+def _cmd_build(args: argparse.Namespace, out: Path, logs: dict) -> int:
     for sym in sorted(logs):
         net = build_network(logs[sym])
         _atomic_write(out / "networks" / f"{sym}_edges.csv",
@@ -156,11 +156,10 @@ def _cmd_build(args: argparse.Namespace, cfg: dict, out: Path, logs: dict) -> in
 
 # ---------------------------------------------------------------- fit
 
-def _cmd_fit(args: argparse.Namespace, cfg: dict, out: Path, logs: dict) -> int:
-    gof_cfg = _gof_config(cfg)
+def _cmd_fit(args: argparse.Namespace, out: Path, logs: dict, gof: GofConfig) -> int:
     for sym in sorted(logs):
         # A statistic whose tail cannot be fit is written as null.
-        fits = compute_features(logs[sym], gof_cfg).fits
+        fits = compute_features(logs[sym], gof).fits
         _atomic_write(out / "fits" / f"{sym}.json",
                       _dump_json({"symbol": sym, "fits": fits}))
         if args.verbose:
@@ -207,9 +206,8 @@ def _write_features_csv(path: Path, features_by_symbol: dict) -> None:
     _atomic_write(path, partial(_write_rows, header=header, rows=rows))
 
 
-def _cmd_features(args: argparse.Namespace, cfg: dict, out: Path, logs: dict) -> int:
-    gof_cfg = _gof_config(cfg)
-    feats = {sym: compute_features(logs[sym], gof_cfg) for sym in sorted(logs)}
+def _cmd_features(args: argparse.Namespace, out: Path, logs: dict, gof: GofConfig) -> int:
+    feats = {sym: compute_features(logs[sym], gof) for sym in sorted(logs)}
     _write_features_csv(out / "features.csv", feats)
 
     for sym, stock in feats.items():
@@ -231,10 +229,9 @@ def _cmd_features(args: argparse.Namespace, cfg: dict, out: Path, logs: dict) ->
 
 # ---------------------------------------------------------------- detect
 
-def _cmd_detect(args: argparse.Namespace, cfg: dict, out: Path, logs: dict) -> int:
-    thresholds = DetectorConfig(**{key: float(cfg[key]) for key in (
-        "corr_threshold", "elevation_factor", "decision_threshold")})
-    reports = detect_corpus(logs, _gof_config(cfg), thresholds)
+def _cmd_detect(args: argparse.Namespace, out: Path, logs: dict, gof: GofConfig,
+                thresholds: DetectorConfig) -> int:
+    reports = detect_corpus(logs, gof, thresholds)
     _atomic_write(out / "reports.json", _dump_json(reports))
     flagged = [r.symbol for r in reports if r.verdict]
     print(f"{len(reports)} stocks evaluated, {len(flagged)} flagged"
@@ -322,13 +319,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Resolve the configuration, load the corpus, run the subcommand and
-    record the run in ``manifest.json``; ``validate`` writes nothing."""
+    """Resolve the configuration and check it, load the corpus, run the
+    subcommand and record the run in ``manifest.json``; ``validate`` writes
+    nothing."""
     args = build_parser().parse_args(argv)
     try:
         if args.subcommand == "validate":
             return _cmd_validate(args)
         cfg = _effective_config(args)
+        # The typed configs are built before the configuration is printed
+        # or a corpus is read, so a value they reject fails at once.
+        configs = {}
+        if "bootstrap" in cfg:
+            configs["gof"] = _gof_config(cfg)
+        if args.subcommand == "detect":
+            configs["thresholds"] = DetectorConfig(**{key: float(cfg[key]) for key in (
+                "corr_threshold", "elevation_factor", "decision_threshold")})
         if args.dump_config:
             print(_dump_json(cfg), end="")
             return 0
@@ -337,7 +343,7 @@ def main(argv=None) -> int:
             inputs, code = [], _cmd_simulate(args, cfg, out)
         else:
             inputs = [str(args.corpus)]
-            code = args.func(args, cfg, out, load_corpus(args.corpus))
+            code = args.func(args, out, load_corpus(args.corpus), **configs)
         _atomic_write(out / "manifest.json", _dump_json({
             "subcommand": args.subcommand,
             "config": cfg,

@@ -19,6 +19,7 @@ import datetime as dt
 import itertools
 import json
 import math
+import os
 import re
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -224,16 +225,30 @@ def _parse_price(text: str) -> float:
     return price
 
 
-def _read_bytes(source) -> bytes:
-    """The bytes a source holds: bytes as given, a path's contents, or a
-    stream read to its end and left open (a text stream's text encoded as
-    strict UTF-8)."""
-    if isinstance(source, bytes):
-        return source
+# A file is held in memory with this many slack bytes after it, so that an
+# 8-byte word can be read at any of its offsets.
+_SLACK = 8
+# _MASKS[k] keeps the first k bytes of a little-endian word.
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+
+
+def _read_padded(source) -> tuple[bytes | bytearray, int]:
+    """The bytes a source holds followed by at least ``_SLACK`` zero bytes,
+    and their count: bytes as given, a path's contents, or a stream read to
+    its end and left open (a text stream's text encoded as strict UTF-8).
+    A path is read straight into a buffer that has the slack."""
     if isinstance(source, (str, Path)):
-        return Path(source).read_bytes()
-    data = source.read()
-    return data.encode("utf-8") if isinstance(data, str) else data
+        with open(source, "rb") as fh:
+            buf = bytearray(os.fstat(fh.fileno()).st_size + _SLACK)
+            size = fh.readinto(buf)
+            if size > len(buf) - _SLACK:  # the file grew after its size was read
+                buf[size:] = fh.read() + bytes(_SLACK)
+                size = len(buf) - _SLACK
+        return buf, size
+    data = source if isinstance(source, bytes) else source.read()
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return data + bytes(_SLACK), len(data)
 
 
 def parse_transactions(source, meta: StockMeta) -> TransactionLog:
@@ -255,20 +270,20 @@ def parse_transactions(source, meta: StockMeta) -> TransactionLog:
     (date, txn_id), so the file cut after line k parses exactly when k comes
     before the first bad line; a bisection over those cuts names that line.
     """
-    data = _read_bytes(source)
+    buf, size = _read_padded(source)
     try:
-        return _parse_columns(data, meta)
+        return _parse_columns(buf, size, meta)
     except ValueError as exc:
         error = exc
-    cuts = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n")) + 1
-    if not data.endswith(b"\n"):
-        cuts = np.append(cuts, len(data))
+    cuts = np.flatnonzero(np.frombuffer(buf, np.uint8, size) == ord("\n")) + 1
+    if buf[size - 1:size] != b"\n":
+        cuts = np.append(cuts, size)
     # Lines up to ``good`` are good; the cut after line ``bad`` does not parse.
     good, bad = 0, cuts.size
     while bad - good > 1:
         mid = (good + bad) // 2
         try:
-            _parse_columns(data[:cuts[mid - 1]], meta)
+            _parse_columns(buf, int(cuts[mid - 1]), meta)
             good = mid
         except ValueError as exc:
             bad, error = mid, exc
@@ -276,65 +291,138 @@ def parse_transactions(source, meta: StockMeta) -> TransactionLog:
     raise TransactionParseError(bad, str(error), path) from error
 
 
-def _cut(buf: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """Copy the fields ``buf[lo[i]:lo[i] + width[i]]`` into one ``S`` array.
+def _word_at(buf) -> np.ndarray:
+    """The little-endian 8-byte word at each byte offset of ``buf`` but its
+    last seven: a stride-1 view, no copy."""
+    return np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
 
-    ``buf`` must extend at least ``width.max()`` bytes past every ``lo``.
+
+def _word_class(width):
+    """The width class of fields ``width`` bytes wide: class k holds the
+    fields of at most 2**k words, and of more than 2**(k - 1) if k > 0."""
+    return np.frexp(np.maximum(-(-width // 8) - 1, 0))[1]
+
+
+def _words(buf, lo: np.ndarray, width: np.ndarray, n_words: int) -> list[np.ndarray]:
+    """The fields ``buf[lo[i]:lo[i] + width[i]]``, none wider than
+    ``8 * n_words`` bytes, as ``n_words`` columns of big-endian 8-byte words
+    padded with zeros, most significant first.  Rows compare as the fields'
+    bytes do, since no field holds a NUL.
+
+    ``buf`` must hold ``_SLACK`` bytes past every field's end.
     """
-    w = max(int(width.max()), 1)
-    rows = np.lib.stride_tricks.sliding_window_view(buf, w)[lo]
-    rows *= np.arange(w) < width[:, None]
-    return rows.view(f"S{w}")[:, 0]
+    every = _word_at(buf)
+    filled = min(int(width.min()) // 8, n_words)  # words that every field fills
+    cols = [every[lo + 8 * j] for j in range(filled)]
+    for j in range(filled, n_words):
+        # A word past a field's end is read at that end and masked to zero.
+        at = np.minimum(lo + 8 * j, lo + width) if j else lo
+        cols.append(every[at] & _MASKS[np.clip(width - 8 * j, 0, 8)])
+    return [col.byteswap() for col in cols]
 
 
-def _distinct(col: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Rank each field of a bytes column among its distinct fields, in byte
-    order; also return the text of the distinct fields in that order."""
-    w = col.dtype.itemsize
-    padded = np.zeros((col.size, -(-w // 8) * 8), np.uint8)
-    padded[:, :w] = col.view(np.uint8).reshape(col.size, w)
-    # Big-endian 8-byte words compare as the bytes they hold, and integer
-    # sorts are much faster than string sorts.
-    words = padded.view(">u8").astype(np.uint64)
-    keys = list(words.T)
-    order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0])
-    new = np.zeros(col.size, bool)
+def _class_rank(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Rank rows of word columns (most significant first) among the
+    distinct rows, in order; also return a row index of each distinct row.
+    Rows already in order are not sorted."""
+    keys = cols[::-1]  # least significant first, as lexsort takes them
+    order = None
+    if not _lexsorted(keys):
+        order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
+        cols = [col[order] for col in cols]
+    new = np.empty(cols[0].size, bool)
     new[0] = True
-    for key in keys:
-        key = key[order]
-        new[1:] |= key[1:] != key[:-1]
-    rank = np.empty(col.size, np.int64)
-    rank[order] = np.cumsum(new) - 1
-    return rank, [col[i].decode("utf-8") for i in order[new].tolist()]
+    new[1:] = cols[0][1:] != cols[0][:-1]
+    for col in cols[1:]:
+        new[1:] |= col[1:] != col[:-1]
+    rank = np.cumsum(new) - 1
+    if order is None:
+        return rank, np.flatnonzero(new)
+    in_rows = np.empty(rank.size, np.int64)
+    in_rows[order] = rank
+    return in_rows, order[new]
 
 
-def _map_distinct(col: np.ndarray, convert, dtype) -> np.ndarray:
-    """Apply ``convert`` to each distinct field of a bytes column."""
-    rank, texts = _distinct(col)
+def _merged_positions(keys: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """Where each class's distinct fields fall among all of them in byte
+    order, given each class's distinct fields as sorted word columns, the
+    classes in order of width."""
+    pos = [np.arange(k[0].size) for k in keys]
+    for a, b in itertools.combinations(range(len(keys)), 2):
+        # The wider class's fields compare on the narrower class's words: a
+        # tie means the narrower field is a prefix of the wider one, so it
+        # sorts first.
+        both = [np.concatenate(pair) for pair in zip(keys[a], keys[b])]
+        wider = np.arange(both[0].size) >= pos[a].size
+        wider = wider[np.lexsort((wider, *both[::-1]))]
+        pos[a] += np.cumsum(wider)[~wider]
+        pos[b] += np.cumsum(~wider)[wider]
+    return pos
+
+
+def _distinct(buf, lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Rank each field ``buf[lo[i]:lo[i] + width[i]]`` of a column among its
+    distinct fields, in byte order; also return the text of the distinct
+    fields in that order.
+
+    Fields are compared as 8-byte words in width classes of up to 8, 16,
+    32, ... bytes, so a long field costs words only in its own rows.
+    """
+    top = int(_word_class(width.max()))
+    if _word_class(width.min()) == top:
+        rank, first = _class_rank(_words(buf, lo, width, 2**top))
+    else:
+        cls = _word_class(width)
+        parts = []
+        for k in np.flatnonzero(np.bincount(cls)).tolist():
+            rows = np.flatnonzero(cls == k)
+            r, f = _class_rank(_words(buf, lo[rows], width[rows], 2**k))
+            parts.append((rows, r, rows[f], _words(buf, lo[rows[f]], width[rows[f]], 2**k)))
+        rank = np.empty(lo.size, np.int64)
+        first = np.empty(sum(f.size for _, _, f, _ in parts), np.int64)
+        for (rows, r, f, _), pos in zip(parts, _merged_positions([p[3] for p in parts])):
+            rank[rows] = pos[r]
+            first[pos] = f
+    return rank, _texts(buf, lo[first], width[first])
+
+
+def _texts(buf, lo: np.ndarray, width: np.ndarray) -> list[str]:
+    """The fields ``buf[lo[i]:lo[i] + width[i]]`` as text: gathered with
+    the byte after each, which becomes a comma (no field holds one), and
+    decoded in one call."""
+    stop = np.cumsum(width + 1)
+    joined = np.frombuffer(buf, np.uint8)[np.arange(stop[-1])
+                                          + np.repeat(lo - stop + width + 1, width + 1)]
+    joined[stop - 1] = ord(",")
+    return joined.tobytes().decode("utf-8").split(",")[:-1]
+
+
+def _map_distinct(buf, lo: np.ndarray, width: np.ndarray, convert, dtype) -> np.ndarray:
+    """Apply ``convert`` to each distinct field of a column."""
+    rank, texts = _distinct(buf, lo, width)
     return np.array([convert(text) for text in texts], dtype)[rank]
 
 
-def _clock_seconds(col: np.ndarray) -> np.ndarray:
-    """Seconds since midnight of a bytes column of ``HH:MM:SS`` times in
-    ASCII digits, read by digit arithmetic.  Any other field is a ValueError
-    that quotes the first one."""
-    w = col.dtype.itemsize
-    chars = col.view(np.uint8).reshape(col.size, w)
-    if w < 8:
-        chars = np.pad(chars, ((0, 0), (0, 8 - w)))
-    digits = chars[:, [0, 1, 3, 4, 6, 7]].astype(np.int64) - ord("0")
-    h, m, s = digits[:, 0::2].T * 10 + digits[:, 1::2].T
-    # Bytes past the eighth are the NUL padding of shorter fields.
-    ok = ((chars[:, [2, 5]] == ord(":")).all(axis=1) & ~chars[:, 8:].any(axis=1)
-          & ((digits >= 0) & (digits <= 9)).all(axis=1) & (h < 24) & (m < 60) & (s < 60))
+def _clock_seconds(buf, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Seconds since midnight of a column of ``HH:MM:SS`` times in ASCII
+    digits, read by digit arithmetic on each field's 8-byte word.  Any other
+    field is a ValueError that quotes the first one."""
+    chars = _word_at(buf)[lo].view(np.uint8).reshape(lo.size, 8)
+    digits = chars[:, [0, 1, 3, 4, 6, 7]] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
+    h, m, s = digits[:, 0::2].T.astype(np.int64) * 10 + digits[:, 1::2].T
+    ok = ((width == 8) & (chars[:, 2] == ord(":")) & (chars[:, 5] == ord(":"))
+          & (digits <= 9).all(axis=1) & (h < 24) & (m < 60) & (s < 60))
     if not ok.all():
-        raise ValueError(f"time {col[ok.argmin()].decode('utf-8')!r} is not HH:MM:SS "
-                         "within a day")
+        i = ok.argmin()
+        raise ValueError(f"time {buf[lo[i]:lo[i] + width[i]].decode('utf-8')!r} is not "
+                         "HH:MM:SS within a day")
     return h * 3600 + m * 60 + s
 
 
-def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog:
-    """Parse a file in whole-column passes over its bytes.
+def _parse_columns(buf, size: int, meta: StockMeta) -> TransactionLog:
+    """Parse the file ``buf[:size]`` in whole-column passes over its bytes;
+    ``buf`` holds at least ``_SLACK`` more bytes, which are not read as
+    part of the file.
 
     A bad line is a ValueError that says what is wrong with it.  The checks
     run in the order they apply to one line: UTF-8, the header, a NUL or a
@@ -343,56 +431,55 @@ def _parse_columns(data: bytes, meta: StockMeta) -> TransactionLog:
     So in a file whose only bad line is its last, the error is that line's
     first fault.
     """
-    if not data.isascii():
+    chars = np.frombuffer(buf, np.uint8, size)
+    if size and chars.max() >= 0x80:
         try:
-            data.decode("utf-8")
+            str(memoryview(buf)[:size], "utf-8")
         except UnicodeDecodeError:
             raise ValueError("invalid UTF-8") from None
-    buf = np.frombuffer(data, np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n"))
-    ends = newlines if data.endswith(b"\n") else np.append(newlines, buf.size)
-    header = data[:ends[0]].removesuffix(b"\r")
+    newlines = np.flatnonzero(chars == ord("\n"))
+    ends = newlines if buf[size - 1:size] == b"\n" else np.append(newlines, size)
+    header = bytes(buf[:ends[0]]).removesuffix(b"\r")
     if header != _HEADER_LINE:
         raise ValueError(f"bad header {header.decode()!r}; "
                          f"expected {_HEADER_LINE.decode()}")
-    # numpy ``S`` strings drop trailing NULs, so a NUL would hide in a field.
-    carriage = np.flatnonzero(buf[:-1] == ord("\r"))  # a final "\r" ends its line
-    if buf.min() == 0 or (buf[carriage + 1] != ord("\n")).any():
+    # Words pad fields with NULs, so a NUL in a field would go unseen.
+    carriage = np.flatnonzero(chars[:-1] == ord("\r"))  # a final "\r" ends its line
+    if chars.min() == 0 or (chars[carriage + 1] != ord("\n")).any():
         raise ValueError("NUL or carriage return inside a line")
 
     starts = ends[:-1] + 1
-    stops = ends[1:] - (buf[ends[1:] - 1] == ord("\r"))
+    stops = ends[1:] - (chars[ends[1:] - 1] == ord("\r"))
     kept = stops > starts
     starts, stops = starts[kept], stops[kept]
     n = starts.size
     if not n:
         none = np.empty(0, np.int64)
         return _sorted_log(meta, none, none, none, [], none, none, [], none, np.empty(0))
-    commas = np.flatnonzero(buf == ord(","))
+    commas = np.flatnonzero(chars == ord(","))
     # A line's commas lie between its end and the previous line's.
     count = np.diff(np.searchsorted(commas, ends))[kept]
     if (count != 6).any():
         raise ValueError(f"expected 7 fields, got {count[count != 6][0] + 1}")
-    # Every comma past the header's lies in a data line, six to a line.
-    commas = commas[len(CSV_HEADER) - 1:].reshape(n, 6)
-    lo = [starts, *(commas.T + 1)]
-    width = [hi - first for hi, first in zip([*commas.T, stops], lo)]
-    padded = np.concatenate((buf, np.zeros(max(int(w.max()) for w in width), np.uint8)))
-    d_col, t_col, txn_col, b_col, s_col, v_col, p_col = (
-        _cut(padded, first, w) for first, w in zip(lo, width))
+    # Every comma past the header's lies in a data line, six to a line; one
+    # row per comma of a line keeps each column's offsets contiguous.
+    commas = commas[len(CSV_HEADER) - 1:].reshape(n, 6).T.copy()
+    lo = [starts, *(commas + 1)]
+    width = [hi - first for hi, first in zip([*commas, stops], lo)]
 
     try:
-        dates = _map_distinct(d_col, lambda s: _parse_date(s).toordinal(), np.int64)
-        times = _clock_seconds(t_col)
+        dates = _map_distinct(buf, lo[0], width[0], lambda s: _parse_date(s).toordinal(),
+                              np.int64)
+        times = _clock_seconds(buf, lo[1], width[1])
     except ValueError as exc:
         raise ValueError(f"unparseable timestamp: {exc}") from exc
-    volumes = _map_distinct(v_col, _parse_volume, np.int64)
-    prices = _map_distinct(p_col, _parse_price, np.float64)
+    volumes = _map_distinct(buf, lo[5], width[5], _parse_volume, np.int64)
+    prices = _map_distinct(buf, lo[6], width[6], _parse_price, np.float64)
     if not all(width[k].all() for k in (2, 3, 4)):
         raise ValueError("empty identifier field")
 
-    codes, names = _distinct(np.concatenate((b_col, s_col)))
-    txns, txn_names = _distinct(txn_col)
+    codes, names = _distinct(buf, np.concatenate(lo[3:5]), np.concatenate(width[3:5]))
+    txns, txn_names = _distinct(buf, lo[2], width[2])
     return _sorted_log(meta, dates, times, txns, txn_names, codes[:n], codes[n:], names,
                        volumes, prices)
 

@@ -1,12 +1,15 @@
 """Reference transaction-file parser: each line decoded, split and checked on
-its own with the field parsers of ``tradenet.ingest``, so the tests can check
-that module's column passes against it line for line.  ``build_log`` turns
-its rows, or any records with string ids, into a log."""
+its own, with the date, volume and price parsers of ``tradenet.ingest`` and a
+time check of its own, so the tests can check that module's column passes
+against it line for line.  ``build_log`` turns its rows, or any records with
+string ids, into a log."""
+
+import re
 
 import numpy as np
 
-from tradenet.ingest import (CSV_HEADER, TransactionParseError, _clock_seconds,
-                             _parse_date, _parse_price, _parse_volume, _sorted_log)
+from tradenet.ingest import (CSV_HEADER, TransactionParseError, _parse_date, _parse_price,
+                             _parse_volume, _sorted_log)
 
 
 def build_log(meta, dates, times, txn_ids, buyer_ids, seller_ids, volumes, prices):
@@ -49,6 +52,16 @@ def _data_lines(data: bytes):
             yield lineno, line
 
 
+_CLOCK = re.compile(r"([01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]")
+
+
+def _clock_seconds(text: str) -> int:
+    """Seconds since midnight of one ``HH:MM:SS`` time in ASCII digits."""
+    if not _CLOCK.fullmatch(text):
+        raise ValueError(f"time {text!r} is not HH:MM:SS within a day")
+    return int(text[0:2]) * 3600 + int(text[3:5]) * 60 + int(text[6:8])
+
+
 def _check_line(lineno: int, line: str, seen: set[tuple[int, str]]) -> tuple:
     """The parsed fields of one data line: (date ordinal, seconds, txn_id,
     buyer_id, seller_id, volume, price).  Raises TransactionParseError if
@@ -62,7 +75,7 @@ def _check_line(lineno: int, line: str, seen: set[tuple[int, str]]) -> tuple:
     d_s, t_s, txn, buyer, seller, vol_s, price_s = fields
     try:
         ordinal = _parse_date(d_s).toordinal()
-        seconds = int(_clock_seconds(np.array([t_s.encode()]))[0])
+        seconds = _clock_seconds(t_s)
     except ValueError as exc:
         raise TransactionParseError(lineno, f"unparseable timestamp: {exc}") from exc
     try:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tradenet import __version__
+from tradenet import __version__, cli
 from tradenet.cli import build_parser, main
 
 SIM_ARGS = ["--traders", "300", "--trades-per-day", "50", "--days", "50",
@@ -431,6 +431,29 @@ def test_detect_rejects_thresholds_that_disable_the_vote(corpus, tmp_path, capsy
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {field} must ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["detect", "--elevation-factor", "nan"], "elevation_factor"),
+    (["detect", "--corr-threshold", "2"], "corr_threshold"),
+    (["detect", "--bootstrap", "-1"], "bootstrap_replicas"),
+    (["fit", "--bootstrap", "-1"], "bootstrap_replicas"),
+    (["features", "--min-tail", "0"], "min_tail_size"),
+], ids=["detect-elevation-nan", "detect-corr-2", "detect-bootstrap", "fit-bootstrap",
+        "features-min-tail"])
+@pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump-config"])
+def test_bad_flags_rejected_before_the_corpus_is_read(tmp_path, capsys, monkeypatch, argv,
+                                                      field, dump):
+    """A value the fit or detector configuration rejects fails before any
+    corpus is read, and --dump-config does not print it."""
+    monkeypatch.setattr(cli, "load_corpus",
+                        lambda directory: pytest.fail("the corpus was read"))
+    out = tmp_path / "o"
+    rc = main([*argv, "--corpus", "unused", "--out", str(out), *dump])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {field} must ") and captured.err.count("\n") == 1
     assert not out.exists()
 
 

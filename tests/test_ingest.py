@@ -191,9 +191,9 @@ def test_written_files_take_the_column_pass(tmp_path, monkeypatch):
 
     passes = []
 
-    def counted(data, meta):
-        passes.append(len(data))
-        return _parse_columns(data, meta)
+    def counted(buf, size, meta):
+        passes.append(size)
+        return _parse_columns(buf, size, meta)
 
     monkeypatch.setattr(ingest, "_parse_columns", counted)
     data = path.read_bytes()
@@ -391,10 +391,10 @@ clock = st.builds("{:02d}:{:02d}:{:02d}".format, st.integers(0, 23),
 # account ids vary in width and include non-ASCII.
 txn_id = st.text("0123", min_size=1, max_size=3)
 account = st.text("AB7xé", min_size=1, max_size=9)
-row = st.tuples(st.sampled_from(DAYS), clock, txn_id, account, account,
-                st.integers(1, 10**6).map(str),
-                st.one_of(st.floats(0.01, 1e4).map(repr),
-                          st.integers(1, 10**4).map(lambda c: f"{c / 100:.2f}")))
+volume = st.integers(1, 10**6).map(str)
+price = st.one_of(st.floats(0.01, 1e4).map(repr),
+                  st.integers(1, 10**4).map(lambda c: f"{c / 100:.2f}"))
+row = st.tuples(st.sampled_from(DAYS), clock, txn_id, account, account, volume, price)
 # Unique (date, txn_id), so a file is bad only where an edit made it so.
 rows = st.lists(row, min_size=1, max_size=10, unique_by=lambda r: (r[0], r[2])).map(
     lambda rs: [list(r) for r in rs])
@@ -427,7 +427,7 @@ def test_valid_logs_match_line_loop(rows, ending, blanks, final_newline, newline
     data = _render(rows, [], ending, blanks, final_newline)
     _assert_same_as_loop(data, newline)
     # One column pass alone gives a well-formed file's log.
-    assert _parse_columns(data, META) == _reference(data, META)
+    assert _parse_columns(data + bytes(8), len(data), META) == _reference(data, META)
 
 
 # Spellings that Python's int, float, date and time parsers each treat in
@@ -497,6 +497,72 @@ def test_each_odd_field_matches_line_loop():
             _assert_same_as_loop(data)
         except AssertionError as exc:
             raise AssertionError(f"field {field} = {spelling!r}") from exc
+
+
+# ------------------------------------------------ ids at word and width-class edges
+#
+# The column pass compares fields as 8-byte words, in width classes of up to
+# 8, 16, 32, ... bytes: these ids sit at the edges of both.
+
+def _sized(stem: str, size: int) -> str:
+    """``stem`` cut to at most ``size`` UTF-8 bytes, whole characters only,
+    then padded with "z" to exactly ``size``."""
+    while len(stem.encode()) > size:
+        stem = stem[:-1]
+    return stem + "z" * (size - len(stem.encode()))
+
+
+def _edge_ids(size: int) -> list[str]:
+    """Distinct ids of ``size`` bytes: two that differ only in their last
+    byte, ones that agree with those in just their first 8 or 16 bytes, ones
+    whose "€" (3 bytes) straddles byte 8 or 16, and one apart in its first."""
+    stems = ["q" * (size - 1) + "a", "q" * (size - 1) + "b", "q" * 8, "q" * 16,
+             "q" * 4 + "€", "q" * 6 + "€", "q" * 14 + "€", "a"]
+    return list(dict.fromkeys(_sized(stem, size) for stem in stems
+                              if len(stem.encode()) <= size))
+
+
+@pytest.mark.parametrize("size", [7, 8, 9, 16, 17, 33])
+@pytest.mark.parametrize("field", [2, 3, 4], ids=["txn_id", "buyer_id", "seller_id"])
+def test_ids_at_word_edges_match_line_loop(field, size):
+    """One id column of ``size``-byte ids, alone and with a 40-byte id that
+    begins with one of them (a second width class, tied with it on its
+    words); each file again with a bad line in the middle and at the end,
+    so the bisection runs, and with a txn id repeated on its day."""
+    ids = _edge_ids(size)
+
+    def rows(column):
+        out = [["2004-01-08", f"09:30:{i:02d}", str(i + 1), f"B{i % 2}", f"S{i % 3}", "500",
+                "7.25"] for i in range(len(column))]
+        for fields, ident in zip(out, column):
+            fields[field] = ident
+        return out
+
+    for column in (ids, [*ids, _sized(ids[0] + "w" * 40, 40)]):
+        for edits in ([], [(len(column) // 2, 5, "0")], [(len(column) - 1, 5, "0")]):
+            _assert_same_as_loop(_render(rows(column), edits, "\n", [], True))
+    if field == 2:
+        _assert_same_as_loop(_render(rows([*ids, ids[1]]), [], "\n", [], True))
+
+
+# Ids of 7 to 40 bytes from a few stems, so they share their first 8 or 16
+# bytes, their widths mix classes in one column, and a multibyte character
+# may straddle a word boundary.
+edge_id = st.builds(_sized, st.builds(
+    str.__add__, st.sampled_from(["", "q" * 8, "q" * 16, "q" * 6 + "€", "q" * 14 + "é"]),
+    st.text("ab€é", max_size=8)), st.sampled_from([7, 8, 9, 16, 17, 33, 40]))
+edge_rows = st.lists(
+    st.tuples(st.sampled_from(DAYS), clock, edge_id, edge_id, edge_id, volume, price),
+    min_size=1, max_size=8, unique_by=lambda r: (r[0], r[2])).map(lambda rs: [list(r) for r in rs])
+BAD_FIELDS = [(5, "0"), (1, "24:00:00"), (2, ""), (4, "a\x00")]
+
+
+@settings(max_examples=100)
+@given(rows=edge_rows, at=st.integers(0, 9), bad=st.sampled_from(BAD_FIELDS))
+def test_ids_across_word_edges_match_line_loop(rows, at, bad):
+    """Files of such ids, and each again with one bad line."""
+    _assert_same_as_loop(_render([r[:] for r in rows], [], "\n", [], True))
+    _assert_same_as_loop(_render(rows, [(at, *bad)], "\n", [], True))
 
 
 @pytest.mark.parametrize("text", ["", "a,b,c\n", HEADER, HEADER + "\n\n",
@@ -575,30 +641,42 @@ def test_same_content_same_outcome(text, lineno, message, kind, tmp_path):
 
 
 # Run in a fresh interpreter, so its peak RSS before the parse is its own.
+# Prints the file's size, the growth of peak RSS in KiB (as Linux reports
+# ru_maxrss) and the log's record count or the bad line's number.
 MEMORY_PROBE = """
-import resource
-from tradenet.ingest import StockMeta, parse_transactions
+import resource, sys
+from tradenet.ingest import StockMeta, TransactionParseError, parse_transactions
 
-lines = [f"2004-01-05,09:30:00,{i},B{i % 7},S{i % 5},100,7.25" for i in range(2000)]
+n_lines, bad_last = int(sys.argv[1]), sys.argv[2] == "bad"
+lines = [f"2004-01-05,09:30:00,{i},B{i % 7},S{i % 5},100,7.25" for i in range(n_lines)]
 lines[0] = "2004-01-05,09:30:00," + "x" * 20_000 + ",B,S,100,7.25"
+if bad_last:
+    lines[-1] = lines[-1].replace(",100,", ",0,")
 data = "\\n".join(["date,time,txn_id,buyer_id,seller_id,volume,price", *lines]).encode()
 meta = StockMeta(symbol="TEST", capitalization_bucket="mid", sector="industrials")
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-assert parse_transactions(data, meta).n_records == 2000
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+try:
+    outcome = parse_transactions(data, meta).n_records
+except TransactionParseError as exc:
+    outcome = exc.lineno
+print(len(data), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, outcome)
 """
 
 
-def test_one_long_txn_id_costs_less_than_four_bytes_per_line_per_byte():
-    """One 20,000-byte txn id in a 2,000-line file raises peak RSS by less
-    than 4 bytes per line for each byte of it (160 MB): the log holds each
-    distinct id once, not one id-wide field per line."""
+@pytest.mark.parametrize("n_lines, kind", [(2000, "good"), (5000, "good"), (5000, "bad")],
+                         ids=["2000-lines", "5000-lines", "5000-lines-bad-last"])
+def test_a_long_txn_id_raises_peak_rss_by_less_than_twenty_times_the_file(n_lines, kind):
+    """A file whose first txn id is 20,000 bytes raises peak RSS by less
+    than 20 times its size plus 10 MB, also when its last line is bad and
+    the bisection parses its prefixes: the long id costs words only in its
+    own width class, not one id-wide field per line."""
     src = Path(ingest.__file__).resolve().parents[1]
-    probe = subprocess.run([sys.executable, "-c", MEMORY_PROBE], check=True,
-                           capture_output=True, text=True,
+    probe = subprocess.run([sys.executable, "-c", MEMORY_PROBE, str(n_lines), kind],
+                           check=True, capture_output=True, text=True,
                            env={**os.environ, "PYTHONPATH": str(src)})
-    growth_kb = int(probe.stdout)  # Linux reports ru_maxrss in KiB
-    assert growth_kb * 1024 < 4 * 2000 * 20_000
+    size, growth_kb, outcome = map(int, probe.stdout.split())
+    assert outcome == (n_lines if kind == "good" else n_lines + 1)
+    assert growth_kb * 1024 < 20 * size + 10 * 2**20
 
 
 @settings(max_examples=200)
