@@ -53,6 +53,11 @@ class StockMeta:
     manipulation_period: tuple[dt.date, dt.date] | None = None
 
     def __post_init__(self) -> None:
+        # The symbol names every artifact of the stock, so it must be one
+        # file name: never a path, nor one that leaves the directory.
+        if self.symbol in ("", ".", "..") or any(c in self.symbol for c in "/\\\0"):
+            raise ValueError(f"symbol must be a file name, without / \\ or NUL, "
+                             f"got {self.symbol!r}")
         if self.manipulated != (self.manipulation_period is not None):
             raise ValueError(
                 "manipulation_period must be present iff manipulated is true")
@@ -343,47 +348,33 @@ def _class_rank(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return in_rows, order[new]
 
 
-def _merged_positions(keys: list[list[np.ndarray]]) -> list[np.ndarray]:
-    """Where each class's distinct fields fall among all of them in byte
-    order, given each class's distinct fields as sorted word columns, the
-    classes in order of width."""
-    pos = [np.arange(k[0].size) for k in keys]
-    for a, b in itertools.combinations(range(len(keys)), 2):
-        # The wider class's fields compare on the narrower class's words: a
-        # tie means the narrower field is a prefix of the wider one, so it
-        # sorts first.
-        both = [np.concatenate(pair) for pair in zip(keys[a], keys[b])]
-        wider = np.arange(both[0].size) >= pos[a].size
-        wider = wider[np.lexsort((wider, *both[::-1]))]
-        pos[a] += np.cumsum(wider)[~wider]
-        pos[b] += np.cumsum(~wider)[wider]
-    return pos
-
-
 def _distinct(buf, lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Rank each field ``buf[lo[i]:lo[i] + width[i]]`` of a column among its
     distinct fields, in byte order; also return the text of the distinct
     fields in that order.
 
     Fields are compared as 8-byte words in width classes of up to 8, 16,
-    32, ... bytes, so a long field costs words only in its own rows.
+    32, ... bytes, so a long field costs words only in its own rows.  When
+    a column spans classes, each class is ranked apart and one string sort
+    orders their distinct texts together: code point order is UTF-8 byte
+    order, and a prefix sorts first.
     """
     top = int(_word_class(width.max()))
     if _word_class(width.min()) == top:
         rank, first = _class_rank(_words(buf, lo, width, 2**top))
-    else:
-        cls = _word_class(width)
-        parts = []
-        for k in np.flatnonzero(np.bincount(cls)).tolist():
-            rows = np.flatnonzero(cls == k)
-            r, f = _class_rank(_words(buf, lo[rows], width[rows], 2**k))
-            parts.append((rows, r, rows[f], _words(buf, lo[rows[f]], width[rows[f]], 2**k)))
-        rank = np.empty(lo.size, np.int64)
-        first = np.empty(sum(f.size for _, _, f, _ in parts), np.int64)
-        for (rows, r, f, _), pos in zip(parts, _merged_positions([p[3] for p in parts])):
-            rank[rows] = pos[r]
-            first[pos] = f
-    return rank, _texts(buf, lo[first], width[first])
+        return rank, _texts(buf, lo[first], width[first])
+    cls = _word_class(width)
+    rank = np.empty(lo.size, np.int64)
+    firsts = []
+    for k in np.flatnonzero(np.bincount(cls)).tolist():
+        rows = np.flatnonzero(cls == k)
+        r, f = _class_rank(_words(buf, lo[rows], width[rows], 2**k))
+        rank[rows] = r + sum(map(len, firsts))
+        firsts.append(rows[f])
+    first = np.concatenate(firsts)
+    texts = _texts(buf, lo[first], width[first])
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    return np.argsort(order)[rank], [texts[i] for i in order]
 
 
 def _texts(buf, lo: np.ndarray, width: np.ndarray) -> list[str]:

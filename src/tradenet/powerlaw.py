@@ -61,6 +61,8 @@ class GofConfig:
     def __post_init__(self) -> None:
         if self.bootstrap_replicas < 0:
             raise ValueError("bootstrap_replicas must be >= 0")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if self.min_tail_size < 1:
             raise ValueError("min_tail_size must be >= 1")
 

@@ -327,6 +327,10 @@ class CorpusSpec:
     master_seed: int = 0
     base: SimConfig = SimConfig()
 
+    def __post_init__(self) -> None:
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
+
 
 def generate_corpus(spec: CorpusSpec) -> list[SimResult]:
     """Generate every stock of the spec with independent derived seeds.

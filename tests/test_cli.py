@@ -440,8 +440,9 @@ def test_detect_rejects_thresholds_that_disable_the_vote(corpus, tmp_path, capsy
     (["detect", "--bootstrap", "-1"], "bootstrap_replicas"),
     (["fit", "--bootstrap", "-1"], "bootstrap_replicas"),
     (["features", "--min-tail", "0"], "min_tail_size"),
+    (["fit", "--seed", "-1"], "rng_seed"),
 ], ids=["detect-elevation-nan", "detect-corr-2", "detect-bootstrap", "fit-bootstrap",
-        "features-min-tail"])
+        "features-min-tail", "fit-seed"])
 @pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump-config"])
 def test_bad_flags_rejected_before_the_corpus_is_read(tmp_path, capsys, monkeypatch, argv,
                                                       field, dump):
@@ -466,13 +467,21 @@ def test_simulate_rejects_a_non_finite_trade_rate(tmp_path, capsys, value):
     assert not list(tmp_path.iterdir())
 
 
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
+    rc = main(["simulate", "--out", str(tmp_path), "--seed", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: master_seed must be >= 0\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda meta: meta.pop("sector"), "missing key 'sector'"),
     (lambda meta: meta.update(manipulated="false"), "manipulated must be true or false"),
     (None, "Expecting"),
     (lambda meta: meta.update(manipulated=True,
                               manipulation_period=["20040105", "2004-01-09"]), "'20040105'"),
-], ids=["missing-key", "mistyped", "not-json", "basic-date"])
+    (lambda meta: meta.update(symbol="../../escaped"), "symbol must be a file name"),
+], ids=["missing-key", "mistyped", "not-json", "basic-date", "symbol-outside-out"])
 def test_sidecar_error_names_the_file(tmp_path, capsys, edit, message):
     corpus = tmp_path / "c"
     rc = main(["simulate", "--out", str(corpus), "--honest", "2", "--manipulated", "0",

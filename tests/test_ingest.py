@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from tradenet import ingest
@@ -27,6 +27,12 @@ import writer_oracle
 META = StockMeta(symbol="TEST", capitalization_bucket="mid", sector="industrials")
 
 HEADER = "date,time,txn_id,buyer_id,seller_id,volume,price\n"
+
+# Properties that parse whole files and compare the log with the reference
+# (``line_oracle``) report a failing example as drawn, unshrunk: shrinking
+# such files can take minutes and hundreds of MB, where the failure itself
+# shows in seconds.
+UNSHRUNK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 def parse(text: str):
@@ -274,7 +280,7 @@ record = st.tuples(
               st.floats(5e-324, 1.7976931348623157e308, allow_infinity=False)))
 
 
-@settings(max_examples=150)
+@settings(max_examples=150, phases=UNSHRUNK)
 @given(records=st.lists(record, max_size=8, unique_by=lambda r: (r[0], r[2])))
 def test_writer_matches_oracle_and_roundtrips(records):
     log = build_log(META, *(list(zip(*records)) or [()] * 7))
@@ -421,7 +427,7 @@ def _render(rows, edits, ending, blanks, final_newline) -> bytes:
     return (text + ending if final_newline else text).encode("utf-8", "surrogateescape")
 
 
-@settings(max_examples=150)
+@settings(max_examples=150, phases=UNSHRUNK)
 @given(rows=rows, **layout)
 def test_valid_logs_match_line_loop(rows, ending, blanks, final_newline, newline):
     data = _render(rows, [], ending, blanks, final_newline)
@@ -444,7 +450,7 @@ odd_spelling = st.one_of(
     st.tuples(st.just(0), st.sampled_from(DATES)))
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, phases=UNSHRUNK)
 @given(rows=rows, edits=st.lists(st.builds(lambda r, fs: (r, *fs), st.integers(0, 9),
                                            odd_spelling), min_size=1, max_size=3),
        **layout)
@@ -458,7 +464,7 @@ def test_odd_spellings_match_line_loop(rows, edits, ending, blanks, final_newlin
 SHAPES = [None, "x,y", "", "a\rb", "a\x00", "é", "\udcff", "0", "1"]
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, phases=UNSHRUNK)
 @given(rows=rows, edits=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 6),
                                            st.sampled_from(SHAPES)),
                                  min_size=1, max_size=3), **layout)
@@ -471,7 +477,7 @@ def test_odd_shapes_match_line_loop(rows, edits, ending, blanks, final_newline, 
 SPLICES = [b"\r", b"\n", b"\r\n", b"\x00", b",", b"\xff", b"\xc3", b"9", b"-", b":", b" "]
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, phases=UNSHRUNK)
 @given(rows=rows, splices=st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(SPLICES)),
                                    min_size=1, max_size=3), **layout)
 def test_spliced_bytes_match_line_loop(rows, splices, ending, blanks, final_newline,
@@ -557,7 +563,7 @@ edge_rows = st.lists(
 BAD_FIELDS = [(5, "0"), (1, "24:00:00"), (2, ""), (4, "a\x00")]
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, phases=UNSHRUNK)
 @given(rows=edge_rows, at=st.integers(0, 9), bad=st.sampled_from(BAD_FIELDS))
 def test_ids_across_word_edges_match_line_loop(rows, at, bad):
     """Files of such ids, and each again with one bad line."""
@@ -641,16 +647,19 @@ def test_same_content_same_outcome(text, lineno, message, kind, tmp_path):
 
 
 # Run in a fresh interpreter, so its peak RSS before the parse is its own.
-# Prints the file's size, the growth of peak RSS in KiB (as Linux reports
+# The first line's field ``field`` is an id of ``id_bytes`` bytes.  Prints
+# the file's size, the growth of peak RSS in KiB (as Linux reports
 # ru_maxrss) and the log's record count or the bad line's number.
 MEMORY_PROBE = """
 import resource, sys
 from tradenet.ingest import StockMeta, TransactionParseError, parse_transactions
 
-n_lines, bad_last = int(sys.argv[1]), sys.argv[2] == "bad"
-lines = [f"2004-01-05,09:30:00,{i},B{i % 7},S{i % 5},100,7.25" for i in range(n_lines)]
-lines[0] = "2004-01-05,09:30:00," + "x" * 20_000 + ",B,S,100,7.25"
-if bad_last:
+n_lines, kind, field, id_bytes = sys.argv[1:]
+lines = [f"2004-01-05,09:30:00,{i},B{i % 7},S{i % 5},100,7.25" for i in range(int(n_lines))]
+first = ["2004-01-05", "09:30:00", "0", "B", "S", "100", "7.25"]
+first[int(field)] = "x" * int(id_bytes)
+lines[0] = ",".join(first)
+if kind == "bad":
     lines[-1] = lines[-1].replace(",100,", ",0,")
 data = "\\n".join(["date,time,txn_id,buyer_id,seller_id,volume,price", *lines]).encode()
 meta = StockMeta(symbol="TEST", capitalization_bucket="mid", sector="industrials")
@@ -663,15 +672,20 @@ print(len(data), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, ou
 """
 
 
-@pytest.mark.parametrize("n_lines, kind", [(2000, "good"), (5000, "good"), (5000, "bad")],
-                         ids=["2000-lines", "5000-lines", "5000-lines-bad-last"])
-def test_a_long_txn_id_raises_peak_rss_by_less_than_twenty_times_the_file(n_lines, kind):
-    """A file whose first txn id is 20,000 bytes raises peak RSS by less
-    than 20 times its size plus 10 MB, also when its last line is bad and
-    the bisection parses its prefixes: the long id costs words only in its
-    own width class, not one id-wide field per line."""
+@pytest.mark.parametrize("n_lines, kind, field, id_bytes", [
+    (2000, "good", 2, 20_000), (5000, "good", 2, 20_000), (5000, "bad", 2, 20_000),
+    (20_000, "good", 3, 4000),
+], ids=["2000-lines", "5000-lines", "5000-lines-bad-last", "20000-lines-long-account"])
+def test_a_long_id_raises_peak_rss_by_less_than_twenty_times_the_file(n_lines, kind, field,
+                                                                      id_bytes):
+    """A file whose first txn id is 20,000 bytes, or whose first buyer id
+    is 4,000 bytes, raises peak RSS by less than 20 times its size plus
+    10 MB, also when its last line is bad and the bisection parses its
+    prefixes: the long id costs words only in its own width class, not one
+    id-wide field per line."""
     src = Path(ingest.__file__).resolve().parents[1]
-    probe = subprocess.run([sys.executable, "-c", MEMORY_PROBE, str(n_lines), kind],
+    probe = subprocess.run([sys.executable, "-c", MEMORY_PROBE, str(n_lines), kind,
+                            str(field), str(id_bytes)],
                            check=True, capture_output=True, text=True,
                            env={**os.environ, "PYTHONPATH": str(src)})
     size, growth_kb, outcome = map(int, probe.stdout.split())
@@ -724,6 +738,7 @@ SIDECAR = {"symbol": "S1", "capitalization_bucket": "large", "sector": "tech",
     ("manipulation_period", ["2004-01-02"]),
     ("manipulation_period", "2004-01-02"),
     ("symbol", 7),
+    *[("symbol", name) for name in ("", ".", "..", "../escaped", "a\\b", "a\x00b")],
 ])
 def test_sidecar_field_types_checked(field, value):
     with pytest.raises(ValueError, match=field):
