@@ -87,7 +87,9 @@ def _gof_config(cfg: dict) -> GofConfig:
 
 # ---------------------------------------------------------------- simulate
 
-def _cmd_simulate(args: argparse.Namespace, cfg: dict, out: Path) -> int:
+def _corpus_spec(cfg: dict) -> CorpusSpec:
+    """The corpus a ``simulate`` configuration asks for: its ``groups``,
+    or one group of the flags' counts and labels."""
     base = SimConfig(n_days=int(cfg["days"]), n_traders=int(cfg["traders"]),
                      trades_per_day=float(cfg["trades_per_day"]),
                      n_colluders=int(cfg["colluders"]),
@@ -100,8 +102,11 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict, out: Path) -> int:
                             honest=int(cfg["honest"]),
                             manipulated=int(cfg["manipulated"]),
                             partial=int(cfg["partial"])),)
-    results = generate_corpus(CorpusSpec(groups=groups, master_seed=int(cfg["seed"]),
-                                         base=base))
+    return CorpusSpec(groups=groups, master_seed=int(cfg["seed"]), base=base)
+
+
+def _cmd_simulate(args: argparse.Namespace, out: Path, spec: CorpusSpec) -> int:
+    results = generate_corpus(spec)
     files = [res.log.meta.symbol for res in results]
     for sym, res in zip(files, results):
         _atomic_write(out / f"{sym}.csv", partial(write_transactions, res.log))
@@ -111,7 +116,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict, out: Path) -> int:
                   f"({'manipulated' if res.log.meta.manipulated else 'honest'})",
                   file=sys.stderr)
     _atomic_write(out / "corpus_manifest.json", _dump_json({
-        "master_seed": int(cfg["seed"]),
+        "master_seed": spec.master_seed,
         "stocks": [{"symbol": s, "csv": f"{s}.csv", "meta": f"{s}.json"} for s in files],
         "toolkit_version": __version__,
     }))
@@ -330,6 +335,8 @@ def main(argv=None) -> int:
         # The typed configs are built before the configuration is printed
         # or a corpus is read, so a value they reject fails at once.
         configs = {}
+        if args.subcommand == "simulate":
+            configs["spec"] = _corpus_spec(cfg)
         if "bootstrap" in cfg:
             configs["gof"] = _gof_config(cfg)
         if args.subcommand == "detect":
@@ -340,7 +347,7 @@ def main(argv=None) -> int:
             return 0
         out = Path(args.out)
         if args.subcommand == "simulate":
-            inputs, code = [], _cmd_simulate(args, cfg, out)
+            inputs, code = [], _cmd_simulate(args, out, **configs)
         else:
             inputs = [str(args.corpus)]
             code = args.func(args, out, load_corpus(args.corpus), **configs)

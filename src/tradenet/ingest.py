@@ -240,8 +240,10 @@ _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 def _read_padded(source) -> tuple[bytes | bytearray, int]:
     """The bytes a source holds followed by at least ``_SLACK`` zero bytes,
     and their count: bytes as given, a path's contents, or a stream read to
-    its end and left open (a text stream's text encoded as strict UTF-8).
-    A path is read straight into a buffer that has the slack."""
+    its end and left open (a text stream's text encoded as UTF-8, a lone
+    surrogate as the bytes that are not UTF-8 it stands for, so that its
+    line is malformed).  A path is read straight into a buffer that has the
+    slack."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             buf = bytearray(os.fstat(fh.fileno()).st_size + _SLACK)
@@ -252,7 +254,7 @@ def _read_padded(source) -> tuple[bytes | bytearray, int]:
         return buf, size
     data = source if isinstance(source, bytes) else source.read()
     if isinstance(data, str):
-        data = data.encode("utf-8")
+        data = data.encode("utf-8", "surrogatepass")
     return data + bytes(_SLACK), len(data)
 
 
@@ -439,11 +441,9 @@ def _parse_columns(buf, size: int, meta: StockMeta) -> TransactionLog:
     if chars.min() == 0 or (chars[carriage + 1] != ord("\n")).any():
         raise ValueError("NUL or carriage return inside a line")
 
-    starts = ends[:-1] + 1
     stops = ends[1:] - (chars[ends[1:] - 1] == ord("\r"))
-    kept = stops > starts
-    starts, stops = starts[kept], stops[kept]
-    n = starts.size
+    kept = stops > ends[:-1] + 1
+    n = np.count_nonzero(kept)
     if not n:
         none = np.empty(0, np.int64)
         return _sorted_log(meta, none, none, none, [], none, none, [], none, np.empty(0))
@@ -452,27 +452,37 @@ def _parse_columns(buf, size: int, meta: StockMeta) -> TransactionLog:
     count = np.diff(np.searchsorted(commas, ends))[kept]
     if (count != 6).any():
         raise ValueError(f"expected 7 fields, got {count[count != 6][0] + 1}")
-    # Every comma past the header's lies in a data line, six to a line; one
-    # row per comma of a line keeps each column's offsets contiguous.
-    commas = commas[len(CSV_HEADER) - 1:].reshape(n, 6).T.copy()
-    lo = [starts, *(commas + 1)]
-    width = [hi - first for hi, first in zip([*commas, stops], lo)]
+    # Row k holds the byte before field k of each line (its "\n" or a
+    # comma), row 7 the line's stop; every comma past the header's lies in
+    # a data line, six to a line.
+    bounds = np.empty((8, n), np.int64)
+    bounds[0] = ends[:-1][kept]
+    bounds[1:7] = commas[len(CSV_HEADER) - 1:].reshape(n, 6).T
+    bounds[7] = stops[kept]
+    del newlines, ends, carriage, stops, kept, count, commas
 
     try:
-        dates = _map_distinct(buf, lo[0], width[0], lambda s: _parse_date(s).toordinal(),
+        dates = _map_distinct(buf, *_fields(bounds, 0), lambda s: _parse_date(s).toordinal(),
                               np.int64)
-        times = _clock_seconds(buf, lo[1], width[1])
+        times = _clock_seconds(buf, *_fields(bounds, 1))
     except ValueError as exc:
         raise ValueError(f"unparseable timestamp: {exc}") from exc
-    volumes = _map_distinct(buf, lo[5], width[5], _parse_volume, np.int64)
-    prices = _map_distinct(buf, lo[6], width[6], _parse_price, np.float64)
-    if not all(width[k].all() for k in (2, 3, 4)):
+    volumes = _map_distinct(buf, *_fields(bounds, 5), _parse_volume, np.int64)
+    prices = _map_distinct(buf, *_fields(bounds, 6), _parse_price, np.float64)
+    if (np.diff(bounds[2:6], axis=0) == 1).any():
         raise ValueError("empty identifier field")
 
-    codes, names = _distinct(buf, np.concatenate(lo[3:5]), np.concatenate(width[3:5]))
-    txns, txn_names = _distinct(buf, lo[2], width[2])
+    codes, names = _distinct(buf, *_fields(bounds, 3, 2))
+    txns, txn_names = _distinct(buf, *_fields(bounds, 2))
     return _sorted_log(meta, dates, times, txns, txn_names, codes[:n], codes[n:], names,
                        volumes, prices)
+
+
+def _fields(bounds: np.ndarray, k: int, m: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets and widths of fields k to k + m - 1 of every line, one
+    field after another, from the field-bound rows of ``_parse_columns``."""
+    lo = bounds[k:k + m] + 1
+    return lo.ravel(), (bounds[k + 1:k + m + 1] - lo).ravel()
 
 
 def _format_distinct(values: np.ndarray, fmt) -> np.ndarray:

@@ -330,6 +330,8 @@ class CorpusSpec:
     def __post_init__(self) -> None:
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
+        if self.base.n_days < 2 and any(g.partial for g in self.groups):
+            raise ValueError("a partial manipulation window needs n_days >= 2")
 
 
 def generate_corpus(spec: CorpusSpec) -> list[SimResult]:
@@ -339,8 +341,6 @@ def generate_corpus(spec: CorpusSpec) -> list[SimResult]:
     cover roughly the first two thirds of the period, so they need a period
     of at least 2 days.
     """
-    if spec.base.n_days < 2 and any(g.partial for g in spec.groups):
-        raise ValueError("a partial manipulation window needs n_days >= 2")
     total = sum(g.honest + g.manipulated for g in spec.groups)
     seeds = np.random.SeedSequence(spec.master_seed).generate_state(total, dtype=np.uint64)
     days = trading_days(START, spec.base.n_days)

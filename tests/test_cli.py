@@ -144,15 +144,6 @@ def test_fit_degenerate_sample_diagnostic(tmp_path, capsys):
                                 "strength_out", "strength_total")}}
 
 
-def test_simulate_partial_window_needs_two_days(tmp_path, capsys):
-    """A partial window covers part of the period; on one day it would be
-    the whole period."""
-    rc = main(["simulate", "--out", str(tmp_path), "--days", "1", "--partial", "1"])
-    assert rc == 2
-    assert "partial manipulation window needs n_days >= 2" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
-
-
 def test_features_csv(corpus, tmp_path):
     out = tmp_path / "feat_run"
     rc = main(["features", "--corpus", str(corpus), "--out", str(out),
@@ -458,20 +449,32 @@ def test_bad_flags_rejected_before_the_corpus_is_read(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_simulate_rejects_a_non_finite_trade_rate(tmp_path, capsys, value):
-    rc = main(["simulate", "--out", str(tmp_path), "--trades-per-day", value])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        f"error: trades_per_day must be finite and > 0, got {float(value)}\n")
-    assert not list(tmp_path.iterdir())
-
-
-def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
-    rc = main(["simulate", "--out", str(tmp_path), "--seed", "-1"])
-    assert rc == 2
-    assert capsys.readouterr().err == "error: master_seed must be >= 0\n"
-    assert not list(tmp_path.iterdir())
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "-1"], "master_seed must be >= 0"),
+    (["--trades-per-day", "nan"], "trades_per_day must be finite and > 0, got nan"),
+    (["--trades-per-day", "inf"], "trades_per_day must be finite and > 0, got inf"),
+    (["--days", "0"], "n_days must be >= 1"),
+    (["--traders", "1"], "n_traders must be >= 2"),
+    (["--colluders", "-1"], "n_colluders must lie in [0, n_traders)"),
+    (["--wash-fraction", "1"], "wash_volume_fraction must lie in [0, 1)"),
+    (["--honest", "-1"], "counts must be >= 0"),
+    (["--partial", "3"], "partial must lie in [0, manipulated]"),
+    # A partial window covers part of the period; on one day it would be
+    # the whole period.
+    (["--days", "1", "--partial", "1"], "a partial manipulation window needs n_days >= 2"),
+], ids=["seed", "trades-per-day-nan", "trades-per-day-inf", "days", "traders", "colluders", "wash-fraction",
+        "honest", "partial", "partial-one-day"])
+@pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump-config"])
+def test_simulate_rejects_bad_values_before_printing(tmp_path, capsys, argv, message, dump):
+    """simulate builds its corpus spec before it prints the configuration
+    or writes a file, so --dump-config never prints a value that simulate
+    rejects."""
+    out = tmp_path / "o"
+    rc = main(["simulate", "--out", str(out), *argv, *dump])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edit, message", [
