@@ -6,7 +6,8 @@ stock against its reference group, and prints the verdict table.
 """
 
 from tradenet import (CorpusSpec, DetectorConfig, GofConfig, GroupSpec,
-                      SimConfig, detect_corpus, generate_corpus)
+                      SimConfig, detect_corpus)
+from tradenet.sim import generate_corpus
 
 spec = CorpusSpec(
     groups=(

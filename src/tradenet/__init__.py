@@ -21,6 +21,6 @@ from .network import (DegreeSequences, StrengthSequences, TradingNetwork,
 from .powerlaw import (DiscretePowerLaw, GofConfig, TailFit, ccdf_points,
                        fit_tail, gof_pvalue, scan_xmin, select_xmin)
 from .sim import (CorpusSpec, GroupSpec, SimConfig, SimResult,
-                  generate_corpus, simulate, trading_days)
+                  corpus_configs, simulate, trading_days)
 
 __version__ = "0.2.0"

@@ -24,7 +24,7 @@ from .ingest import (StockMeta, _dump_json, _write_rows, load_corpus,
                      write_transactions)
 from .network import build_network, write_edge_list
 from .powerlaw import GofConfig, ccdf_points
-from .sim import CorpusSpec, GroupSpec, SimConfig, generate_corpus
+from .sim import CorpusSpec, GroupSpec, SimConfig, corpus_configs, simulate
 
 # Each default lives on its config dataclass; only the corpus's stock counts
 # have no dataclass default.
@@ -50,15 +50,20 @@ DEFAULTS = {
 
 def _atomic_write(path: Path, content) -> None:
     """Write ``content`` (text, or a function that writes to an open text
-    stream) to a temporary sibling, then rename it over ``path``."""
+    stream) to a temporary sibling, then rename it over ``path``; a write
+    that fails leaves neither file behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        if callable(content):
-            content(fh)
-        else:
-            fh.write(content)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
@@ -106,21 +111,28 @@ def _corpus_spec(cfg: dict) -> CorpusSpec:
 
 
 def _cmd_simulate(args: argparse.Namespace, out: Path, spec: CorpusSpec) -> int:
-    results = generate_corpus(spec)
-    files = [res.log.meta.symbol for res in results]
-    for sym, res in zip(files, results):
-        _atomic_write(out / f"{sym}.csv", partial(write_transactions, res.log))
-        _atomic_write(out / f"{sym}.json", partial(write_stock_meta, res.log.meta))
+    """Simulate, write and release one stock after another, so memory holds
+    one stock; ``corpus_manifest.json`` comes last, so a corpus without it
+    is incomplete.  A failure names its stock."""
+    configs = corpus_configs(spec)
+    for cfg in configs:
+        try:
+            log = simulate(cfg).log
+            _atomic_write(out / f"{cfg.symbol}.csv", partial(write_transactions, log))
+            _atomic_write(out / f"{cfg.symbol}.json", partial(write_stock_meta, log.meta))
+        except Exception as exc:
+            raise ValueError(f"{cfg.symbol}: {exc}") from exc
         if args.verbose:
-            print(f"{sym}: {res.log.n_records} records "
-                  f"({'manipulated' if res.log.meta.manipulated else 'honest'})",
-                  file=sys.stderr)
+            print(f"{cfg.symbol}: {log.n_records} records "
+                  f"({'manipulated' if cfg.manipulated else 'honest'})", file=sys.stderr)
+        del log
+    symbols = [cfg.symbol for cfg in configs]
     _atomic_write(out / "corpus_manifest.json", _dump_json({
         "master_seed": spec.master_seed,
-        "stocks": [{"symbol": s, "csv": f"{s}.csv", "meta": f"{s}.json"} for s in files],
+        "stocks": [{"symbol": s, "csv": f"{s}.csv", "meta": f"{s}.json"} for s in symbols],
         "toolkit_version": __version__,
     }))
-    print(f"wrote {len(files)} stocks to {out}")
+    print(f"wrote {len(symbols)} stocks to {out}")
     return 0
 
 

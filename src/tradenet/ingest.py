@@ -21,6 +21,7 @@ import json
 import math
 import os
 import re
+import traceback
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -281,7 +282,7 @@ def parse_transactions(source, meta: StockMeta) -> TransactionLog:
     try:
         return _parse_columns(buf, size, meta)
     except ValueError as exc:
-        error = exc
+        error = _released(exc)
     cuts = np.flatnonzero(np.frombuffer(buf, np.uint8, size) == ord("\n")) + 1
     if buf[size - 1:size] != b"\n":
         cuts = np.append(cuts, size)
@@ -293,9 +294,20 @@ def parse_transactions(source, meta: StockMeta) -> TransactionLog:
             _parse_columns(buf, int(cuts[mid - 1]), meta)
             good = mid
         except ValueError as exc:
-            bad, error = mid, exc
+            bad, error = mid, _released(exc)
     path = source if isinstance(source, (str, Path)) else None
     raise TransactionParseError(bad, str(error), path) from error
+
+
+def _released(exc: BaseException) -> BaseException:
+    """``exc`` with the locals of the returned frames on its traceback, and
+    on its causes', cleared: a kept parse error must not keep the parse's
+    columns alive while the bisection parses again."""
+    cause = exc
+    while cause is not None:
+        traceback.clear_frames(cause.__traceback__)
+        cause = cause.__cause__
+    return exc
 
 
 def _word_at(buf) -> np.ndarray:
@@ -485,11 +497,42 @@ def _fields(bounds: np.ndarray, k: int, m: int = 1) -> tuple[np.ndarray, np.ndar
     return lo.ravel(), (bounds[k + 1:k + m + 1] - lo).ravel()
 
 
-def _format_distinct(values: np.ndarray, fmt) -> np.ndarray:
-    """Format each distinct value of a column once, into an object array of
-    strings (the write-side twin of ``_map_distinct``)."""
-    uniq, inverse = np.unique(values, return_inverse=True)
-    return np.array([fmt(v) for v in uniq.tolist()], dtype=object)[inverse]
+def _format_distinct(values: np.ndarray, texts) -> tuple[np.ndarray, np.ndarray]:
+    """Spell each distinct value of a column once (the write-side twin of
+    ``_map_distinct``): the strings ``texts`` gives for the sorted distinct
+    values, as an object array, and each row's code into them.  The codes
+    take the narrowest type that holds them, so the codes of columns
+    already spelled cost little while the next is ranked."""
+    uniq, codes = np.unique(values, return_inverse=True)
+    return np.asarray(texts(uniq), dtype=object), codes.astype(np.min_scalar_type(uniq.size))
+
+
+def _each(fmt):
+    """The ``texts`` of ``_format_distinct`` that applies ``fmt`` to each value."""
+    return lambda values: [fmt(v) for v in values.tolist()]
+
+
+def _clock_texts(seconds: np.ndarray) -> np.ndarray:
+    """``HH:MM:SS`` of each of an array of seconds since midnight, as an
+    object array of strings: spelled as code points, one row of 8 each,
+    and read back as 8-character strings."""
+    h, rest = np.divmod(seconds, 3600)
+    hms = np.stack((h, rest // 60, rest % 60), axis=1)
+    chars = np.full((seconds.size, 8), ord(":"), np.uint32)
+    chars[:, [0, 3, 6]] = hms // 10 + ord("0")
+    chars[:, [1, 4, 7]] = hms % 10 + ord("0")
+    return chars.view("U8").ravel().astype(object)
+
+
+def _block_rows(*columns: tuple[np.ndarray, np.ndarray]):
+    """The rows of cells of columns given as (strings, codes) pairs, each
+    row cell ``strings[codes[i]]``.  A block of ``WRITE_BLOCK`` rows is
+    gathered only when it is reached, so no column is ever held as one
+    string per row."""
+    n = columns[0][1].size
+    return itertools.chain.from_iterable(
+        zip(*(strings[codes[i:i + WRITE_BLOCK]].tolist() for strings, codes in columns))
+        for i in range(0, n, WRITE_BLOCK))
 
 
 def _write_rows(stream, header, rows) -> None:
@@ -499,7 +542,8 @@ def _write_rows(stream, header, rows) -> None:
     stream.write(",".join(header) + "\n")
     lines = map(",".join, rows)
     while block := list(itertools.islice(lines, WRITE_BLOCK)):
-        stream.write("\n".join(block) + "\n")
+        block.append("")  # so the joined block ends with a newline
+        stream.write("\n".join(block))
 
 
 def _json_default(value):
@@ -519,17 +563,12 @@ def _dump_json(payload) -> str:
 def write_transactions(log: TransactionLog, dest) -> None:
     """Write a log as CSV to an open text stream (inverse of parse_transactions)."""
     names = np.array(log.accounts, dtype=object)
-    txn_names = np.array(log.txn_names, dtype=object)
-    # HH:MM: per distinct minute and SS per distinct second, far fewer
-    # strings than one per distinct second of the log.
-    minutes, seconds = np.divmod(log.times, 60)
-    times = (_format_distinct(minutes, lambda m: f"{m // 60:02d}:{m % 60:02d}:")
-             + _format_distinct(seconds, "{:02d}".format))
-    _write_rows(dest, CSV_HEADER, zip(
-        _format_distinct(log.dates, lambda d: dt.date.fromordinal(d).isoformat()),
-        times,
-        txn_names[log.txns], names[log.buyers], names[log.sellers],
-        _format_distinct(log.volumes, str), _format_distinct(log.prices, repr)))
+    _write_rows(dest, CSV_HEADER, _block_rows(
+        _format_distinct(log.dates, _each(lambda d: dt.date.fromordinal(d).isoformat())),
+        _format_distinct(log.times, _clock_texts),
+        (np.array(log.txn_names, dtype=object), log.txns),
+        (names, log.buyers), (names, log.sellers),
+        _format_distinct(log.volumes, _each(str)), _format_distinct(log.prices, _each(repr))))
 
 
 def read_stock_meta(path) -> StockMeta:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import TransactionLog, _format_distinct, _write_rows
+from .ingest import TransactionLog, _block_rows, _each, _format_distinct, _write_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,5 +123,5 @@ def write_edge_list(net: TradingNetwork, dest) -> None:
     """Write the ``seller_idx,buyer_idx,weight`` CSV for external graph tools
     to an open text stream."""
     _write_rows(dest, ("seller_idx", "buyer_idx", "weight"),
-                zip(*(_format_distinct(col, str) for col in
-                      (net.edge_sellers, net.edge_buyers, net.edge_weights))))
+                _block_rows(*(_format_distinct(col, _each(str)) for col in
+                              (net.edge_sellers, net.edge_buyers, net.edge_weights))))

@@ -287,6 +287,7 @@ def simulate(cfg: SimConfig) -> SimResult:
                      sector=cfg.sector, manipulated=cfg.manipulated,
                      manipulation_period=window)
     dates, times, txns, buyers, sellers, volumes, prices = map(np.concatenate, zip(*records))
+    del records  # the days' columns, a second copy of the log's
     # Each day's txn ids are its serials 1, 2, ..., all zero-padded to one
     # width so that they sort like the codes that index them.
     n_max = int(txns.max()) + 1
@@ -334,8 +335,8 @@ class CorpusSpec:
             raise ValueError("a partial manipulation window needs n_days >= 2")
 
 
-def generate_corpus(spec: CorpusSpec) -> list[SimResult]:
-    """Generate every stock of the spec with independent derived seeds.
+def corpus_configs(spec: CorpusSpec) -> list[SimConfig]:
+    """The config of every stock of the spec, each with its own derived seed.
 
     Stocks are named S000, S001, ... in generation order; partial windows
     cover roughly the first two thirds of the period, so they need a period
@@ -346,21 +347,26 @@ def generate_corpus(spec: CorpusSpec) -> list[SimResult]:
     days = trading_days(START, spec.base.n_days)
     partial_window = (days[0], days[(2 * len(days)) // 3 - 1])
 
-    results = []
+    configs = []
     for group in spec.groups:
         scale = BUCKET_SCALE.get(group.capitalization_bucket, 1.0)
         sized = replace(spec.base,
                         n_traders=max(2, int(spec.base.n_traders * scale)),
                         trades_per_day=spec.base.trades_per_day * scale)
         for i in range(group.honest + group.manipulated):
-            serial = len(results)
+            serial = len(configs)
             partial = group.honest <= i < group.honest + group.partial
-            cfg = replace(sized,
-                          rng_seed=int(seeds[serial]),
-                          symbol=f"S{serial:03d}",
-                          capitalization_bucket=group.capitalization_bucket,
-                          sector=group.sector,
-                          manipulated=i >= group.honest,
-                          manipulation_window=partial_window if partial else None)
-            results.append(simulate(cfg))
-    return results
+            configs.append(replace(sized,
+                                   rng_seed=int(seeds[serial]),
+                                   symbol=f"S{serial:03d}",
+                                   capitalization_bucket=group.capitalization_bucket,
+                                   sector=group.sector,
+                                   manipulated=i >= group.honest,
+                                   manipulation_window=partial_window if partial else None))
+    return configs
+
+
+def generate_corpus(spec: CorpusSpec) -> list[SimResult]:
+    """Generate every stock of the spec (see ``corpus_configs``), all held
+    at once; ``simulate`` of each config gives one stock at a time."""
+    return [simulate(cfg) for cfg in corpus_configs(spec)]

@@ -2,12 +2,14 @@ import hashlib
 import json
 import re
 import shlex
+import weakref
 from pathlib import Path
 
 import pytest
 
 from tradenet import __version__, cli
 from tradenet.cli import build_parser, main
+from tradenet.sim import simulate
 
 SIM_ARGS = ["--traders", "300", "--trades-per-day", "50", "--days", "50",
             "--colluders", "40"]
@@ -475,6 +477,62 @@ def test_simulate_rejects_bad_values_before_printing(tmp_path, capsys, argv, mes
     assert rc == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not out.exists()
+
+
+TINY_SIM = ["--honest", "3", "--manipulated", "1", "--days", "5", "--traders", "40",
+            "--trades-per-day", "10", "--colluders", "5"]
+
+
+def test_simulate_holds_one_stock_at_a_time(tmp_path, monkeypatch):
+    """When a stock is simulated, the stock before it is already written,
+    CSV and sidecar, and its log is gone."""
+    out = tmp_path / "c"
+    refs, seen = [], []
+
+    def tracked(cfg):
+        if refs:
+            symbol, ref = refs[-1]
+            seen.append((symbol, ref() is None, (out / f"{symbol}.csv").exists(),
+                         (out / f"{symbol}.json").exists()))
+        res = simulate(cfg)
+        refs.append((cfg.symbol, weakref.ref(res.log)))
+        return res
+
+    monkeypatch.setattr(cli, "simulate", tracked)
+    assert main(["simulate", "--out", str(out), *TINY_SIM]) == 0
+    assert seen == [(f"S00{i}", True, True, True) for i in range(3)]
+    assert refs[-1][1]() is None
+
+
+@pytest.mark.parametrize("stage", ["simulate", "write_transactions"])
+def test_interrupted_simulate_keeps_the_stocks_before_it(tmp_path, monkeypatch, capsys, stage):
+    """A failure mid-corpus, in simulating the third stock or halfway
+    through writing it, exits 2 with one error line that names the failing
+    stock; the stocks before it stay written as a full run writes them,
+    nothing is left of the failing one, and no corpus_manifest.json marks
+    the corpus complete."""
+    full, out = tmp_path / "full", tmp_path / "c"
+    assert main(["simulate", "--out", str(full), *TINY_SIM]) == 0
+    real, calls = getattr(cli, stage), []
+
+    def failing(first, *rest):
+        calls.append(first)
+        if len(calls) == 3:
+            if rest:
+                rest[0].write("date,time")
+            raise RuntimeError("out of luck")
+        return real(first, *rest)
+
+    monkeypatch.setattr(cli, stage, failing)
+    capsys.readouterr()
+    rc = main(["simulate", "--out", str(out), *TINY_SIM])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: S002: out of luck\n"
+    assert len(calls) == 3
+    written = sorted(p.name for p in out.iterdir())
+    assert written == ["S000.csv", "S000.json", "S001.csv", "S001.json"]
+    assert all((out / name).read_bytes() == (full / name).read_bytes() for name in written)
 
 
 @pytest.mark.parametrize("edit, message", [

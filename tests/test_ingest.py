@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import traceback
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from tradenet.ingest import (StockMeta, TransactionParseError, _lexsorted,
                              _parse_columns, filter_period, load_corpus,
                              parse_transactions, read_stock_meta, write_stock_meta,
                              write_transactions)
-from tradenet.network import build_network, write_edge_list
+from tradenet.network import TradingNetwork, build_network, write_edge_list
 from tradenet.sim import START, SimConfig, simulate, trading_days
 from line_oracle import _check_line, _data_lines, build_log
 import writer_oracle
@@ -125,6 +127,24 @@ def test_first_of_several_bad_lines_is_named():
               "2004-01-08,09:30:02,2,B1,S1,x,7.25\n"
               "2004-01-08,09:30:03,3,B1,S1,500\n"
               "2004-01-08,09:30:04,1,B1,S1,500,7.25\n")
+
+
+def test_parse_error_keeps_its_cause_but_not_the_parses_locals():
+    """The error of the first bad line carries the parse's own error as its
+    cause, and that one its cause in turn, but no frame on their tracebacks
+    still holds the parse's columns."""
+    with pytest.raises(TransactionParseError) as exc:
+        parse("2004-01-08,09:30:01,1,B1,S1,500,7.25\n"
+              "2004-01-08,25:30:02,2,B1,S1,500,7.25\n")
+    cause = exc.value.__cause__
+    assert str(exc.value) == f"line 3: {cause}"
+    assert str(cause).startswith("unparseable timestamp: time '25:30:02'")
+    assert isinstance(cause.__cause__, ValueError)
+    for error in (cause, cause.__cause__):
+        frames = [frame for frame, _ in traceback.walk_tb(error.__traceback__)]
+        assert "_parse_columns" in {frame.f_code.co_name for frame in frames}
+        assert all(frame.f_locals == {} for frame in frames
+                   if frame.f_code.co_name != "parse_transactions")
 
 
 @pytest.mark.parametrize("body", ["2004-01-08,09:30:01,1,B1,S1,500,7.25\n",
@@ -245,16 +265,43 @@ class _CountingWrites(io.StringIO):
                          ids=["empty", "one-block", "two-blocks", "partial-block"])
 def test_block_writer_matches_oracle_at_block_edges(monkeypatch, n_rows):
     """Blocks of 3 lines: one write for the header and one per block, and
-    the bytes of the per-line writer."""
+    the bytes of the per-line writers, for a log of ``n_rows`` records and
+    an edge list of ``n_rows`` edges."""
     monkeypatch.setattr(ingest, "WRITE_BLOCK", 3)
     log = build_log(META, [START.toordinal()] * n_rows, range(n_rows),
                     [str(i) for i in range(n_rows)], [f"B{i % 2}" for i in range(n_rows)],
                     [f"S{i % 3}" for i in range(n_rows)], range(1, n_rows + 1),
                     [5.0 + i / 8 for i in range(n_rows)])
-    buf = _CountingWrites()
-    write_transactions(log, buf)
-    assert buf.getvalue() == _written(writer_oracle.write_transactions, log)
-    assert buf.writes == 1 + -(-n_rows // 3)
+    edges = np.arange(n_rows)
+    net = TradingNetwork(node_count=max(n_rows, 1), edge_sellers=edges % 4,
+                         edge_buyers=edges[::-1], edge_weights=100 * edges ** 3 + 1)
+    for writer, oracle, obj in ((write_transactions, writer_oracle.write_transactions, log),
+                                (write_edge_list, writer_oracle.write_edge_list, net)):
+        buf = _CountingWrites()
+        writer(obj, buf)
+        assert buf.getvalue() == _written(oracle, obj)
+        assert buf.writes == 1 + -(-n_rows // 3)
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_writer_peak_memory_per_row():
+    """Writing a log of 48,000 rows peaks under 100 traced bytes per row
+    above the log (about 70 measured): cells are gathered one block of rows
+    at a time, and each column is held as its distinct strings and one
+    narrow code per row, not as one string per row."""
+    log = simulate(SimConfig(rng_seed=1, n_days=60, trades_per_day=800.0)).log
+    assert log.n_records >= 40_000
+    tracemalloc.start()
+    try:
+        write_transactions(log, _Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * log.n_records
 
 
 def test_empty_log_matches_oracle():
@@ -683,9 +730,9 @@ print(len(data), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, ou
 @pytest.mark.parametrize("n_lines, kind, field, id_bytes, per_byte, slack_mb", [
     (2000, "good", 2, 20_000, 20, 10), (5000, "good", 2, 20_000, 20, 10),
     (5000, "bad", 2, 20_000, 20, 10), (20_000, "good", 3, 4000, 20, 10),
-    (200_000, "good", 2, 1, 9.2, 0),
+    (200_000, "good", 2, 1, 9.2, 0), (200_000, "bad", 2, 1, 11.5, 0),
 ], ids=["2000-lines", "5000-lines", "5000-lines-bad-last", "20000-lines-long-account",
-        "200000-lines-no-long-field"])
+        "200000-lines-no-long-field", "200000-lines-bad-last"])
 def test_parse_peak_rss_within_each_files_bound(n_lines, kind, field, id_bytes, per_byte,
                                                 slack_mb):
     """Parsing raises peak RSS by less than ``per_byte`` times the file's
@@ -698,7 +745,9 @@ def test_parse_peak_rss_within_each_files_bound(n_lines, kind, field, id_bytes, 
     line.  An 8 MB file with no long field stays under 9.2 bytes per file
     byte (about 7.9 measured): its per-line index is one 8-row matrix of
     field bounds, and each column's offsets and widths are cut from it
-    only while that column is parsed."""
+    only while that column is parsed.  With a bad last line it stays under
+    11.5 (about 10.3 measured): the error the bisection keeps holds no
+    frame of the parse that raised it."""
     src = Path(ingest.__file__).resolve().parents[1]
     probe = subprocess.run([sys.executable, "-c", MEMORY_PROBE, str(n_lines), kind,
                             str(field), str(id_bytes)],
