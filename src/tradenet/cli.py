@@ -19,8 +19,7 @@ from pathlib import Path
 from . import __version__
 from .detector import DetectorConfig, detect_corpus
 from .features import TAIL_STATS, compute_features
-from .ingest import (StockMeta, _dump_json, _write_rows, load_corpus,
-                     parse_transactions, read_stock_meta, write_stock_meta,
+from .ingest import (_dump_json, _write_rows, load_corpus, write_stock_meta,
                      write_transactions)
 from .network import build_network, write_edge_list
 from .powerlaw import GofConfig, ccdf_points
@@ -113,7 +112,9 @@ def _corpus_spec(cfg: dict) -> CorpusSpec:
 def _cmd_simulate(args: argparse.Namespace, out: Path, spec: CorpusSpec) -> int:
     """Simulate, write and release one stock after another, so memory holds
     one stock; ``corpus_manifest.json`` comes last, so a corpus without it
-    is incomplete.  A failure names its stock."""
+    is incomplete, and an older run's is deleted first.  A failure names
+    its stock."""
+    (out / "corpus_manifest.json").unlink(missing_ok=True)
     configs = corpus_configs(spec)
     for cfg in configs:
         try:
@@ -139,23 +140,10 @@ def _cmd_simulate(args: argparse.Namespace, out: Path, spec: CorpusSpec) -> int:
 # ---------------------------------------------------------------- validate
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    """Parse the corpus as the other subcommands load it, then each file."""
-    if not (args.corpus or args.files):
-        print("error: no input files", file=sys.stderr)
-        return 2
-    if args.corpus:
-        logs = load_corpus(args.corpus)
-        for sym in sorted(logs):
-            print(f"{sym}: {logs[sym].n_records} records")
-    for path in map(Path, args.files):
-        meta_path = path.with_suffix(".json")
-        if meta_path.exists():
-            meta = read_stock_meta(meta_path)
-        else:
-            meta = StockMeta(symbol=path.stem, capitalization_bucket="unknown",
-                             sector="unknown")
-        log = parse_transactions(path, meta)
-        print(f"{path.name}: {log.n_records} records")
+    """Parse the corpus as the other subcommands load it."""
+    logs = load_corpus(args.corpus)
+    for sym in sorted(logs):
+        print(f"{sym}: {logs[sym].n_records} records")
     return 0
 
 
@@ -302,9 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bucket", help="capitalization bucket label")
     p.add_argument("--sector", help="industry sector label")
 
-    p = sub.add_parser("validate", help="parse-only check of transaction CSVs")
-    p.add_argument("files", nargs="*", help="transaction CSV files")
-    p.add_argument("--corpus", help="directory of SYMBOL.csv files")
+    p = sub.add_parser("validate", help="parse-only check of a corpus")
+    p.add_argument("--corpus", required=True, help="corpus directory")
 
     p = sub.add_parser("build", help="export merged trading networks")
     _add_common(p, seed=False)
@@ -361,6 +348,8 @@ def main(argv=None) -> int:
         if args.subcommand == "simulate":
             inputs, code = [], _cmd_simulate(args, out, **configs)
         else:
+            if out.resolve() == Path(args.corpus).resolve():
+                raise ValueError(f"{out}: --out is the --corpus directory")
             inputs = [str(args.corpus)]
             code = args.func(args, out, load_corpus(args.corpus), **configs)
         _atomic_write(out / "manifest.json", _dump_json({

@@ -604,20 +604,51 @@ def filter_period(log: TransactionLog, interval: tuple[dt.date, dt.date]) -> Tra
                        log.volumes[mask], log.prices[mask])
 
 
+def _listed_csvs(path: Path) -> set[str]:
+    """The CSV file names a ``corpus_manifest.json`` lists."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            names = {stock["csv"] for stock in json.load(fh)["stocks"]}
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a corpus manifest: no stocks[*].csv") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a corpus manifest: {exc}") from exc
+    if not all(isinstance(name, str) for name in names):
+        raise ValueError(f"{path}: not a corpus manifest: a csv entry is not a string")
+    return names
+
+
 def load_corpus(directory) -> dict[str, TransactionLog]:
     """Load every SYMBOL.csv/SYMBOL.json pair under a corpus directory.
 
-    A CSV without its sidecar, two sidecars naming one symbol and a file
-    that does not parse are each a ValueError that names the file.
+    Every ``*.json`` but ``manifest.json`` and ``corpus_manifest.json`` is a
+    sidecar.  A CSV without its sidecar, a sidecar without its CSV, a CSV
+    that ``corpus_manifest.json`` (when present) does not list or a listed
+    one that is missing, two sidecars naming one symbol and a file that
+    does not parse are each a ValueError that names the file; all but the
+    last two are found before any file is parsed.
     """
     directory = Path(directory)
+    csv_paths = sorted(directory.glob("*.csv"))
+    csvs = {path.stem for path in csv_paths}
+    sidecars = {path.stem for path in directory.glob("*.json")} - {"manifest", "corpus_manifest"}
+    if unpaired := sorted(csvs - sidecars):
+        raise ValueError(f"{directory / unpaired[0]}.csv: no sidecar {unpaired[0]}.json")
+    if unpaired := sorted(sidecars - csvs):
+        raise ValueError(f"{directory / unpaired[0]}.json: no CSV {unpaired[0]}.csv")
+    manifest = directory / "corpus_manifest.json"
+    if manifest.exists():
+        listed = _listed_csvs(manifest)
+        present = {path.name for path in csv_paths}
+        if differ := sorted(listed ^ present):
+            name = differ[0]
+            raise ValueError(f"{directory / name}: " + (
+                f"listed in {manifest.name} but missing" if name in listed
+                else f"not listed in {manifest.name}"))
     logs: dict[str, TransactionLog] = {}
     sources: dict[str, Path] = {}
-    for csv_path in sorted(directory.glob("*.csv")):
-        meta_path = csv_path.with_suffix(".json")
-        if not meta_path.exists():
-            raise ValueError(f"{csv_path}: no sidecar {meta_path.name}")
-        log = parse_transactions(csv_path, read_stock_meta(meta_path))
+    for csv_path in csv_paths:
+        log = parse_transactions(csv_path, read_stock_meta(csv_path.with_suffix(".json")))
         symbol = log.meta.symbol
         if symbol in sources:
             raise ValueError(f"symbol {symbol!r} names two stocks: "

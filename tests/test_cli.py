@@ -44,24 +44,6 @@ def test_corpus_records_the_project_version(corpus):
     assert manifest["toolkit_version"] == __version__
 
 
-def test_validate_exit_zero_and_count(corpus, capsys):
-    rc = main(["validate", str(corpus / "S000.csv")])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "S000.csv" in out and "records" in out
-
-
-def test_validate_rejects_malformed(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("date,time,txn_id,buyer_id,seller_id,volume,price\n"
-                   "2004-01-05,09:30:00,1,B,A,0,5.0\n")
-    rc = main(["validate", str(bad)])
-    err = capsys.readouterr().err
-    assert rc != 0
-    assert err.count("\n") == 1  # single-line diagnostic
-    assert "line 2" in err
-
-
 def test_detect_end_to_end(corpus, tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["detect", "--corpus", str(corpus), "--out", str(out),
@@ -233,13 +215,15 @@ def test_removed_options_rejected(tmp_path, capsys, key):
     ["detect", "--corpus", "unused", "--out", "unused", "--seed", "1"],
     ["validate", "--config", "unused.json"],
     ["validate", "--dump-config"],
-    ["validate", "-v", "unused.csv"],
+    ["validate", "-v", "--corpus", "unused"],
+    ["validate", "S000.csv"],
+    ["validate"],
 ], ids=["build-seed", "detect-seed", "validate-config", "validate-dump-config",
-        "validate-verbose"])
+        "validate-verbose", "validate-file", "validate-bare"])
 def test_inert_options_rejected(argv):
     """build and detect draw no random numbers, and validate reads no config
     and prints nothing more when verbose, so they take no option that could
-    not change their output."""
+    not change their output; validate reads a corpus and nothing else."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -304,8 +288,7 @@ def test_config_file_takes_the_subcommands_own_keys(tmp_path, capsys, argv, key,
 PARSERS = {"build": ["build", "--corpus", "CORPUS", "--out", "OUT"],
            "fit": ["fit", "--corpus", "CORPUS", "--out", "OUT"],
            "detect": ["detect", "--corpus", "CORPUS", "--out", "OUT"],
-           "validate-corpus": ["validate", "--corpus", "CORPUS"],
-           "validate-file": ["validate", "CORPUS/T.csv"]}
+           "validate-corpus": ["validate", "--corpus", "CORPUS"]}
 BAD_HEADER = (b"date,time\n", "line 1: bad header 'date,time'; "
               "expected date,time,txn_id,buyer_id,seller_id,volume,price")
 INVALID_UTF8 = (b"date,time,txn_id,buyer_id,seller_id,volume,price\n"
@@ -331,13 +314,17 @@ def test_parse_error_names_the_file(tmp_path, capsys, argv, content, message):
     assert err == f"error: {corpus / 'T.csv'}: {message}\n"
 
 
+def _simulate_tiny(out, stocks: int, seed: int = 0) -> int:
+    """Simulate a corpus of ``stocks`` small honest stocks."""
+    return main(["simulate", "--out", str(out), "--honest", str(stocks),
+                 "--manipulated", "0", "--seed", str(seed), "--days", "5",
+                 "--traders", "40", "--trades-per-day", "10", "--colluders", "5"])
+
+
 @pytest.fixture(scope="module")
 def duplicate_symbol_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("dup")
-    rc = main(["simulate", "--out", str(out), "--honest", "3", "--manipulated", "0",
-               "--days", "5", "--traders", "40", "--trades-per-day", "10",
-               "--colluders", "5"])
-    assert rc == 0
+    assert _simulate_tiny(out, 3) == 0
     meta = json.loads((out / "S001.json").read_text())
     meta["symbol"] = "S000"
     (out / "S001.json").write_text(json.dumps(meta))
@@ -347,33 +334,32 @@ def duplicate_symbol_corpus(tmp_path_factory):
 CORPUS_SUBCOMMANDS = ["build", "fit", "features", "detect", "validate"]
 
 
-def _run_on_corpus(subcommand, corpus, out) -> int:
-    """Run a subcommand that reads a corpus; validate takes no --out."""
+def _corpus_error(subcommand, corpus, tmp_path, capsys) -> str:
+    """Run a subcommand that reads a corpus (validate takes no --out) on a
+    corpus it must reject: it exits 2, prints nothing to stdout and writes
+    nothing.  Returns its stderr."""
+    out = tmp_path / "o"
     argv = [subcommand, "--corpus", str(corpus)]
-    return main(argv if subcommand == "validate" else [*argv, "--out", str(out)])
+    rc = main(argv if subcommand == "validate" else [*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert not out.exists()
+    return captured.err
 
 
 @pytest.mark.parametrize("subcommand", CORPUS_SUBCOMMANDS)
 def test_duplicate_symbol_rejected(duplicate_symbol_corpus, tmp_path, capsys,
                                    subcommand):
-    out = tmp_path / "o"
-    rc = _run_on_corpus(subcommand, duplicate_symbol_corpus, out)
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    err = captured.err
+    err = _corpus_error(subcommand, duplicate_symbol_corpus, tmp_path, capsys)
     assert err.startswith("error:") and err.count("\n") == 1
     assert "S000.csv" in err and "S001.csv" in err and "'S000'" in err
-    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
 def missing_sidecar_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("nosidecar")
-    rc = main(["simulate", "--out", str(out), "--honest", "3", "--manipulated", "0",
-               "--days", "5", "--traders", "40", "--trades-per-day", "10",
-               "--colluders", "5"])
-    assert rc == 0
+    assert _simulate_tiny(out, 3) == 0
     (out / "S001.json").unlink()
     return out
 
@@ -382,14 +368,121 @@ def missing_sidecar_corpus(tmp_path_factory):
 def test_missing_sidecar_rejected(missing_sidecar_corpus, tmp_path, capsys, subcommand):
     """A CSV without its sidecar stops the run and is named: the stock never
     drops out of the corpus, and so out of its reference group, unseen."""
-    out = tmp_path / "o"
-    rc = _run_on_corpus(subcommand, missing_sidecar_corpus, out)
+    err = _corpus_error(subcommand, missing_sidecar_corpus, tmp_path, capsys)
+    assert err == f"error: {missing_sidecar_corpus / 'S001.csv'}: no sidecar S001.json\n"
+
+
+@pytest.fixture(scope="module")
+def missing_csv_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("nocsv")
+    assert _simulate_tiny(out, 3) == 0
+    (out / "S001.csv").unlink()
+    return out
+
+
+@pytest.mark.parametrize("subcommand", CORPUS_SUBCOMMANDS)
+def test_missing_csv_rejected(missing_csv_corpus, tmp_path, capsys, subcommand):
+    """A sidecar without its CSV stops the run and is named, as a CSV
+    without its sidecar is."""
+    err = _corpus_error(subcommand, missing_csv_corpus, tmp_path, capsys)
+    assert err == f"error: {missing_csv_corpus / 'S001.json'}: no CSV S001.csv\n"
+
+
+@pytest.fixture(scope="module")
+def stale_corpus(tmp_path_factory):
+    """Six stocks simulated with seed 3, then four with seed 4 into the same
+    directory: S004 and S005 are left over from the first run."""
+    out = tmp_path_factory.mktemp("stale")
+    assert _simulate_tiny(out, 6, seed=3) == 0
+    assert _simulate_tiny(out, 4, seed=4) == 0
+    return out
+
+
+@pytest.mark.parametrize("subcommand", CORPUS_SUBCOMMANDS)
+def test_csv_missing_from_the_manifest_rejected(stale_corpus, tmp_path, capsys, subcommand):
+    """A CSV that corpus_manifest.json does not list is not analysed as part
+    of the corpus; the first one is named."""
+    err = _corpus_error(subcommand, stale_corpus, tmp_path, capsys)
+    assert err == f"error: {stale_corpus / 'S004.csv'}: not listed in corpus_manifest.json\n"
+
+
+def _drop_stock(corpus):
+    (corpus / "S001.csv").unlink()
+    (corpus / "S001.json").unlink()
+
+
+@pytest.mark.parametrize("damage, named, message", [
+    (_drop_stock, "S001.csv", "listed in corpus_manifest.json but missing"),
+    ("{", "corpus_manifest.json", "not a corpus manifest: Expecting"),
+    ('{"master_seed": 0}', "corpus_manifest.json",
+     "not a corpus manifest: no stocks[*].csv"),
+    ('{"stocks": [{"symbol": "S000"}]}', "corpus_manifest.json",
+     "not a corpus manifest: no stocks[*].csv"),
+    ('{"stocks": [{"csv": 0}]}', "corpus_manifest.json",
+     "not a corpus manifest: a csv entry is not a string"),
+], ids=["listed-but-missing", "not-json", "no-stocks", "no-csv", "csv-not-a-string"])
+def test_corpus_manifest_checked(tmp_path, capsys, damage, named, message):
+    corpus = tmp_path / "c"
+    assert _simulate_tiny(corpus, 3) == 0
+    if callable(damage):
+        damage(corpus)
+    else:
+        (corpus / "corpus_manifest.json").write_text(damage)
+    capsys.readouterr()
+    err = _corpus_error("validate", corpus, tmp_path, capsys)
+    assert err.startswith(f"error: {corpus / named}: {message}") and err.count("\n") == 1
+
+
+def test_corpus_without_manifest_read_whole(tmp_path, capsys):
+    """Real-data corpora have no corpus_manifest.json: every CSV/sidecar
+    pair is read."""
+    corpus = tmp_path / "c"
+    assert _simulate_tiny(corpus, 3) == 0
+    (corpus / "corpus_manifest.json").unlink()
+    capsys.readouterr()
+    assert main(["validate", "--corpus", str(corpus)]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "S000", "S001", "S002"]
+
+
+def test_interrupted_resimulation_keeps_no_older_manifest(tmp_path, monkeypatch, capsys):
+    """A simulate that fails mid-corpus in a directory holding a complete
+    corpus leaves no corpus_manifest.json, so the older run's manifest does
+    not mark the mixed directory complete."""
+    out = tmp_path / "c"
+    assert _simulate_tiny(out, 4) == 0
+    calls = []
+
+    def failing(cfg):
+        calls.append(cfg)
+        if len(calls) == 3:
+            raise RuntimeError("out of luck")
+        return simulate(cfg)
+
+    monkeypatch.setattr(cli, "simulate", failing)
+    capsys.readouterr()
+    assert _simulate_tiny(out, 4, seed=1) == 2
+    assert capsys.readouterr().err == "error: S002: out of luck\n"
+    assert not (out / "corpus_manifest.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["build", "fit", "features", "detect"])
+def test_out_into_the_corpus_rejected(tmp_path, capsys, monkeypatch, subcommand):
+    """An --out that resolves to the --corpus directory is rejected before
+    the corpus is read, and the corpus keeps every file and byte."""
+    corpus = tmp_path / "c"
+    assert _simulate_tiny(corpus, 3) == 0
+    before = {path.name: path.read_bytes() for path in corpus.iterdir()}
+    loads = []
+    monkeypatch.setattr(cli, "load_corpus", loads.append)
+    capsys.readouterr()
+    out = corpus / ".." / "c"
+    rc = main([subcommand, "--corpus", str(corpus), "--out", str(out)])
     captured = capsys.readouterr()
-    assert rc == 2
+    assert rc == 2 and loads == []
     assert captured.out == ""
-    assert captured.err == (f"error: {missing_sidecar_corpus / 'S001.csv'}: "
-                            "no sidecar S001.json\n")
-    assert not out.exists()
+    assert captured.err == f"error: {out}: --out is the --corpus directory\n"
+    assert {path.name: path.read_bytes() for path in corpus.iterdir()} == before
 
 
 def test_validate_corpus_lists_each_stock(corpus, capsys):

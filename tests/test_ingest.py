@@ -835,6 +835,20 @@ def test_load_corpus_rejects_a_csv_without_its_sidecar(tmp_path):
     assert str(exc.value) == f"{tmp_path / 'B.csv'}: no sidecar B.json"
 
 
+def test_load_corpus_rejects_a_sidecar_without_its_csv(tmp_path):
+    log = parse("2004-01-08,09:30:01,1,B1,S1,500,7.25\n")
+    with open(tmp_path / "A.csv", "w", encoding="utf-8", newline="") as fh:
+        write_transactions(log, fh)
+    # The run and corpus manifests are not sidecars, though they sort
+    # before the CSV-less "z.json".
+    for name in ("A", "z", "manifest", "corpus_manifest"):
+        with open(tmp_path / f"{name}.json", "w", encoding="utf-8", newline="") as fh:
+            write_stock_meta(META, fh)
+    with pytest.raises(ValueError) as exc:
+        load_corpus(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'z.json'}: no CSV z.csv"
+
+
 class TestFilterPeriod:
     @staticmethod
     @functools.cache
