@@ -5,8 +5,10 @@ computes features per stock over the right analysis window, compares each
 stock against its reference group, and prints the verdict table.
 """
 
+from functools import partial
+
 from tradenet import (CorpusSpec, DetectorConfig, GofConfig, GroupSpec,
-                      SimConfig, detect_corpus)
+                      SimConfig, detect_corpus, load_corpus)
 from tradenet.sim import generate_corpus
 
 spec = CorpusSpec(
@@ -25,8 +27,8 @@ truth = {r.log.meta.symbol: r.log.meta.manipulated for r in results}
 print(f"generated {len(results)} stocks "
       f"({sum(truth.values())} manipulated, ground truth known)\n")
 
-reports = detect_corpus(logs, GofConfig(min_tail_size=40, rng_seed=3),
-                        DetectorConfig())
+reports = detect_corpus(partial(load_corpus, logs),
+                        GofConfig(min_tail_size=40, rng_seed=3), DetectorConfig())
 
 print(f"{'symbol':>7} {'bucket':>6} {'sector':>8} {'score':>6} "
       f"{'verdict':>8} {'truth':>6}")

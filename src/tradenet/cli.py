@@ -140,37 +140,48 @@ def _cmd_simulate(args: argparse.Namespace, out: Path, spec: CorpusSpec) -> int:
 # ---------------------------------------------------------------- validate
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    """Parse the corpus as the other subcommands load it."""
-    logs = load_corpus(args.corpus)
-    for sym in sorted(logs):
-        print(f"{sym}: {logs[sym].n_records} records")
+    """Parse the corpus as the other subcommands load it, one line per
+    stock as it is parsed."""
+    load_corpus(args.corpus, lambda log, _: print(f"{log.meta.symbol}: {log.n_records} records"))
     return 0
+
+
+def _visit_corpus(args: argparse.Namespace, visit) -> dict:
+    """``load_corpus`` over ``--corpus``; under ``-v``, one stderr line per
+    stock once ``visit`` is done with it."""
+    def visited(log, metas):
+        result = visit(log, metas)
+        if args.verbose:
+            print(f"{log.meta.symbol}: {log.n_records} records", file=sys.stderr)
+        return result
+    return load_corpus(args.corpus, visited)
 
 
 # ---------------------------------------------------------------- build
 
-def _cmd_build(args: argparse.Namespace, out: Path, logs: dict) -> int:
-    for sym in sorted(logs):
-        net = build_network(logs[sym])
-        _atomic_write(out / "networks" / f"{sym}_edges.csv",
+def _cmd_build(args: argparse.Namespace, out: Path) -> int:
+    def build(log, _):
+        net = build_network(log)
+        _atomic_write(out / "networks" / f"{log.meta.symbol}_edges.csv",
                       partial(write_edge_list, net))
-        print(f"{sym}: n={net.node_count} m={net.edge_count} "
+        print(f"{log.meta.symbol}: n={net.node_count} m={net.edge_count} "
               f"volume={net.total_volume()}")
+    _visit_corpus(args, build)
     return 0
 
 
 # ---------------------------------------------------------------- fit
 
-def _cmd_fit(args: argparse.Namespace, out: Path, logs: dict, gof: GofConfig) -> int:
-    for sym in sorted(logs):
+def _cmd_fit(args: argparse.Namespace, out: Path, gof: GofConfig) -> int:
+    def fit(log, _):
         # A statistic whose tail cannot be fit is written as null.
-        fits = compute_features(logs[sym], gof).fits
-        _atomic_write(out / "fits" / f"{sym}.json",
-                      _dump_json({"symbol": sym, "fits": fits}))
+        sym, fits = log.meta.symbol, compute_features(log, gof).fits
+        _atomic_write(out / "fits" / f"{sym}.json", _dump_json({"symbol": sym, "fits": fits}))
         if args.verbose:
             fitted = sum(fit is not None for fit in fits.values())
             print(f"{sym}: fitted {fitted} of {len(fits)} statistics", file=sys.stderr)
-    print(f"wrote fits for {len(logs)} stocks to {out / 'fits'}")
+    stocks = load_corpus(args.corpus, fit)
+    print(f"wrote fits for {len(stocks)} stocks to {out / 'fits'}")
     return 0
 
 
@@ -204,39 +215,44 @@ def _feature_row(feats) -> list[str]:
     return row
 
 
-def _write_features_csv(path: Path, features_by_symbol: dict) -> None:
+def _write_plotdata(out: Path, stock) -> None:
+    """One stock's CCDF points per tail statistic and its daily series."""
+    sym = stock.symbol
+    for stat, samples in stock.samples.items():
+        if samples.size == 0:
+            continue
+        xs, cc = ccdf_points(samples)
+        rows = zip(map(str, xs.tolist()), map(repr, cc.tolist()))
+        _atomic_write(out / "plotdata" / f"{sym}_ccdf_{stat}.csv",
+                      partial(_write_rows, header=("x", "ccdf"), rows=rows))
+    series = stock.series
+    rows = zip(map(dt.date.isoformat, series.days), map(repr, series.avg_price.tolist()),
+               map(str, series.n_sellers.tolist()), map(str, series.n_buyers.tolist()))
+    _atomic_write(out / "plotdata" / f"{sym}_daily.csv", partial(
+        _write_rows, header=("date", "avg_price", "n_sellers", "n_buyers"), rows=rows))
+
+
+def _cmd_features(args: argparse.Namespace, out: Path, gof: GofConfig) -> int:
+    """Write each stock's plot data as it is featurized and keep its
+    features.csv row; features.csv comes last."""
+    def featurize(log, _):
+        stock = compute_features(log, gof)
+        _write_plotdata(out, stock)
+        return _feature_row(stock)
+    rows = _visit_corpus(args, featurize)
     header = [*STOCK_COLUMNS,
               *(f"{stat}_{suffix}" for stat in TAIL_STATS for suffix, _ in FIT_COLUMNS)]
-    rows = [_feature_row(features_by_symbol[sym]) for sym in sorted(features_by_symbol)]
-    _atomic_write(path, partial(_write_rows, header=header, rows=rows))
-
-
-def _cmd_features(args: argparse.Namespace, out: Path, logs: dict, gof: GofConfig) -> int:
-    feats = {sym: compute_features(logs[sym], gof) for sym in sorted(logs)}
-    _write_features_csv(out / "features.csv", feats)
-
-    for sym, stock in feats.items():
-        for stat, samples in stock.samples.items():
-            if samples.size == 0:
-                continue
-            xs, cc = ccdf_points(samples)
-            rows = zip(map(str, xs.tolist()), map(repr, cc.tolist()))
-            _atomic_write(out / "plotdata" / f"{sym}_ccdf_{stat}.csv",
-                          partial(_write_rows, header=("x", "ccdf"), rows=rows))
-        series = stock.series
-        rows = zip(map(dt.date.isoformat, series.days), map(repr, series.avg_price.tolist()),
-                   map(str, series.n_sellers.tolist()), map(str, series.n_buyers.tolist()))
-        _atomic_write(out / "plotdata" / f"{sym}_daily.csv", partial(
-            _write_rows, header=("date", "avg_price", "n_sellers", "n_buyers"), rows=rows))
-    print(f"wrote {out / 'features.csv'} ({len(feats)} stocks)")
+    _atomic_write(out / "features.csv",
+                  partial(_write_rows, header=header, rows=rows.values()))
+    print(f"wrote {out / 'features.csv'} ({len(rows)} stocks)")
     return 0
 
 
 # ---------------------------------------------------------------- detect
 
-def _cmd_detect(args: argparse.Namespace, out: Path, logs: dict, gof: GofConfig,
+def _cmd_detect(args: argparse.Namespace, out: Path, gof: GofConfig,
                 thresholds: DetectorConfig) -> int:
-    reports = detect_corpus(logs, gof, thresholds)
+    reports = detect_corpus(partial(_visit_corpus, args), gof, thresholds)
     _atomic_write(out / "reports.json", _dump_json(reports))
     flagged = [r.symbol for r in reports if r.verdict]
     print(f"{len(reports)} stocks evaluated, {len(flagged)} flagged"
@@ -345,20 +361,24 @@ def main(argv=None) -> int:
             print(_dump_json(cfg), end="")
             return 0
         out = Path(args.out)
+        run = {"subcommand": args.subcommand, "config": cfg, "inputs": []}
         if args.subcommand == "simulate":
-            inputs, code = [], _cmd_simulate(args, out, **configs)
+            code = _cmd_simulate(args, out, **configs)
         else:
-            if out.resolve() == Path(args.corpus).resolve():
+            corpus = Path(args.corpus)
+            if out.resolve() == corpus.resolve():
                 raise ValueError(f"{out}: --out is the --corpus directory")
-            inputs = [str(args.corpus)]
-            code = args.func(args, out, load_corpus(args.corpus), **configs)
+            # A run that fails mid-corpus leaves the artifacts of the stocks
+            # before the failing one; without a manifest they read as partial.
+            (out / "manifest.json").unlink(missing_ok=True)
+            code = args.func(args, out, **configs)
+            # A directory without corpus_manifest.json is analysed whole,
+            # so the run says whether the corpus had one.
+            run.update(inputs=[str(corpus)],
+                       corpus_manifest=(corpus / "corpus_manifest.json").exists())
         _atomic_write(out / "manifest.json", _dump_json({
-            "subcommand": args.subcommand,
-            "config": cfg,
-            "inputs": inputs,
-            "toolkit_version": __version__,
-            "timestamp": dt.datetime.now(dt.timezone.utc).isoformat(),
-        }))
+            **run, "toolkit_version": __version__,
+            "timestamp": dt.datetime.now(dt.timezone.utc).isoformat()}))
         return code
     except BrokenPipeError:
         return 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .features import TAIL_STATS, StockFeatures, compute_features
 from .ingest import StockMeta, TransactionLog, filter_period
@@ -72,15 +72,18 @@ def feature_vector(features: StockFeatures) -> dict[str, float | None]:
     return vector
 
 
+def _is_reference(member: StockMeta, target: StockMeta) -> bool:
+    """Whether ``member`` is a reference stock of ``target``: a
+    non-manipulated stock of its bucket and sector, never the target."""
+    return (member.symbol != target.symbol and not member.manipulated
+            and member.capitalization_bucket == target.capitalization_bucket
+            and member.sector == target.sector)
+
+
 def select_reference(target: StockMeta, universe: Mapping[str, StockMeta]) -> tuple[str, ...]:
     """Symbols of the reference stocks of a target: the non-manipulated
     stocks matching its bucket and sector, never the target itself."""
-    members = sorted(
-        m.symbol for m in universe.values()
-        if m.symbol != target.symbol
-        and not m.manipulated
-        and m.capitalization_bucket == target.capitalization_bucket
-        and m.sector == target.sector)
+    members = sorted(m.symbol for m in universe.values() if _is_reference(m, target))
     if not members:
         raise ValueError(
             f"no reference stocks for {target.symbol} "
@@ -132,10 +135,41 @@ def evaluate(target_features: StockFeatures, reference: Mapping[str, float | Non
     )
 
 
-def detect_corpus(logs: Mapping[str, TransactionLog],
+def _window_features(log: TransactionLog, metas: Mapping[str, StockMeta],
+                     gof_cfg: GofConfig) -> dict[tuple | None, StockFeatures | None]:
+    """One stock's features over every window a report reads them at: its
+    own window, and the window of each target it is a reference stock of.
+    A window that covers the whole log gives the full-period features,
+    computed once, and a window without a trade gives None.  Only what
+    ``evaluate`` reads is kept, not the samples or the daily series."""
+    span = log.date_range() if log.n_records else None
+    computed: dict[tuple | None, StockFeatures | None] = {}
+
+    def features(window):
+        if window is not None and span and window[0] <= span[0] and span[1] <= window[1]:
+            window = None  # keeps every record: the full-period features
+        if window not in computed:
+            part = log if window is None else filter_period(log, window)
+            computed[window] = (replace(compute_features(part, gof_cfg), samples={}, series=None)
+                                if part.n_records else None)
+        return computed[window]
+
+    windows = [log.meta.manipulation_period,
+               *(metas[s].manipulation_period for s in sorted(metas)
+                 if _is_reference(log.meta, metas[s]))]
+    return {window: features(window) for window in windows}
+
+
+def detect_corpus(corpus: Callable[[Callable], dict],
                   gof_cfg: GofConfig,
                   det_cfg: DetectorConfig) -> list[ManipulationReport]:
-    """Run the full comparison over a corpus of per-stock logs.
+    """Run the full comparison over a corpus.
+
+    ``corpus(visit)`` hands each stock to ``visit`` as ``load_corpus``
+    does: ``partial(load_corpus, directory)``, or ``partial(load_corpus,
+    logs)`` for logs already in memory.  Each stock is featurized in its one
+    visit, over every window a report needs of it, which the stocks' metas
+    alone determine; the reports are evaluated once every stock is visited.
 
     Labeled manipulated stocks are analyzed over their declared manipulation
     window, and their reference stocks are re-featurized over the same
@@ -146,34 +180,18 @@ def detect_corpus(logs: Mapping[str, TransactionLog],
     by symbol.
     """
     gof_cfg = replace(gof_cfg, bootstrap_replicas=0)
-    metas = {sym: log.meta for sym, log in logs.items()}
-
-    cache: dict[tuple[str, tuple | None], StockFeatures | None] = {}
-
-    def features_for(symbol: str, window) -> StockFeatures | None:
-        log = logs[symbol]
-        if window is not None and log.n_records:
-            first, last = log.date_range()
-            if window[0] <= first and last <= window[1]:
-                window = None  # keeps every record: the full-period features
-        key = (symbol, window)
-        if key not in cache:
-            if window is not None:
-                log = filter_period(log, window)
-            cache[key] = compute_features(log, gof_cfg) if log.n_records else None
-        return cache[key]
+    stocks = corpus(lambda log, metas: (log.meta, _window_features(log, metas, gof_cfg)))
+    metas = {symbol: meta for symbol, (meta, _) in stocks.items()}
 
     reports = []
-    for symbol in sorted(logs):
-        meta = metas[symbol]
+    for symbol, (meta, by_window) in stocks.items():
         window = meta.manipulation_period
         members = select_reference(meta, metas)
         span = "its period" if window is None else f"{window[0]}..{window[1]}"
-        target_feats = features_for(symbol, window)
+        target_feats = by_window[window]
         if target_feats is None:
             raise ValueError(f"{symbol} has no trade in {span}")
-        member_feats = {s: f for s in members
-                        if (f := features_for(s, window)) is not None}
+        member_feats = {s: f for s in members if (f := stocks[s][1][window]) is not None}
         if not member_feats:
             raise ValueError(f"no reference stock of {symbol} trades in {span}")
         reports.append(evaluate(target_feats, reference_values(member_feats), det_cfg))

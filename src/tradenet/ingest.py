@@ -24,6 +24,7 @@ import re
 import traceback
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -618,17 +619,10 @@ def _listed_csvs(path: Path) -> set[str]:
     return names
 
 
-def load_corpus(directory) -> dict[str, TransactionLog]:
-    """Load every SYMBOL.csv/SYMBOL.json pair under a corpus directory.
-
-    Every ``*.json`` but ``manifest.json`` and ``corpus_manifest.json`` is a
-    sidecar.  A CSV without its sidecar, a sidecar without its CSV, a CSV
-    that ``corpus_manifest.json`` (when present) does not list or a listed
-    one that is missing, two sidecars naming one symbol and a file that
-    does not parse are each a ValueError that names the file; all but the
-    last two are found before any file is parsed.
-    """
-    directory = Path(directory)
+def _list_corpus(directory: Path) -> tuple[dict[str, Path], dict[str, StockMeta]]:
+    """Each stock's CSV and sidecar meta by symbol, with the corpus
+    contract checked from the file names, ``corpus_manifest.json`` and the
+    sidecars alone; no CSV is parsed."""
     csv_paths = sorted(directory.glob("*.csv"))
     csvs = {path.stem for path in csv_paths}
     sidecars = {path.stem for path in directory.glob("*.json")} - {"manifest", "corpus_manifest"}
@@ -645,16 +639,39 @@ def load_corpus(directory) -> dict[str, TransactionLog]:
             raise ValueError(f"{directory / name}: " + (
                 f"listed in {manifest.name} but missing" if name in listed
                 else f"not listed in {manifest.name}"))
-    logs: dict[str, TransactionLog] = {}
-    sources: dict[str, Path] = {}
+    paths: dict[str, Path] = {}
+    metas: dict[str, StockMeta] = {}
     for csv_path in csv_paths:
-        log = parse_transactions(csv_path, read_stock_meta(csv_path.with_suffix(".json")))
-        symbol = log.meta.symbol
-        if symbol in sources:
-            raise ValueError(f"symbol {symbol!r} names two stocks: "
-                             f"{sources[symbol]} and {csv_path}")
-        sources[symbol] = csv_path
-        logs[symbol] = log
-    if not logs:
+        meta = read_stock_meta(csv_path.with_suffix(".json"))
+        if meta.symbol in paths:
+            raise ValueError(f"symbol {meta.symbol!r} names two stocks: "
+                             f"{paths[meta.symbol]} and {csv_path}")
+        paths[meta.symbol], metas[meta.symbol] = csv_path, meta
+    if not paths:
         raise FileNotFoundError(f"no stock CSV/JSON pairs found under {directory}")
-    return logs
+    return paths, metas
+
+
+def load_corpus(corpus, visit: Callable[[TransactionLog, Mapping[str, StockMeta]], object]
+                ) -> dict[str, object]:
+    """Hand each stock of a corpus to ``visit(log, metas)`` in symbol order,
+    with ``metas`` every stock's meta by symbol, and return what each call
+    returned by symbol.  A log is parsed only when its stock is visited, so
+    memory holds one stock's log unless ``visit`` keeps it.
+
+    ``corpus`` is a directory of SYMBOL.csv/SYMBOL.json pairs, or logs by
+    symbol already in memory.  In a directory every ``*.json`` but
+    ``manifest.json`` and ``corpus_manifest.json`` is a sidecar.  A CSV
+    without its sidecar, a sidecar without its CSV, a CSV that
+    ``corpus_manifest.json`` (when present) does not list or a listed one
+    that is missing, a bad sidecar, two sidecars naming one symbol and a
+    file that does not parse are each a ValueError that names the file; all
+    but the last are found before any file is parsed.
+    """
+    if isinstance(corpus, Mapping):
+        metas = {symbol: log.meta for symbol, log in corpus.items()}
+        load = corpus.__getitem__
+    else:
+        paths, metas = _list_corpus(Path(corpus))
+        load = lambda symbol: parse_transactions(paths[symbol], metas[symbol])
+    return {symbol: visit(load(symbol), metas) for symbol in sorted(metas)}

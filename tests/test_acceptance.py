@@ -7,6 +7,7 @@ gate is reproducible.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 from scipy.special import zeta
@@ -16,6 +17,7 @@ from powerlaw_helpers import ks_distance
 from tradenet.cli import main
 from tradenet.detector import DetectorConfig, detect_corpus
 from tradenet.features import pearson_corr, tail_samples
+from tradenet.ingest import load_corpus
 from tradenet.network import (build_network, degree_sequences,
                               strength_sequences)
 from tradenet.powerlaw import DiscretePowerLaw, GofConfig, fit_tail
@@ -205,8 +207,8 @@ def test_criterion_6_manipulation_separation():
     logs = {r.log.meta.symbol: r.log for r in results}
     truth = {r.log.meta.symbol: r.log.meta.manipulated for r in results}
 
-    reports = detect_corpus(logs, GofConfig(min_tail_size=50, rng_seed=5),
-                            DetectorConfig())
+    reports = detect_corpus(partial(load_corpus, logs),
+                            GofConfig(min_tail_size=50, rng_seed=5), DetectorConfig())
     by_symbol = {r.symbol: r for r in reports}
 
     # (a) correlation split

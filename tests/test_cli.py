@@ -2,13 +2,16 @@ import hashlib
 import json
 import re
 import shlex
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import pytest
 
-from tradenet import __version__, cli
+from tradenet import __version__, cli, ingest
 from tradenet.cli import build_parser, main
+from tradenet.features import compute_features
+from tradenet.powerlaw import GofConfig
 from tradenet.sim import simulate
 
 SIM_ARGS = ["--traders", "300", "--trades-per-day", "50", "--days", "50",
@@ -626,6 +629,179 @@ def test_interrupted_simulate_keeps_the_stocks_before_it(tmp_path, monkeypatch, 
     written = sorted(p.name for p in out.iterdir())
     assert written == ["S000.csv", "S000.json", "S001.csv", "S001.json"]
     assert all((out / name).read_bytes() == (full / name).read_bytes() for name in written)
+
+
+def _analyse(subcommand: str, corpus, out, *flags: str) -> int:
+    """Run a subcommand that reads a corpus: validate takes no --out, and
+    the subcommands that fit tails skip the bootstrap."""
+    argv = [subcommand, "--corpus", str(corpus), *flags]
+    if subcommand != "validate":
+        argv += ["--out", str(out)]
+    if subcommand in ("fit", "features", "detect"):
+        argv += ["--bootstrap", "0"]
+    return main(argv)
+
+
+@pytest.mark.parametrize("subcommand", CORPUS_SUBCOMMANDS)
+def test_analysis_holds_one_stock_at_a_time(tmp_path, monkeypatch, subcommand):
+    """Each stock is parsed once, and when a stock is parsed the log of the
+    stock before it is gone: memory holds one stock, not the corpus."""
+    corpus = tmp_path / "c"
+    assert main(["simulate", "--out", str(corpus), *TINY_SIM]) == 0
+    refs, alive = [], []
+    real = ingest.parse_transactions
+
+    def tracked(path, meta):
+        alive.append([ref() is not None for ref in refs])
+        log = real(path, meta)
+        refs.append(weakref.ref(log))
+        return log
+
+    monkeypatch.setattr(ingest, "parse_transactions", tracked)
+    assert _analyse(subcommand, corpus, tmp_path / "o") in (0, 1)
+    assert alive == [[False] * k for k in range(4)]
+    assert refs[-1]() is None
+
+
+@pytest.fixture(scope="module")
+def like_stocks_corpus(tmp_path_factory):
+    """Eight honest stocks of about 4,000 trades each."""
+    out = tmp_path_factory.mktemp("like")
+    assert main(["simulate", "--out", str(out), "--honest", "8", "--manipulated", "0",
+                 "--seed", "1", "--days", "20", "--traders", "300",
+                 "--trades-per-day", "200", "--colluders", "5"]) == 0
+    return out
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("subcommand", CORPUS_SUBCOMMANDS)
+def test_analysis_peak_is_one_stocks(like_stocks_corpus, tmp_path, capsys, subcommand):
+    """A subcommand's traced peak over eight like stocks stays within 1.25
+    times the peak of parsing and featurizing the largest of them alone
+    (about 1.08 times); holding every log took about 2.7 times."""
+    largest = max(like_stocks_corpus.glob("*.csv"), key=lambda path: path.stat().st_size)
+    one = _traced_peak(lambda: compute_features(
+        ingest.parse_transactions(largest, ingest.read_stock_meta(largest.with_suffix(".json"))),
+        GofConfig(bootstrap_replicas=0)))
+    codes = []
+    corpus = _traced_peak(lambda: codes.append(
+        _analyse(subcommand, like_stocks_corpus, tmp_path / "o")))
+    assert codes[0] in (0, 1)
+    assert corpus <= 1.25 * one
+
+
+@pytest.mark.parametrize("subcommand", CORPUS_SUBCOMMANDS)
+def test_first_faulty_stock_in_symbol_order_named(tmp_path, capsys, subcommand):
+    corpus = tmp_path / "c"
+    assert _simulate_tiny(corpus, 4) == 0
+    for name in ("S003.csv", "S001.csv"):
+        (corpus / name).write_bytes(BAD_HEADER[0])
+    capsys.readouterr()
+    assert _analyse(subcommand, corpus, tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"error: {corpus / 'S001.csv'}: {BAD_HEADER[1]}\n"
+
+
+@pytest.mark.parametrize("subcommand", CORPUS_SUBCOMMANDS)
+def test_duplicate_symbol_found_before_any_parse(tmp_path, capsys, subcommand):
+    """Two sidecars naming one symbol are a contract breach, found from the
+    sidecars before any CSV is parsed, so a bad CSV does not hide it."""
+    corpus = tmp_path / "c"
+    assert _simulate_tiny(corpus, 3) == 0
+    (corpus / "S000.csv").write_bytes(BAD_HEADER[0])
+    meta = json.loads((corpus / "S002.json").read_text())
+    (corpus / "S002.json").write_text(json.dumps({**meta, "symbol": "S001"}))
+    capsys.readouterr()
+    err = _corpus_error(subcommand, corpus, tmp_path, capsys)
+    assert err == (f"error: symbol 'S001' names two stocks: "
+                   f"{corpus / 'S001.csv'} and {corpus / 'S002.csv'}\n")
+
+
+def _no_trades(corpus):
+    (corpus / "S000.csv").write_text("date,time,txn_id,buyer_id,seller_id,volume,price\n")
+
+
+def _own_sector(corpus):
+    meta = json.loads((corpus / "S000.json").read_text())
+    (corpus / "S000.json").write_text(json.dumps({**meta, "sector": "alone"}))
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_no_trades, "S000 has no trade in its period"),
+    (_own_sector, "no reference stocks for S000 (bucket='mid', sector='alone'); "
+                  "consider a coarser capitalization bucketing"),
+], ids=["no-trades", "no-reference"])
+@pytest.mark.parametrize("bad_csv", [False, True], ids=["alone", "with-bad-csv"])
+def test_detect_reports_parse_errors_before_evaluation_errors(tmp_path, capsys, damage,
+                                                              message, bad_csv):
+    """Every stock is parsed before any report is evaluated, so a CSV that
+    does not parse is named even after a stock whose report fails."""
+    corpus = tmp_path / "c"
+    assert _simulate_tiny(corpus, 4) == 0
+    damage(corpus)
+    if bad_csv:
+        (corpus / "S002.csv").write_bytes(BAD_HEADER[0])
+        message = f"{corpus / 'S002.csv'}: {BAD_HEADER[1]}"
+    capsys.readouterr()
+    assert _analyse("detect", corpus, tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("subcommand", ["build", "fit", "features", "detect"])
+def test_run_failing_mid_corpus_leaves_no_manifest(tmp_path, capsys, subcommand):
+    """A run that fails on its third stock leaves no manifest.json in
+    --out, not even an earlier run's, so the stocks it wrote before the
+    failure do not read as a complete run."""
+    corpus, out = tmp_path / "c", tmp_path / "o"
+    assert _simulate_tiny(corpus, 4) == 0
+    assert _analyse(subcommand, corpus, out) in (0, 1)
+    (corpus / "S002.csv").write_bytes(BAD_HEADER[0])
+    capsys.readouterr()
+    assert _analyse(subcommand, corpus, out) == 2
+    assert capsys.readouterr().err == f"error: {corpus / 'S002.csv'}: {BAD_HEADER[1]}\n"
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["build", "features", "detect"])
+def test_verbose_names_each_stock_as_it_is_visited(tmp_path, capsys, subcommand):
+    """-v adds one stderr line per stock and changes neither stdout nor an
+    artifact."""
+    corpus = tmp_path / "c"
+    assert _simulate_tiny(corpus, 3) == 0
+    runs = []
+    for flags in ([], ["-v"]):
+        out = tmp_path / ("verbose" if flags else "quiet")
+        capsys.readouterr()
+        code = _analyse(subcommand, corpus, out, *flags)
+        captured = capsys.readouterr()
+        artifacts = [path for path in out.rglob("*.*") if path.name != "manifest.json"]
+        runs.append((code, captured.out.replace(str(out), "OUT"), _digest(artifacts),
+                     captured.err))
+    (*quiet, quiet_err), (*verbose, verbose_err) = runs
+    assert quiet == verbose and quiet_err == ""
+    assert [line.split(":")[0] for line in verbose_err.splitlines()] == ["S000", "S001", "S002"]
+    assert all(re.fullmatch(r"S\d{3}: \d+ records", line) for line in verbose_err.splitlines())
+
+
+@pytest.mark.parametrize("subcommand", ["build", "fit", "features", "detect"])
+def test_run_manifest_says_whether_the_corpus_had_one(tmp_path, subcommand):
+    """A directory without corpus_manifest.json is analysed whole, as an
+    interrupted simulate leaves it; the run's manifest.json says so."""
+    corpus = tmp_path / "c"
+    assert _simulate_tiny(corpus, 3) == 0
+    for had in (True, False):
+        if not had:
+            (corpus / "corpus_manifest.json").unlink()
+        out = tmp_path / f"out-{had}"
+        assert _analyse(subcommand, corpus, out) in (0, 1)
+        assert json.loads((out / "manifest.json").read_text())["corpus_manifest"] is had
 
 
 @pytest.mark.parametrize("edit, message", [

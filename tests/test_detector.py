@@ -1,4 +1,5 @@
 import datetime as dt
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from tradenet.detector import (DetectorConfig, detect_corpus, evaluate,
                                feature_vector, reference_values,
                                select_reference, FEATURE_KEYS)
 from tradenet.features import TAIL_STATS, StockFeatures
-from tradenet.ingest import StockMeta, filter_period
+from tradenet.ingest import StockMeta, filter_period, load_corpus
 from tradenet.powerlaw import GofConfig, TailFit
 from tradenet.sim import CorpusSpec, GroupSpec, SimConfig, generate_corpus
 
@@ -220,8 +221,8 @@ class TestDetectCorpus:
                            n_colluders=60))
         results = generate_corpus(spec)
         logs = {r.log.meta.symbol: r.log for r in results}
-        reports = detect_corpus(logs, GofConfig(min_tail_size=30, rng_seed=1),
-                                DetectorConfig())
+        reports = detect_corpus(partial(load_corpus, logs),
+                                GofConfig(min_tail_size=30, rng_seed=1), DetectorConfig())
         by_symbol = {r.symbol: r for r in reports}
         truth = {r.log.meta.symbol: r.log.meta.manipulated for r in results}
         manip = [s for s, t in truth.items() if t][0]
@@ -237,8 +238,8 @@ class TestDetectCorpus:
                            n_colluders=40))
         results = generate_corpus(spec)
         logs = {r.log.meta.symbol: r.log for r in results}
-        reports = detect_corpus(logs, GofConfig(min_tail_size=30, rng_seed=1),
-                                DetectorConfig())
+        reports = detect_corpus(partial(load_corpus, logs),
+                                GofConfig(min_tail_size=30, rng_seed=1), DetectorConfig())
         assert [r.symbol for r in reports] == sorted(logs)
 
     def test_whole_log_window_reuses_full_period_features(self, monkeypatch):
@@ -256,8 +257,8 @@ class TestDetectCorpus:
             return real(log, *args, **kwargs)
 
         monkeypatch.setattr(detector, "compute_features", counting)
-        reports = detect_corpus(logs, GofConfig(min_tail_size=30, rng_seed=1),
-                                DetectorConfig())
+        reports = detect_corpus(partial(load_corpus, logs),
+                                GofConfig(min_tail_size=30, rng_seed=1), DetectorConfig())
         assert len(reports) == 5
         # 3 honest stocks over their full period; the full-window stock's
         # window covers its log and theirs, so it adds one computation; the
@@ -277,11 +278,11 @@ class TestDetectCorpus:
                  dt.date.max)
         gof, det = GofConfig(min_tail_size=10), DetectorConfig()
         logs["S001"] = filter_period(logs["S001"], after)
-        edited = {r.symbol: r for r in detect_corpus(logs, gof, det)}
-        without = {r.symbol: r for r in detect_corpus(
-            {s: log for s, log in logs.items() if s != "S001"}, gof, det)}
+        edited = {r.symbol: r for r in detect_corpus(partial(load_corpus, logs), gof, det)}
+        without = {r.symbol: r for r in detect_corpus(partial(
+            load_corpus, {s: log for s, log in logs.items() if s != "S001"}), gof, det)}
         assert edited["S003"] == without["S003"]
         for s in ("S000", "S002"):
             logs[s] = filter_period(logs[s], after)
         with pytest.raises(ValueError, match="no reference stock of S003"):
-            detect_corpus(logs, gof, det)
+            detect_corpus(partial(load_corpus, logs), gof, det)

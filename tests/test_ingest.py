@@ -818,7 +818,7 @@ def test_load_corpus_rejects_duplicate_symbol(tmp_path):
         with open(tmp_path / f"{name}.json", "w", encoding="utf-8", newline="") as fh:
             write_stock_meta(META, fh)
     with pytest.raises(ValueError, match="'TEST' names two stocks") as exc:
-        load_corpus(tmp_path)
+        load_corpus(tmp_path, lambda log, metas: log)
     assert str(tmp_path / "A.csv") in str(exc.value)
     assert str(tmp_path / "B.csv") in str(exc.value)
 
@@ -831,7 +831,7 @@ def test_load_corpus_rejects_a_csv_without_its_sidecar(tmp_path):
     with open(tmp_path / "A.json", "w", encoding="utf-8", newline="") as fh:
         write_stock_meta(META, fh)
     with pytest.raises(ValueError) as exc:
-        load_corpus(tmp_path)
+        load_corpus(tmp_path, lambda log, metas: log)
     assert str(exc.value) == f"{tmp_path / 'B.csv'}: no sidecar B.json"
 
 
@@ -845,7 +845,7 @@ def test_load_corpus_rejects_a_sidecar_without_its_csv(tmp_path):
         with open(tmp_path / f"{name}.json", "w", encoding="utf-8", newline="") as fh:
             write_stock_meta(META, fh)
     with pytest.raises(ValueError) as exc:
-        load_corpus(tmp_path)
+        load_corpus(tmp_path, lambda log, metas: log)
     assert str(exc.value) == f"{tmp_path / 'z.json'}: no CSV z.csv"
 
 
