@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import zeta
 
 ALPHA_MIN = 1.0 + 1e-6
 ALPHA_MAX = 20.0
@@ -99,6 +98,13 @@ def _as_int_array(samples) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _zeta(s, q):
+    """Hurwitz zeta(s, q), imported on the first evaluation: a run that fits
+    no tail and simulates nothing never loads its library."""
+    from scipy.special import zeta
+    return zeta(s, q)
+
+
 def _solve_alpha(log_sums, n_tail, x_min) -> np.ndarray:
     """Per row, the a maximizing -a * sum(ln x) - n * ln zeta(a, x_min).
 
@@ -119,7 +125,7 @@ def _solve_alpha(log_sums, n_tail, x_min) -> np.ndarray:
             a, xq = alpha[rows], q[rows]
             # Central differences of ln zeta; h shrinks as a -> 1, a pole.
             h = 1e-4 * (a - 1.0)
-            up, mid, down = np.log(zeta(a + _STEPS * h, xq))
+            up, mid, down = np.log(_zeta(a + _STEPS * h, xq))
             grad = mean_log[rows] + (up - down) / (2.0 * h)
             curv = (up - 2.0 * mid + down) / (h * h)
             rising = grad < 0.0  # likelihood still rising: optimum above a
@@ -178,7 +184,7 @@ def _ks_scan(uniq: np.ndarray, cum_counts: np.ndarray, first: np.ndarray,
         base = ends[start] - sizes[start]
         stop = max(start + 1, int(np.searchsorted(ends, base + KS_BLOCK, side="right")))
         blk = slice(start, stop)
-        a, z_min = alphas[blk], zeta(alphas[blk], x_mins[blk])
+        a, z_min = alphas[blk], _zeta(alphas[blk], x_mins[blk])
         # A normaliser that underflows to 0 leaves no model CDF: such a fit
         # reads KS = inf, and z_min = inf keeps its arithmetic finite.
         lost = z_min == 0.0
@@ -193,7 +199,7 @@ def _ks_scan(uniq: np.ndarray, cum_counts: np.ndarray, first: np.ndarray,
         u = u_rows[pos]
         u[tails, 0] = uniq[last]
         ecdf = (c_rows[pos] - fill[fit]) / scale[fit]
-        f0 = 1.0 - zeta(a[fit], u[:, 0] + 1.0) / z_min[fit]
+        f0 = 1.0 - _zeta(a[fit], u[:, 0] + 1.0) / z_min[fit]
         lb = np.maximum.reduceat(np.abs(ecdf[:, 0] - f0), heads)
 
         # Right pivot, chord slope and neighbouring slopes of every row, the
@@ -220,7 +226,7 @@ def _ks_scan(uniq: np.ndarray, cum_counts: np.ndarray, first: np.ndarray,
         gap = np.maximum(inner - lower, upper - inner)
         r, c = np.nonzero(gap >= (lb - KS_SLACK)[fit, None])
         at = fit[r]
-        model = 1.0 - zeta(a[at], u[r, c + 1] + 1.0) / z_min[at]
+        model = 1.0 - _zeta(a[at], u[r, c + 1] + 1.0) / z_min[at]
         np.maximum.at(lb, at, np.abs(inner[r, c] - model))
         ks[blk] = np.where(lost, np.inf, lb)
         start = stop
@@ -313,9 +319,9 @@ class DiscretePowerLaw:
             raise ValueError("x_min must be >= 1")
         self.alpha = float(alpha)
         self.x_min = int(x_min)
-        self._z0 = float(zeta(self.alpha, self.x_min))
+        self._z0 = float(_zeta(self.alpha, self.x_min))
         xs = np.arange(self.x_min, self.x_min + self._TABLE_SIZE, dtype=float)
-        self._table_cdf = 1.0 - zeta(self.alpha, xs + 1.0) / self._z0
+        self._table_cdf = 1.0 - _zeta(self.alpha, xs + 1.0) / self._z0
         self._table_hi = self.x_min + self._TABLE_SIZE - 1
 
     def _far_tail(self, targets: np.ndarray) -> np.ndarray:
@@ -329,7 +335,7 @@ class DiscretePowerLaw:
         # also keeps every accepted guess below _HI_CAP.
         ok = np.isfinite(guess) & (guess >= self.x_min) & (guess < 2.0 ** 53)
         g, t = guess[ok], targets[ok]
-        above, at = zeta(self.alpha, g + _PAIR)
+        above, at = _zeta(self.alpha, g + _PAIR)
         ok[ok] = (above <= t) & ((g == self.x_min) | (at > t))
         out = np.empty(targets.size, dtype=np.int64)
         out[ok] = guess[ok]
@@ -342,12 +348,12 @@ class DiscretePowerLaw:
         # table's end and then bisecting [x_min, hi].
         lo = np.full(targets.size, self.x_min, dtype=np.int64)
         hi_val = max(self._table_hi, self.x_min + 1)
-        while zeta(self.alpha, hi_val + 1.0) > targets.min() and hi_val < self._HI_CAP:
+        while _zeta(self.alpha, hi_val + 1.0) > targets.min() and hi_val < self._HI_CAP:
             hi_val = min(hi_val * 2, self._HI_CAP)
         hi = np.full(targets.size, hi_val, dtype=np.int64)
         while np.any(lo < hi):
             mid = (lo + hi) // 2
-            ok = zeta(self.alpha, mid + 1.0) <= targets
+            ok = _zeta(self.alpha, mid + 1.0) <= targets
             hi = np.where(ok, mid, hi)
             lo = np.where(ok, lo, mid + 1)
         return lo

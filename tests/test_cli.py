@@ -1,7 +1,11 @@
+import ast
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -696,6 +700,46 @@ def test_analysis_peak_is_one_stocks(like_stocks_corpus, tmp_path, capsys, subco
         _analyse(subcommand, like_stocks_corpus, tmp_path / "o")))
     assert codes[0] in (0, 1)
     assert corpus <= 1.25 * one
+
+
+# Run in a fresh interpreter: tradenet and scipy are already loaded here.
+STARTUP_PROBE = """
+import sys
+import tradenet
+from tradenet import cli
+
+corpus, out = sys.argv[1:]
+loaded = {"import tradenet": "scipy" in sys.modules}
+for sub in ("simulate", "build", "fit", "features", "detect"):
+    argv = [sub] + ([] if sub == "simulate" else ["--corpus", corpus])
+    assert cli.main(argv + ["--out", out, "--dump-config"]) == 0
+    loaded[sub + " --dump-config"] = "scipy" in sys.modules
+assert cli.main(["validate", "--corpus", corpus]) == 0
+loaded["validate --corpus"] = "scipy" in sys.modules
+assert cli.main(["build", "--corpus", corpus, "--out", out]) == 0
+loaded["build"] = "scipy" in sys.modules
+# The tiny stocks leave no tail of 50 samples, and detect must fit one.
+assert cli.main(["detect", "--corpus", corpus, "--out", out, "--bootstrap", "0",
+                 "--min-tail", "5"]) in (0, 1)
+loaded["detect --bootstrap 0"] = "scipy.special" in sys.modules
+print(repr(loaded))
+"""
+
+
+def test_only_fitting_and_simulating_load_scipy(tmp_path):
+    """Only a tail fit or a simulation evaluates zeta, so only they import
+    scipy: importing the package, validate, build and --dump-config start
+    without it, and detect, which fits tails, still loads it."""
+    corpus = tmp_path / "c"
+    assert main(["simulate", "--out", str(corpus), *TINY_SIM]) == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, str(corpus), str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert loaded == {**{step: False for step in loaded}, "detect --bootstrap 0": True}
 
 
 @pytest.mark.parametrize("subcommand", CORPUS_SUBCOMMANDS)

@@ -10,9 +10,9 @@ from brent_oracle import brent_scan_xmin, nll
 from powerlaw_helpers import (far_tail_oracle, full_ks_scan, gof_pvalue_oracle,
                               ks_distance, mle_alpha, model_cdf)
 from tradenet import powerlaw
-from tradenet.powerlaw import (ALPHA_MAX, ALPHA_MIN, DiscretePowerLaw, GofConfig,
-                               _ks_scan, _solve_alpha, ccdf_points, fit_tail,
-                               gof_pvalue, scan_xmin, select_xmin)
+from tradenet.powerlaw import (ALPHA_MAX, ALPHA_MIN, ALPHA_XTOL, DiscretePowerLaw,
+                               GofConfig, _ks_scan, _solve_alpha, ccdf_points,
+                               fit_tail, gof_pvalue, scan_xmin, select_xmin)
 
 
 class TestMleAlpha:
@@ -208,6 +208,19 @@ class TestSelectXmin:
                           GofConfig(min_tail_size=50))
         assert not fit.alpha_at_bound
         assert asdict(fit)["alpha_at_bound"] is False
+
+    @pytest.mark.xfail(strict=True, reason="zeta(alpha, x_min) underflows near "
+                       "x_min = 1e18 and sets the exponent; a log-space zeta mends it")
+    @pytest.mark.parametrize("base", [10**18, 2 * 10**18, 4 * 10**18])
+    def test_exponent_past_zeta_underflow_reaches_the_bound(self, base):
+        """Sixty values at base and one 1e16 above it: the closed-form
+        estimate is about 6,100, so the likelihood rises all the way to
+        ALPHA_MAX.  The scan is checked, not select_xmin, which raises once
+        zeta(ALPHA_MAX, base) underflows."""
+        cands, alphas, _ = scan_xmin([base] * 60 + [base + 10**16],
+                                     GofConfig(min_tail_size=50))
+        assert cands.tolist() == [base]
+        assert ALPHA_MAX - alphas[0] <= ALPHA_XTOL
 
 
 def power_law_sample(alpha, x_min, n, body_frac, seed):
@@ -439,8 +452,8 @@ class TestBracketedKsPass:
         uniq = uniq.astype(float)
         first = np.searchsorted(uniq, cands)
         evaluated = []
-        real = powerlaw.zeta
-        monkeypatch.setattr(powerlaw, "zeta",
+        real = powerlaw._zeta
+        monkeypatch.setattr(powerlaw, "_zeta",
                             lambda a, q: evaluated.append(np.size(q)) or real(a, q))
         got = _ks_scan(uniq, np.cumsum(counts), first, uniq[first], alphas)
         np.testing.assert_array_equal(got, ks)
