@@ -144,19 +144,21 @@ def _sorted_log(meta: StockMeta, dates, times, txns, txn_names, buyers, sellers,
     parser checks the others on every line, and the simulator meets them.
     """
     # A repeat is a neighbour in (date, txn_id) order, which simulated rows
-    # already run in.
+    # already run in.  Rows already in order are gathered by the slice of
+    # every row, a view of each column, not a copy.
     by_txn = (txns, dates)
-    order = np.arange(dates.size) if _lexsorted(by_txn) else np.lexsort(by_txn)
+    order = slice(None) if _lexsorted(by_txn) else np.lexsort(by_txn)
     day, key = dates[order], txns[order]
     repeat = (day[1:] == day[:-1]) & (key[1:] == key[:-1])
     if repeat.any():
-        i = order[repeat.argmax() + 1]
+        i = np.arange(dates.size)[order][repeat.argmax() + 1]
         raise ValueError(f"duplicate (date, txn_id) = "
                          f"({dt.date.fromordinal(int(dates[i]))}, {txn_names[txns[i]]})")
+    del day, key, repeat
     keys = (txns, times, dates)
     # Files written by write_transactions are already in order, and a check
     # is far cheaper than a sort.
-    order = np.arange(dates.size) if _lexsorted(keys) else np.lexsort(keys)
+    order = slice(None) if _lexsorted(keys) else np.lexsort(keys)
     kept, buyers, sellers = _first_appearance(buyers[order], sellers[order])
     # Renumbering the used txn names in order keeps the codes sorted like them.
     used = np.bincount(txns, minlength=len(txn_names)) > 0
@@ -237,6 +239,11 @@ def _parse_price(text: str) -> float:
 _SLACK = 8
 # _MASKS[k] keeps the first k bytes of a little-endian word.
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+# A file of at most this many bytes, slack included, has its field offsets
+# held as int32.  Every offset sum the parser forms stays below twice that
+# (``lo + width``, and ``lo + 8 * j``, which is below ``lo + 2 * width`` for
+# the words ``_words`` reads), so below 2**31.
+_OFFSET32_BYTES = 2**30
 
 
 def _read_padded(source) -> tuple[bytes | bytearray, int]:
@@ -336,25 +343,35 @@ def _words(buf, lo: np.ndarray, width: np.ndarray, n_words: int) -> list[np.ndar
     cols = [every[lo + 8 * j] for j in range(filled)]
     for j in range(filled, n_words):
         # A word past a field's end is read at that end and masked to zero.
-        at = np.minimum(lo + 8 * j, lo + width) if j else lo
-        cols.append(every[at] & _MASKS[np.clip(width - 8 * j, 0, 8)])
-    return [col.byteswap() for col in cols]
+        col = every[np.minimum(lo + 8 * j, lo + width) if j else lo]
+        col &= _MASKS[np.clip(width - 8 * j, 0, 8)]
+        cols.append(col)
+    for col in cols:
+        col.byteswap(inplace=True)
+    return cols
 
 
 def _class_rank(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Rank rows of word columns (most significant first) among the
     distinct rows, in order; also return a row index of each distinct row.
-    Rows already in order are not sorted."""
+    Rows already in order are not sorted.
+
+    ``cols`` is emptied: each column is let go once its sorted copy is made,
+    and the sorted copies once the distinct rows are found."""
     keys = cols[::-1]  # least significant first, as lexsort takes them
     order = None
     if not _lexsorted(keys):
         order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
-        cols = [col[order] for col in cols]
+    del keys
+    if order is not None:
+        for j in range(len(cols)):
+            cols[j] = cols[j][order]
     new = np.empty(cols[0].size, bool)
     new[0] = True
     new[1:] = cols[0][1:] != cols[0][:-1]
     for col in cols[1:]:
         new[1:] |= col[1:] != col[:-1]
+    cols.clear()
     rank = np.cumsum(new) - 1
     if order is None:
         return rank, np.flatnonzero(new)
@@ -454,25 +471,28 @@ def _parse_columns(buf, size: int, meta: StockMeta) -> TransactionLog:
     if chars.min() == 0 or (chars[carriage + 1] != ord("\n")).any():
         raise ValueError("NUL or carriage return inside a line")
 
+    # Scanned while few line arrays are held: the scan's byte mask and its
+    # int64 offsets are the largest arrays of the parse.
+    commas = np.flatnonzero(chars == ord(","))
     stops = ends[1:] - (chars[ends[1:] - 1] == ord("\r"))
     kept = stops > ends[:-1] + 1
     n = np.count_nonzero(kept)
     if not n:
         none = np.empty(0, np.int64)
         return _sorted_log(meta, none, none, none, [], none, none, [], none, np.empty(0))
-    commas = np.flatnonzero(chars == ord(","))
     # A line's commas lie between its end and the previous line's.
     count = np.diff(np.searchsorted(commas, ends))[kept]
     if (count != 6).any():
         raise ValueError(f"expected 7 fields, got {count[count != 6][0] + 1}")
+    del count
     # Row k holds the byte before field k of each line (its "\n" or a
     # comma), row 7 the line's stop; every comma past the header's lies in
     # a data line, six to a line.
-    bounds = np.empty((8, n), np.int64)
+    bounds = np.empty((8, n), np.int32 if size + _SLACK <= _OFFSET32_BYTES else np.int64)
     bounds[0] = ends[:-1][kept]
     bounds[1:7] = commas[len(CSV_HEADER) - 1:].reshape(n, 6).T
     bounds[7] = stops[kept]
-    del newlines, ends, carriage, stops, kept, count, commas
+    del newlines, ends, carriage, stops, kept, commas
 
     try:
         dates = _map_distinct(buf, *_fields(bounds, 0), lambda s: _parse_date(s).toordinal(),
@@ -485,8 +505,12 @@ def _parse_columns(buf, size: int, meta: StockMeta) -> TransactionLog:
     if (np.diff(bounds[2:6], axis=0) == 1).any():
         raise ValueError("empty identifier field")
 
-    codes, names = _distinct(buf, *_fields(bounds, 3, 2))
-    txns, txn_names = _distinct(buf, *_fields(bounds, 2))
+    accounts, txn_ids = _fields(bounds, 3, 2), _fields(bounds, 2)
+    del bounds
+    codes, names = _distinct(buf, *accounts)
+    del accounts
+    txns, txn_names = _distinct(buf, *txn_ids)
+    del txn_ids
     return _sorted_log(meta, dates, times, txns, txn_names, codes[:n], codes[n:], names,
                        volumes, prices)
 

@@ -304,6 +304,59 @@ def test_writer_peak_memory_per_row():
     assert peak < 100 * log.n_records
 
 
+def test_parser_peak_memory_per_row():
+    """Parsing a written manipulated log of 41,879 rows (50 bytes per line)
+    peaks under 170 traced bytes per row, the file's own bytes included
+    (about 157 measured, 261 when field bounds were int64, the columns in
+    order were gathered again and the word columns were copied to mask and
+    swap them): the log itself holds 57."""
+    log = simulate(SimConfig(rng_seed=7, manipulated=True, n_days=32)).log
+    assert log.n_records >= 40_000
+    data = _written(write_transactions, log).encode()
+    tracemalloc.start()
+    try:
+        parsed = parse_transactions(data, log.meta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == log
+    assert peak < 170 * log.n_records
+
+
+@pytest.mark.parametrize("bad_last", [False, True], ids=["good", "bad-last"])
+def test_offset_width_leaves_the_outcome(monkeypatch, bad_last):
+    """A file is cut into int32 field offsets when it fits in
+    ``_OFFSET32_BYTES`` with its slack, and into int64 ones past that; both
+    widths give the same log, or name the same bad line through the same
+    bisection."""
+    log = simulate(SimConfig(rng_seed=3, manipulated=True, n_days=2)).log
+    data = _written(write_transactions, log).encode()
+    if bad_last:
+        data += b"2004-01-05,09:30:00,x,B,S,0,7.25\n"
+    padded = len(data) + ingest._SLACK
+    cut, widths = ingest._fields, []  # the offset width of each parse, in turn
+
+    def fields(bounds, k, m=1):
+        if k == 0:  # the first field a parse cuts
+            widths.append(bounds.dtype)
+        return cut(bounds, k, m)
+
+    monkeypatch.setattr(ingest, "_fields", fields)
+    outcomes = []
+    for limit, first, rest in ((padded, np.int32, np.int32), (padded - 1, np.int64, np.int32),
+                               (0, np.int64, np.int64)):
+        monkeypatch.setattr(ingest, "_OFFSET32_BYTES", limit)
+        widths.clear()
+        try:
+            outcomes.append(parse_transactions(data, log.meta))
+        except TransactionParseError as exc:
+            outcomes.append((exc.lineno, str(exc)))
+        assert widths[0] == first and set(widths[1:]) <= {np.dtype(rest)}
+        assert (len(widths) > 1) == bad_last  # the bisection parsed prefixes
+    bad = log.n_records + 2
+    assert outcomes == [(bad, f"line {bad}: volume must be >= 1, got 0") if bad_last else log] * 3
+
+
 def test_empty_log_matches_oracle():
     log = build_log(META, *[()] * 7)
     text = _written(write_transactions, log)
@@ -730,7 +783,7 @@ print(len(data), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, ou
 @pytest.mark.parametrize("n_lines, kind, field, id_bytes, per_byte, slack_mb", [
     (2000, "good", 2, 20_000, 20, 10), (5000, "good", 2, 20_000, 20, 10),
     (5000, "bad", 2, 20_000, 20, 10), (20_000, "good", 3, 4000, 20, 10),
-    (200_000, "good", 2, 1, 9.2, 0), (200_000, "bad", 2, 1, 11.5, 0),
+    (200_000, "good", 2, 1, 7.2, 0), (200_000, "bad", 2, 1, 9.0, 0),
 ], ids=["2000-lines", "5000-lines", "5000-lines-bad-last", "20000-lines-long-account",
         "200000-lines-no-long-field", "200000-lines-bad-last"])
 def test_parse_peak_rss_within_each_files_bound(n_lines, kind, field, id_bytes, per_byte,
@@ -742,12 +795,13 @@ def test_parse_peak_rss_within_each_files_bound(n_lines, kind, field, id_bytes, 
     4,000 bytes, stays under 20 times its size plus 10 MB, also when its
     last line is bad and the bisection parses its prefixes: the long id
     costs words only in its own width class, not one id-wide field per
-    line.  An 8 MB file with no long field stays under 9.2 bytes per file
-    byte (about 7.9 measured): its per-line index is one 8-row matrix of
-    field bounds, and each column's offsets and widths are cut from it
-    only while that column is parsed.  With a bad last line it stays under
-    11.5 (about 10.3 measured): the error the bisection keeps holds no
-    frame of the parse that raised it."""
+    line.  An 8 MB file with no long field stays under 7.2 bytes per file
+    byte (about 5.6 measured, 8.0 with int64 offsets): its per-line index
+    is one 8-row matrix of int32 field bounds, each column's offsets and
+    widths are cut from it only while that column is parsed, and it is
+    let go before the ids are ranked.  With a bad last line it stays under
+    9.0 (7.0 to 7.6 measured, 10.4 with int64 offsets): the error the
+    bisection keeps holds no frame of the parse that raised it."""
     src = Path(ingest.__file__).resolve().parents[1]
     probe = subprocess.run([sys.executable, "-c", MEMORY_PROBE, str(n_lines), kind,
                             str(field), str(id_bytes)],
