@@ -25,26 +25,32 @@ from .network import build_network, write_edge_list
 from .powerlaw import GofConfig, ccdf_points
 from .sim import CorpusSpec, GroupSpec, SimConfig, corpus_configs, simulate
 
-# Each default lives on its config dataclass; only the corpus's stock counts
-# have no dataclass default.
-DEFAULTS = {
-    "seed": GofConfig.rng_seed,
-    "bootstrap": GofConfig.bootstrap_replicas,
-    "min_tail": GofConfig.min_tail_size,
-    "corr_threshold": DetectorConfig.corr_threshold,
-    "elevation_factor": DetectorConfig.elevation_factor,
-    "decision_threshold": DetectorConfig.decision_threshold,
-    "honest": 10,
-    "manipulated": 2,
-    "partial": GroupSpec.partial,
-    "days": SimConfig.n_days,
-    "traders": SimConfig.n_traders,
-    "trades_per_day": SimConfig.trades_per_day,
-    "colluders": SimConfig.n_colluders,
-    "wash_fraction": SimConfig.wash_volume_fraction,
-    "bucket": SimConfig.capitalization_bucket,
-    "sector": SimConfig.sector,
+# Every option a flag or config file sets: its type, default and help.  Its
+# flag is the key with "-" for "_".  Each default lives on its config
+# dataclass; only the corpus's stock counts have no dataclass default.
+OPTIONS = {
+    "seed": (int, GofConfig.rng_seed, "master RNG seed (>= 0)"),
+    "bootstrap": (int, GofConfig.bootstrap_replicas,
+                  "bootstrap replicas for p-values (0 skips them; detect ignores it)"),
+    "min_tail": (int, GofConfig.min_tail_size, "minimum tail size for the x_min scan"),
+    "corr_threshold": (float, DetectorConfig.corr_threshold,
+                       "flag a return/seller-buyer-ratio correlation below this, in [-1, 1]"),
+    "elevation_factor": (float, DetectorConfig.elevation_factor,
+                         "flag a feature above this multiple of its reference mean"),
+    "decision_threshold": (float, DetectorConfig.decision_threshold,
+                           "share of evaluated feature flags that flags a stock, in (0, 1]"),
+    "honest": (int, 10, "honest stocks to generate"),
+    "manipulated": (int, 2, "manipulated stocks"),
+    "partial": (int, GroupSpec.partial, "of the manipulated, how many get a partial window"),
+    "days": (int, SimConfig.n_days, "trading days per stock"),
+    "traders": (int, SimConfig.n_traders, "trader population per stock"),
+    "trades_per_day": (float, SimConfig.trades_per_day, "mean genuine trades per day"),
+    "colluders": (int, SimConfig.n_colluders, "colluder ring size"),
+    "wash_fraction": (float, SimConfig.wash_volume_fraction, "colluder share of traded volume"),
+    "bucket": (str, SimConfig.capitalization_bucket, "capitalization bucket label"),
+    "sector": (str, SimConfig.sector, "industry sector label"),
 }
+TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _atomic_write(path: Path, content) -> None:
@@ -65,28 +71,54 @@ def _atomic_write(path: Path, content) -> None:
         raise
 
 
+def _read_config(path: str, keys, groups: bool) -> dict:
+    """A config file's values, each of its option's type; an integer for a
+    float option is the float its flag parses from the same digits.
+    ``groups``, when allowed, becomes a tuple of ``GroupSpec``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError("not a JSON object")
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a config file: {exc}") from exc
+    if unknown := set(values) - {*keys, *(("groups",) if groups else ())}:
+        raise ValueError(f"{path}: unknown config file keys: {sorted(unknown)}")
+    for key, value in values.items():
+        if key == "groups":
+            values[key] = _group_specs(path, value)
+            continue
+        kind = OPTIONS[key][0]
+        if kind is float and type(value) is int:
+            values[key] = float(str(value))
+        elif type(value) is not kind:
+            raise ValueError(f"{path}: {key} must be {TYPE_NAMES[kind]}, got {json.dumps(value)}")
+    return values
+
+
+def _group_specs(path: str, groups) -> tuple[GroupSpec, ...]:
+    """A config file's ``groups``: a list of objects, each the fields of
+    one ``GroupSpec``; an entry that is not one is named by its index."""
+    if not isinstance(groups, list) or not all(isinstance(g, dict) for g in groups):
+        raise ValueError(f"{path}: not a config file: groups is not a list of objects")
+    specs = []
+    for i, group in enumerate(groups):
+        try:
+            specs.append(GroupSpec(**group))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: groups[{i}]: {exc}") from exc
+    return tuple(specs)
+
+
 def _effective_config(args: argparse.Namespace) -> dict:
-    """The subcommand's own DEFAULTS keys, those its parser has options for;
-    a config file may also give ``simulate`` its ``groups``."""
-    merged = {key: DEFAULTS[key] for key in DEFAULTS if hasattr(args, key)}
-    flags = {key: getattr(args, key) for key in merged if getattr(args, key) is not None}
+    """Defaults, then the config file, then the flags, over the subcommand's
+    own option keys; a config file may also give ``simulate`` its ``groups``."""
+    _, _, keys = SUBCOMMANDS[args.subcommand]
+    cfg = {key: OPTIONS[key][1] for key in keys}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        allowed = {*merged, "groups"} if args.subcommand == "simulate" else set(merged)
-        unknown = set(file_cfg) - allowed
-        if unknown:
-            raise ValueError(f"unknown config file keys: {sorted(unknown)}")
-        merged.update(file_cfg)
-    return {**merged, **flags}
-
-
-def _gof_config(cfg: dict) -> GofConfig:
-    """Map CLI numbers onto GofConfig; bootstrap 0 means skip p-values.
-    ``detect`` never bootstraps, so it has no seed."""
-    return GofConfig(bootstrap_replicas=int(cfg["bootstrap"]),
-                     rng_seed=int(cfg.get("seed", GofConfig.rng_seed)),
-                     min_tail_size=int(cfg["min_tail"]))
+        cfg.update(_read_config(args.config, keys, groups=args.subcommand == "simulate"))
+    cfg.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
+    return cfg
 
 
 # ---------------------------------------------------------------- simulate
@@ -94,19 +126,16 @@ def _gof_config(cfg: dict) -> GofConfig:
 def _corpus_spec(cfg: dict) -> CorpusSpec:
     """The corpus a ``simulate`` configuration asks for: its ``groups``,
     or one group of the flags' counts and labels."""
-    base = SimConfig(n_days=int(cfg["days"]), n_traders=int(cfg["traders"]),
-                     trades_per_day=float(cfg["trades_per_day"]),
-                     n_colluders=int(cfg["colluders"]),
-                     wash_volume_fraction=float(cfg["wash_fraction"]))
+    base = SimConfig(n_days=cfg["days"], n_traders=cfg["traders"],
+                     trades_per_day=cfg["trades_per_day"], n_colluders=cfg["colluders"],
+                     wash_volume_fraction=cfg["wash_fraction"])
     if "groups" in cfg:
-        groups = tuple(GroupSpec(**g) for g in cfg["groups"])
+        groups = cfg["groups"]
     else:
-        groups = (GroupSpec(capitalization_bucket=str(cfg["bucket"]),
-                            sector=str(cfg["sector"]),
-                            honest=int(cfg["honest"]),
-                            manipulated=int(cfg["manipulated"]),
-                            partial=int(cfg["partial"])),)
-    return CorpusSpec(groups=groups, master_seed=int(cfg["seed"]), base=base)
+        groups = (GroupSpec(capitalization_bucket=cfg["bucket"], sector=cfg["sector"],
+                            honest=cfg["honest"], manipulated=cfg["manipulated"],
+                            partial=cfg["partial"]),)
+    return CorpusSpec(groups=groups, master_seed=cfg["seed"], base=base)
 
 
 def _cmd_simulate(args: argparse.Namespace, out: Path, spec: CorpusSpec) -> int:
@@ -262,24 +291,19 @@ def _cmd_detect(args: argparse.Namespace, out: Path, gof: GofConfig,
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(p: argparse.ArgumentParser, *, seed: bool) -> None:
-    """Options of every subcommand that writes files; ``seed`` for those
-    that draw random numbers."""
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--dump-config", action="store_true",
-                   help="print the effective configuration and exit")
-    if seed:
-        p.add_argument("--seed", type=int, help="master RNG seed")
-    p.add_argument("-v", "--verbose", action="store_true")
-    p.add_argument("--out", required=True, help="output directory")
-
-
-def _add_gof(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bootstrap", type=int,
-                   help="bootstrap replicas for p-values (0 skips them; "
-                        "detect never computes p-values)")
-    p.add_argument("--min-tail", dest="min_tail", type=int,
-                   help="minimum tail size for the x_min scan")
+GOF_OPTIONS = ("bootstrap", "min_tail")
+THRESHOLDS = ("corr_threshold", "elevation_factor", "decision_threshold")
+# Each subcommand's function, help line and option keys; validate has none.
+SUBCOMMANDS = {
+    "simulate": (_cmd_simulate, "generate a synthetic corpus",
+                 ("seed", "honest", "manipulated", "partial", "days", "traders",
+                  "trades_per_day", "colluders", "wash_fraction", "bucket", "sector")),
+    "validate": (_cmd_validate, "parse-only check of a corpus", None),
+    "build": (_cmd_build, "export merged trading networks", ()),
+    "fit": (_cmd_fit, "power-law tail fits per stock", ("seed", *GOF_OPTIONS)),
+    "features": (_cmd_features, "feature table and plot data", ("seed", *GOF_OPTIONS)),
+    "detect": (_cmd_detect, "reference comparison and verdicts", (*GOF_OPTIONS, *THRESHOLDS)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,51 +314,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "trade-based manipulation.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("simulate", help="generate a synthetic corpus")
-    _add_common(p, seed=True)
-    p.add_argument("--honest", type=int, help="honest stocks to generate")
-    p.add_argument("--manipulated", type=int, help="manipulated stocks")
-    p.add_argument("--partial", type=int,
-                   help="of the manipulated, how many get a partial window")
-    p.add_argument("--days", type=int, help="trading days per stock")
-    p.add_argument("--traders", type=int, help="trader population per stock")
-    p.add_argument("--trades-per-day", dest="trades_per_day", type=float)
-    p.add_argument("--colluders", type=int, help="colluder ring size")
-    p.add_argument("--wash-fraction", dest="wash_fraction", type=float,
-                   help="target colluder share of traded volume")
-    p.add_argument("--bucket", help="capitalization bucket label")
-    p.add_argument("--sector", help="industry sector label")
-
-    p = sub.add_parser("validate", help="parse-only check of a corpus")
-    p.add_argument("--corpus", required=True, help="corpus directory")
-
-    p = sub.add_parser("build", help="export merged trading networks")
-    _add_common(p, seed=False)
-    p.add_argument("--corpus", required=True, help="corpus directory")
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("fit", help="power-law tail fits per stock")
-    _add_common(p, seed=True)
-    p.add_argument("--corpus", required=True)
-    _add_gof(p)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("features", help="feature table and plot data")
-    _add_common(p, seed=True)
-    p.add_argument("--corpus", required=True)
-    _add_gof(p)
-    p.set_defaults(func=_cmd_features)
-
-    p = sub.add_parser("detect", help="reference comparison and verdicts")
-    _add_common(p, seed=False)
-    p.add_argument("--corpus", required=True)
-    _add_gof(p)
-    p.add_argument("--corr-threshold", dest="corr_threshold", type=float)
-    p.add_argument("--elevation-factor", dest="elevation_factor", type=float)
-    p.add_argument("--decision-threshold", dest="decision_threshold", type=float)
-    p.set_defaults(func=_cmd_detect)
-
+    for name, (run, about, keys) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(func=run)
+        if name != "simulate":
+            p.add_argument("--corpus", required=True, help="corpus directory")
+        if keys is None:
+            continue
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--config", help="JSON config file (flags override it)")
+        p.add_argument("--dump-config", action="store_true",
+                       help="print the effective configuration and exit")
+        p.add_argument("-v", "--verbose", action="store_true", help="one stderr line per stock")
+        for key in keys:
+            kind, _, text = OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
     return parser
 
 
@@ -345,37 +339,36 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.subcommand == "validate":
-            return _cmd_validate(args)
+            return args.func(args)
         cfg = _effective_config(args)
         # The typed configs are built before the configuration is printed
         # or a corpus is read, so a value they reject fails at once.
         configs = {}
         if args.subcommand == "simulate":
             configs["spec"] = _corpus_spec(cfg)
-        if "bootstrap" in cfg:
-            configs["gof"] = _gof_config(cfg)
+        if "bootstrap" in cfg:  # detect never bootstraps, so it has no seed
+            configs["gof"] = GofConfig(bootstrap_replicas=cfg["bootstrap"],
+                                       rng_seed=cfg.get("seed", GofConfig.rng_seed),
+                                       min_tail_size=cfg["min_tail"])
         if args.subcommand == "detect":
-            configs["thresholds"] = DetectorConfig(**{key: float(cfg[key]) for key in (
-                "corr_threshold", "elevation_factor", "decision_threshold")})
+            configs["thresholds"] = DetectorConfig(**{key: cfg[key] for key in THRESHOLDS})
         if args.dump_config:
             print(_dump_json(cfg), end="")
             return 0
         out = Path(args.out)
         run = {"subcommand": args.subcommand, "config": cfg, "inputs": []}
-        if args.subcommand == "simulate":
-            code = _cmd_simulate(args, out, **configs)
-        else:
+        if args.subcommand != "simulate":
             corpus = Path(args.corpus)
             if out.resolve() == corpus.resolve():
                 raise ValueError(f"{out}: --out is the --corpus directory")
             # A run that fails mid-corpus leaves the artifacts of the stocks
             # before the failing one; without a manifest they read as partial.
             (out / "manifest.json").unlink(missing_ok=True)
-            code = args.func(args, out, **configs)
             # A directory without corpus_manifest.json is analysed whole,
             # so the run says whether the corpus had one.
             run.update(inputs=[str(corpus)],
                        corpus_manifest=(corpus / "corpus_manifest.json").exists())
+        code = args.func(args, out, **configs)
         _atomic_write(out / "manifest.json", _dump_json({
             **run, "toolkit_version": __version__,
             "timestamp": dt.datetime.now(dt.timezone.utc).isoformat()}))

@@ -314,6 +314,12 @@ class GroupSpec:
     partial: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("capitalization_bucket", "sector"):
+            if not isinstance(value := getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        for name in ("honest", "manipulated", "partial"):
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.honest < 0 or self.manipulated < 0:
             raise ValueError("counts must be >= 0")
         if not 0 <= self.partial <= self.manipulated:

@@ -579,6 +579,125 @@ def test_simulate_rejects_bad_values_before_printing(tmp_path, capsys, argv, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand, values, message", [
+    ("fit", {"bootstrap": 2.7}, "bootstrap must be an integer, got 2.7"),
+    ("fit", {"seed": True}, "seed must be an integer, got true"),
+    ("features", {"min_tail": "5"}, 'min_tail must be an integer, got "5"'),
+    ("detect", {"bootstrap": None}, "bootstrap must be an integer, got null"),
+    ("detect", {"corr_threshold": "0.3"}, 'corr_threshold must be a number, got "0.3"'),
+    ("detect", {"elevation_factor": False}, "elevation_factor must be a number, got false"),
+    ("simulate", {"honest": 2.5}, "honest must be an integer, got 2.5"),
+    ("simulate", {"honest": True}, "honest must be an integer, got true"),
+    ("simulate", {"wash_fraction": [0.3]}, "wash_fraction must be a number, got [0.3]"),
+    ("simulate", {"bucket": 5}, "bucket must be a string, got 5"),
+], ids=["fit-bootstrap-float", "fit-seed-bool", "features-min-tail-str", "detect-null",
+        "detect-corr-str", "detect-elevation-bool", "simulate-honest-float",
+        "simulate-honest-bool", "simulate-wash-list", "simulate-bucket-int"])
+@pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump-config"])
+def test_config_file_values_take_their_options_type(tmp_path, capsys, monkeypatch, subcommand,
+                                                    values, message, dump):
+    """A config file value of another type than its option's is one error
+    that names the file and the key, before any corpus is read or file is
+    written: it is never cast to a value the run would not record."""
+    monkeypatch.setattr(cli, "load_corpus",
+                        lambda directory: pytest.fail("the corpus was read"))
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg.write_text(json.dumps(values))
+    corpus = [] if subcommand == "simulate" else ["--corpus", "unused"]
+    rc = main([subcommand, *corpus, "--out", str(out), "--config", str(cfg), *dump])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
+# Each bad file's message after "error: <file>: ", as a pattern; an unknown
+# or missing group field is worded by Python, so only the field is pinned.
+@pytest.mark.parametrize("content, pattern", [
+    ("null", "not a config file: not a JSON object"),
+    ('"abc"', "not a config file: not a JSON object"),
+    ("[1, 2]", "not a config file: not a JSON object"),
+    ("{bad", "not a config file: Expecting property name .*"),
+    ('{"groups": {"a": 1}}', "not a config file: groups is not a list of objects"),
+    ('{"groups": ["mid"]}', "not a config file: groups is not a list of objects"),
+    ('{"groups": [{"capitalization_bucket": "mid", "sector": "tech", "honest": 1},'
+     ' {"capitalization_bucket": "mid", "sector": "tech", "honest": 1, "bogus": 2}]}',
+     r"groups\[1\]: .*'bogus'"),
+    ('{"groups": [{"sector": "tech", "honest": 1}]}', r"groups\[0\]: .*'capitalization_bucket'"),
+    ('{"groups": [{"capitalization_bucket": 7, "sector": "tech", "honest": 1}]}',
+     r"groups\[0\]: capitalization_bucket must be a string, got 7"),
+    ('{"groups": [{"capitalization_bucket": "mid", "sector": "tech", "honest": 2.5}]}',
+     r"groups\[0\]: honest must be an integer, got 2\.5"),
+    ('{"groups": [{"capitalization_bucket": "mid", "sector": "tech", "honest": true}]}',
+     r"groups\[0\]: honest must be an integer, got True"),
+], ids=["null", "string", "list", "not-json", "groups-object", "groups-of-strings",
+        "group-unknown-key", "group-missing-key", "group-bucket-int", "group-honest-float",
+        "group-honest-bool"])
+@pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump-config"])
+def test_bad_config_file_is_one_error_that_names_it(tmp_path, capsys, content, pattern, dump):
+    """A config file that is not a JSON object, or whose groups are not
+    GroupSpec fields, fails before anything is printed or written, in one
+    line that names the file and, for a group, its entry."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg.write_text(content)
+    rc = main(["simulate", "--out", str(out), "--config", str(cfg), *dump])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert re.fullmatch(f"error: {re.escape(str(cfg))}: {pattern}\n", captured.err)
+    assert not out.exists()
+
+
+def test_integer_for_a_float_option_recorded_as_the_flag_gives_it(tmp_path, capsys):
+    """A JSON integer given for a float option is the float its flag would
+    give, in --dump-config and manifest.json alike."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "c"
+    cfg.write_text(json.dumps({"trades_per_day": 5}))
+    sizes = ["--honest", "1", "--manipulated", "0", "--days", "3", "--traders", "40",
+             "--colluders", "5"]
+    argv = ["simulate", "--out", str(out), "--config", str(cfg), *sizes]
+    assert main([*argv, "--dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    assert '"trades_per_day": 5.0' in dumped
+    assert main(argv) == 0
+    manifest = (out / "manifest.json").read_text()
+    assert '"trades_per_day": 5.0' in manifest
+    assert json.loads(manifest)["config"] == json.loads(dumped)
+    assert main(["simulate", "--out", str(tmp_path / "flag"), *sizes,
+                 "--trades-per-day", "5"]) == 0
+    assert (out / "S000.csv").read_bytes() == (tmp_path / "flag" / "S000.csv").read_bytes()
+    # Past the float range an integer is inf, as its digits are to the flag.
+    cfg.write_text(json.dumps({"trades_per_day": 10**400}))
+    assert main([*argv, "--dump-config"]) == 2
+    assert capsys.readouterr().err == "error: trades_per_day must be finite and > 0, got inf\n"
+
+
+def test_fit_records_the_config_it_ran(tmp_path, monkeypatch):
+    """manifest.json holds the values fit ran with, as the config file gave
+    them."""
+    corpus, out, cfg = tmp_path / "c", tmp_path / "o", tmp_path / "cfg.json"
+    assert _simulate_tiny(corpus, 2) == 0
+    cfg.write_text(json.dumps({"bootstrap": 2, "seed": 1}))
+    ran = []
+    monkeypatch.setattr(cli, "compute_features",
+                        lambda log, gof: ran.append(gof) or compute_features(log, gof))
+    assert main(["fit", "--corpus", str(corpus), "--out", str(out), "--config", str(cfg)]) == 0
+    assert ran == [GofConfig(bootstrap_replicas=2, rng_seed=1)] * 2
+    assert json.loads((out / "manifest.json").read_text())["config"] == {
+        "bootstrap": 2, "min_tail": 50, "seed": 1}
+
+
+def test_config_file_groups_recorded_in_full(tmp_path, capsys):
+    """A config file's groups are recorded with every GroupSpec field, the
+    defaults it left out included."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"groups": [{"capitalization_bucket": "small",
+                                           "sector": "tech", "honest": 2}]}))
+    assert main(["simulate", "--out", "unused", "--config", str(cfg), "--dump-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["groups"] == [
+        {"capitalization_bucket": "small", "sector": "tech", "honest": 2, "manipulated": 0,
+         "partial": 0}]
+
+
 TINY_SIM = ["--honest", "3", "--manipulated", "1", "--days", "5", "--traders", "40",
             "--trades-per-day", "10", "--colluders", "5"]
 

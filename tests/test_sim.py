@@ -375,6 +375,23 @@ class TestCorpus:
         assert generate_corpus(CorpusSpec(groups=(), master_seed=1,
                                           base=self.BASE)) == []
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"capitalization_bucket": 7}, "capitalization_bucket must be a string, got 7"),
+        ({"sector": None}, "sector must be a string, got None"),
+        ({"honest": 2.5}, "honest must be an integer, got 2.5"),
+        ({"honest": True}, "honest must be an integer, got True"),
+        ({"manipulated": "1"}, "manipulated must be an integer, got '1'"),
+        ({"partial": False}, "partial must be an integer, got False"),
+    ], ids=["bucket-int", "sector-none", "honest-float", "honest-bool", "manipulated-str",
+            "partial-bool"])
+    def test_group_fields_typed(self, fields, message):
+        """A group spelled in a config file fails at once, not as a numpy
+        error mid-corpus or a sidecar that validate rejects."""
+        with pytest.raises(ValueError) as exc:
+            GroupSpec(**{"capitalization_bucket": "mid", "sector": "tech", "honest": 1,
+                         **fields})
+        assert str(exc.value) == message
+
     def test_unique_symbols_and_sectors(self):
         spec = CorpusSpec(groups=(GroupSpec("small", "tech", honest=2),
                                   GroupSpec("large", "finance", honest=2)),
