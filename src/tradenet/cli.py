@@ -1,4 +1,4 @@
-"""Command-line pipeline: simulate, validate, build, fit, features, detect.
+"""Command-line pipeline: simulate, validate, build, features (or fit), detect.
 
 Configuration precedence is flags > config file (JSON) > defaults, and every
 run writes a machine-readable manifest.  All artifacts except the manifest
@@ -9,6 +9,7 @@ sorted, floats in repr form, timestamps only in the manifest.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import json
 import os
@@ -22,7 +23,7 @@ from .features import TAIL_STATS, compute_features
 from .ingest import (_dump_json, _write_rows, load_corpus, write_stock_meta,
                      write_transactions)
 from .network import build_network, write_edge_list
-from .powerlaw import GofConfig, ccdf_points
+from .powerlaw import GofConfig, TailFit, ccdf_points
 from .sim import CorpusSpec, GroupSpec, SimConfig, corpus_configs, simulate
 
 # Every option a flag or config file sets: its type, default and help.  Its
@@ -175,15 +176,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _visit_corpus(args: argparse.Namespace, visit) -> dict:
+def _visit_corpus(args: argparse.Namespace, visit, detail=lambda result: "") -> dict:
     """``load_corpus`` over ``--corpus``; under ``-v``, one stderr line per
-    stock once ``visit`` is done with it."""
+    stock once ``visit`` is done with it, ending in ``detail`` of its result."""
     def visited(log, metas):
         result = visit(log, metas)
         if args.verbose:
-            print(f"{log.meta.symbol}: {log.n_records} records", file=sys.stderr)
+            print(f"{log.meta.symbol}: {log.n_records} records{detail(result)}", file=sys.stderr)
         return result
     return load_corpus(args.corpus, visited)
+
+
+def _clear(out: Path, *patterns: str) -> None:
+    """Delete an earlier run's per-stock files before the first stock, so a
+    run directory never mixes stocks of two corpora."""
+    for path in [path for pattern in patterns for path in out.glob(pattern)]:
+        path.unlink()
 
 
 # ---------------------------------------------------------------- build
@@ -195,32 +203,19 @@ def _cmd_build(args: argparse.Namespace, out: Path) -> int:
                       partial(write_edge_list, net))
         print(f"{log.meta.symbol}: n={net.node_count} m={net.edge_count} "
               f"volume={net.total_volume()}")
+    _clear(out, "networks/*_edges.csv")
     _visit_corpus(args, build)
-    return 0
-
-
-# ---------------------------------------------------------------- fit
-
-def _cmd_fit(args: argparse.Namespace, out: Path, gof: GofConfig) -> int:
-    def fit(log, _):
-        # A statistic whose tail cannot be fit is written as null.
-        sym, fits = log.meta.symbol, compute_features(log, gof).fits
-        _atomic_write(out / "fits" / f"{sym}.json", _dump_json({"symbol": sym, "fits": fits}))
-        if args.verbose:
-            fitted = sum(fit is not None for fit in fits.values())
-            print(f"{sym}: fitted {fitted} of {len(fits)} statistics", file=sys.stderr)
-    stocks = load_corpus(args.corpus, fit)
-    print(f"wrote fits for {len(stocks)} stocks to {out / 'fits'}")
     return 0
 
 
 # ---------------------------------------------------------------- features
 
-# features.csv's columns per tail statistic: (column suffix, TailFit field).
-FIT_COLUMNS = (("xmin", "x_min"), ("alpha", "alpha"), ("ccdf_exponent", "ccdf_exponent"),
-               ("ks_distance", "ks_distance"), ("p_value", "p_value"),
-               ("n_tail", "n_tail"), ("levy_stable", "levy_stable"))
 STOCK_COLUMNS = ("symbol", "n_days", "avg_degree", "return_ratio_corr")
+# features.csv's columns per tail statistic, one per TailFit field: x_min's
+# is "xmin", as in detector.XMIN_FEATURES, and the others are the fields'.
+FIT_FIELDS = tuple(f.name for f in dataclasses.fields(TailFit))
+FEATURE_COLUMNS = (*STOCK_COLUMNS, *(f"{stat}_{name.replace('x_min', 'xmin')}"
+                                     for stat in TAIL_STATS for name in FIT_FIELDS))
 
 
 def _cell(value) -> str:
@@ -239,8 +234,7 @@ def _feature_row(feats) -> list[str]:
     row = [_cell(getattr(feats, col)) for col in STOCK_COLUMNS]
     for stat in TAIL_STATS:
         fit = feats.fits.get(stat)
-        row.extend(_cell(None if fit is None else getattr(fit, name))
-                   for _, name in FIT_COLUMNS)
+        row.extend(_cell(None if fit is None else getattr(fit, name)) for name in FIT_FIELDS)
     return row
 
 
@@ -262,18 +256,21 @@ def _write_plotdata(out: Path, stock) -> None:
 
 
 def _cmd_features(args: argparse.Namespace, out: Path, gof: GofConfig) -> int:
-    """Write each stock's plot data as it is featurized and keep its
-    features.csv row; features.csv comes last."""
+    """Write each stock's fits and plot data as it is featurized and keep its
+    features.csv row; features.csv comes last.  A tail that cannot be fit is
+    null in fits/ and empty in features.csv, and the run goes on."""
     def featurize(log, _):
         stock = compute_features(log, gof)
+        _atomic_write(out / "fits" / f"{stock.symbol}.json",
+                      _dump_json({"symbol": stock.symbol, "fits": stock.fits}))
         _write_plotdata(out, stock)
-        return _feature_row(stock)
-    rows = _visit_corpus(args, featurize)
-    header = [*STOCK_COLUMNS,
-              *(f"{stat}_{suffix}" for stat in TAIL_STATS for suffix, _ in FIT_COLUMNS)]
-    _atomic_write(out / "features.csv",
-                  partial(_write_rows, header=header, rows=rows.values()))
-    print(f"wrote {out / 'features.csv'} ({len(rows)} stocks)")
+        return _feature_row(stock), sum(fit is not None for fit in stock.fits.values())
+    _clear(out, "fits/*.json", "plotdata/*.csv")
+    stocks = _visit_corpus(args, featurize, lambda result: (
+        f", fitted {result[1]} of {len(TAIL_STATS)} statistics"))
+    _atomic_write(out / "features.csv", partial(
+        _write_rows, header=FEATURE_COLUMNS, rows=(row for row, _ in stocks.values())))
+    print(f"wrote fits/, plotdata/ and features.csv for {len(stocks)} stocks to {out}")
     return 0
 
 
@@ -300,8 +297,8 @@ SUBCOMMANDS = {
                   "trades_per_day", "colluders", "wash_fraction", "bucket", "sector")),
     "validate": (_cmd_validate, "parse-only check of a corpus", None),
     "build": (_cmd_build, "export merged trading networks", ()),
-    "fit": (_cmd_fit, "power-law tail fits per stock", ("seed", *GOF_OPTIONS)),
-    "features": (_cmd_features, "feature table and plot data", ("seed", *GOF_OPTIONS)),
+    "features": (_cmd_features, "tail fits, feature table and plot data", ("seed", *GOF_OPTIONS)),
+    "fit": (_cmd_features, "another name for features", ("seed", *GOF_OPTIONS)),
     "detect": (_cmd_detect, "reference comparison and verdicts", (*GOF_OPTIONS, *THRESHOLDS)),
 }
 

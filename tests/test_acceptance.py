@@ -275,8 +275,6 @@ def test_criterion_7_pipeline_determinism(tmp_path):
         corpus = tmp_path / f"corpus_{tag}"
         out = tmp_path / f"out_{tag}"
         assert main(["simulate", "--out", str(corpus), *sim_args]) == 0
-        assert main(["fit", "--corpus", str(corpus), "--out", str(out),
-                     *run_args]) == 0
         assert main(["features", "--corpus", str(corpus), "--out", str(out),
                      *run_args]) == 0
         rc = main(["detect", "--corpus", str(corpus), "--out", str(out),

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from tradenet import __version__, cli, ingest
 from tradenet.cli import build_parser, main
 from tradenet.features import compute_features
-from tradenet.powerlaw import GofConfig
+from tradenet.powerlaw import GofConfig, TailFit
 from tradenet.sim import simulate
 
 SIM_ARGS = ["--traders", "300", "--trades-per-day", "50", "--days", "50",
@@ -96,21 +97,41 @@ def test_detect_never_bootstraps(corpus, tmp_path, monkeypatch):
 
 
 def test_fit_and_features_agree(corpus, tmp_path):
+    """One features run writes fits/ and features.csv from the same fits:
+    every TailFit field of every statistic agrees, p-values included."""
     out = tmp_path / "agree"
-    args = ["--corpus", str(corpus), "--out", str(out), "--bootstrap", "0",
-            "--min-tail", "30"]
-    assert main(["fit", *args]) == 0
-    assert main(["features", *args]) == 0
+    assert main(["features", "--corpus", str(corpus), "--out", str(out), "--bootstrap", "2",
+                 "--seed", "1", "--min-tail", "30"]) == 0
     header, *rows = (out / "features.csv").read_text().strip().split("\n")
     assert len(rows) == 12
+    cells = {"x_min": int, "n_tail": int, "levy_stable": lambda c: c == "true",
+             "alpha_at_bound": lambda c: c == "true"}
     for line in rows:
         row = dict(zip(header.split(","), line.split(",")))
         doc = json.loads((out / "fits" / f"{row['symbol']}.json").read_text())
         assert len(doc["fits"]) == 5
         for stat, fit in doc["fits"].items():
-            assert int(row[f"{stat}_xmin"]) == fit["x_min"]
-            assert float(row[f"{stat}_alpha"]) == fit["alpha"]
-            assert row[f"{stat}_p_value"] == "" and fit["p_value"] is None
+            assert sorted(fit) == sorted(f.name for f in dataclasses.fields(TailFit))
+            assert fit["p_value"] is not None
+            for name, value in fit.items():
+                cell = row[f"{stat}_{'xmin' if name == 'x_min' else name}"]
+                assert cells.get(name, float)(cell) == value
+
+
+def test_fit_is_another_name_for_features(corpus, tmp_path, capsys):
+    """fit and features with one argv print the same and write the same
+    bytes; only manifest.json, which names the subcommand, differs."""
+    runs = []
+    for subcommand in ("fit", "features"):
+        out = tmp_path / subcommand
+        capsys.readouterr()
+        assert main([subcommand, "--corpus", str(corpus), "--out", str(out), "--bootstrap", "2",
+                     "--seed", "4", "--min-tail", "30"]) == 0
+        files = {path.relative_to(out): path.read_bytes() for path in out.rglob("*")
+                 if path.is_file() and path.name != "manifest.json"}
+        runs.append((capsys.readouterr().out.replace(str(out), "OUT"), files))
+    assert runs[0] == runs[1]
+    assert {path.parts[0] for path in runs[0][1]} == {"fits", "plotdata", "features.csv"}
 
 
 def test_fit_degenerate_sample_diagnostic(tmp_path, capsys):
@@ -932,7 +953,7 @@ def test_run_failing_mid_corpus_leaves_no_manifest(tmp_path, capsys, subcommand)
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("subcommand", ["build", "features", "detect"])
+@pytest.mark.parametrize("subcommand", ["build", "fit", "features", "detect"])
 def test_verbose_names_each_stock_as_it_is_visited(tmp_path, capsys, subcommand):
     """-v adds one stderr line per stock and changes neither stdout nor an
     artifact."""
@@ -950,7 +971,9 @@ def test_verbose_names_each_stock_as_it_is_visited(tmp_path, capsys, subcommand)
     (*quiet, quiet_err), (*verbose, verbose_err) = runs
     assert quiet == verbose and quiet_err == ""
     assert [line.split(":")[0] for line in verbose_err.splitlines()] == ["S000", "S001", "S002"]
-    assert all(re.fullmatch(r"S\d{3}: \d+ records", line) for line in verbose_err.splitlines())
+    fitted = r", fitted [0-5] of 5 statistics" if subcommand in ("fit", "features") else ""
+    assert all(re.fullmatch(r"S\d{3}: \d+ records" + fitted, line)
+               for line in verbose_err.splitlines())
 
 
 @pytest.mark.parametrize("subcommand", ["build", "fit", "features", "detect"])
@@ -965,6 +988,30 @@ def test_run_manifest_says_whether_the_corpus_had_one(tmp_path, subcommand):
         out = tmp_path / f"out-{had}"
         assert _analyse(subcommand, corpus, out) in (0, 1)
         assert json.loads((out / "manifest.json").read_text())["corpus_manifest"] is had
+
+
+@pytest.mark.parametrize("subcommand, layout", [
+    ("build", ["networks"]), ("features", ["fits", "plotdata"])], ids=["build", "features"])
+def test_run_directory_never_mixes_two_corpora(tmp_path, subcommand, layout):
+    """A run over a 4-stock corpus and then over a 2-stock one into the same
+    --out leaves exactly the files a fresh run over the second writes: S002
+    and S003 go.  A file of another name under --out survives."""
+    out, fresh = tmp_path / "o", tmp_path / "fresh"
+    for stocks in (4, 2):
+        assert _simulate_tiny(tmp_path / f"c{stocks}", stocks, seed=stocks) == 0
+    assert _analyse(subcommand, tmp_path / "c4", out) == 0
+    kept = [out / "notes.txt", *(out / name / "notes.txt" for name in layout)]
+    for path in kept:
+        path.write_text("kept\n")
+    for target in (out, fresh):
+        assert _analyse(subcommand, tmp_path / "c2", target) == 0
+
+    def files(root):
+        return {path.relative_to(root): path.read_bytes() for path in root.rglob("*")
+                if path.is_file() and path.name != "manifest.json"}
+    assert files(out) == {**files(fresh), **{path.relative_to(out): b"kept\n" for path in kept}}
+    per_stock = [path.name for path in files(fresh) if path.parts[0] in layout]
+    assert {name[:4] for name in per_stock} == {"S000", "S001"}
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -1016,14 +1063,16 @@ def test_stock_without_trades_named_in_fit_error(tmp_path, capsys):
 # file is written must keep every byte.  Owning the Hurwitz zeta (ROADMAP
 # item 4) may move the last digits of the alphas, and so re-pin "fits" and
 # "features.csv" only; "reports.json" holds x_min values and verdicts, never
-# alphas, and must not move.
+# alphas, and must not move.  "features.csv" was re-pinned when one features
+# run came to write fits/ too: its p-value cells now hold the bootstrap's
+# values, and each statistic gained an alpha_at_bound column.
 PINNED_DIGESTS = {
     "corpus": "cf20abeb5ab6139bd936f5ed012d702187408079f51397f34ad62f60bc2d4b5e",
     "corpus_manifest.json":
         "25880c3dd082d71c076e7fd9db5655670bec629682b153a7fbc64471955a4b9d",
     "networks": "f640327691a05ce886457dadc81285cad9b5c1c72d62b3509160386052d6fa26",
     "plotdata": "a33a1edfe631400c01f0edb6c4a8182846fea49022f32a931bb96df653b27f23",
-    "features.csv": "1a43389666dba15530ae48c126ff6455763a6b1100c81e00285793a8c01d7d8e",
+    "features.csv": "877df2d9d7e5a19f2edf76c45e7217aa5857ff132a2f47c0625fa0707a53e975",
     "fits": "3488ecbed2c5a20a857f309ca60b2a8b7ca6d1a827f3c61c0454b4ffd2032c15",
     "reports.json": "05487d6f81e95214a05b5ce85e69148e286dad29317b92dfba50e7861e5874b7",
 }
@@ -1043,9 +1092,7 @@ def test_artifacts_pinned(tmp_path):
                  "--partial", "1", "--days", "12", "--traders", "120",
                  "--trades-per-day", "30", "--colluders", "20", "--seed", "5"]) == 0
     assert main(["build", "--corpus", str(corpus), "--out", str(out)]) == 0
-    assert main(["features", "--corpus", str(corpus), "--out", str(out),
-                 "--bootstrap", "0", "--min-tail", "10"]) == 0
-    assert main(["fit", "--corpus", str(corpus), "--out", str(out), "--bootstrap", "5",
+    assert main(["features", "--corpus", str(corpus), "--out", str(out), "--bootstrap", "5",
                  "--seed", "5", "--min-tail", "10"]) == 0
     assert main(["detect", "--corpus", str(corpus), "--out", str(out),
                  "--min-tail", "10"]) == 1  # S002 and S003 are flagged
@@ -1069,6 +1116,6 @@ def test_readme_session_parses():
     commands = [shlex.split(line)[1:] for line in block.splitlines()
                 if line.startswith("tradenet ")]
     assert {argv[0] for argv in commands} == {
-        "simulate", "validate", "build", "fit", "features", "detect"}
+        "simulate", "validate", "build", "features", "detect"}
     for argv in commands:
         build_parser().parse_args(argv)
