@@ -19,7 +19,7 @@ from .network import (DegreeSequences, StrengthSequences, TradingNetwork,
                       average_degree, build_network, degree_sequences,
                       strength_sequences, write_edge_list)
 from .powerlaw import (DiscretePowerLaw, GofConfig, TailFit, ccdf_points,
-                       fit_tail, gof_pvalue, scan_xmin, select_xmin)
+                       fit_tail, gof_pvalue, scan_xmin, select_tails, select_xmin)
 from .sim import (CorpusSpec, GroupSpec, SimConfig, SimResult,
                   corpus_configs, simulate, trading_days)
 

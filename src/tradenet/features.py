@@ -16,7 +16,7 @@ import numpy as np
 from .ingest import TransactionLog
 from .network import (TradingNetwork, average_degree, build_network,
                       degree_sequences, strength_sequences)
-from .powerlaw import GofConfig, TailFit, fit_tail
+from .powerlaw import GofConfig, TailFit, fit_tail, select_tails
 
 # The five tail statistics fitted per stock, in report column order.
 TAIL_STATS = ("degree_in", "degree_out", "strength_in", "strength_out",
@@ -154,8 +154,13 @@ def compute_features(log: TransactionLog, cfg: GofConfig) -> StockFeatures:
     """
     net = build_network(log)
     tails = tail_samples(net)
-    fits = {name: _try_fit(sample, cfg, max_candidates)
-            for name, (sample, max_candidates) in tails.items()}
+    samples, caps = zip(*tails.values())
+    if cfg.bootstrap_replicas:
+        # gof_pvalue refits one replica at a time, each by its own scan.
+        fitted = [_try_fit(sample, cfg, cap) for sample, cap in zip(samples, caps)]
+    else:
+        fitted = select_tails(samples, cfg, caps)
+    fits = dict(zip(tails, fitted))
 
     series = daily_series(log)
     corr: float | None
@@ -167,5 +172,5 @@ def compute_features(log: TransactionLog, cfg: GofConfig) -> StockFeatures:
     return StockFeatures(symbol=log.meta.symbol, fits=fits,
                          avg_degree=average_degree(net),
                          return_ratio_corr=corr, n_days=series.n_days,
-                         samples={name: sample for name, (sample, _) in tails.items()},
+                         samples=dict(zip(tails, samples)),
                          series=series)

@@ -150,9 +150,32 @@ def _windows(x: np.ndarray) -> np.ndarray:
                       writeable=False)
 
 
+def _lay_out(values: list[np.ndarray], counts: list[np.ndarray],
+             firsts: list[np.ndarray]):
+    """Samples laid end to end for _ks_scan: their distinct values (float),
+    running counts, and each fit's first and last index, from each sample's
+    values, counts and fits' first indices.  Each sample is followed by
+    KS_STRIDE - 1 slots of NaN and of its final running count, so a row of
+    KS_STRIDE values starting at or before a sample's last value reads
+    nothing of the next sample.  The running count does not restart: below a
+    sample's first value it holds the earlier samples' total."""
+    pad_u, pad_c = np.full(KS_STRIDE - 1, np.nan), np.zeros(KS_STRIDE - 1, dtype=np.int64)
+    uniq = np.concatenate([part for v in values for part in (v, pad_u)])
+    cum_counts = np.cumsum(np.concatenate([part for c in counts for part in (c, pad_c)]))
+    first, last, start = [], [], 0
+    for v, f in zip(values, firsts):
+        first.append(start + f)
+        start += v.size + KS_STRIDE - 1
+        last.append(np.full(f.size, start - KS_STRIDE))
+    return uniq, cum_counts, np.concatenate(first), np.concatenate(last)
+
+
 def _ks_scan(uniq: np.ndarray, cum_counts: np.ndarray, first: np.ndarray,
-             x_mins: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """KS distance of each fit (x_mins, alphas) over its support uniq[first:].
+             last: np.ndarray, x_mins: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """KS distance of each fit (x_mins, alphas) over its support
+    uniq[first:last + 1], in arrays laid out by _lay_out, so the fits of
+    several samples share one pass.  A fit's ecdf counts from cum_counts just
+    below first up to cum_counts[last], its sample's total.
 
     zeta(a, q) is convex and decreasing in q for a > 1, so each model CDF
     F(u) = 1 - zeta(a, u + 1) / zeta(a, x_min) is concave and increasing in u.
@@ -162,22 +185,21 @@ def _ks_scan(uniq: np.ndarray, cum_counts: np.ndarray, first: np.ndarray,
     neighbouring chords extended, and the ecdf is exact, so F is evaluated
     only where that bracket could reach the lower bound.  Each evaluated
     distance is the full pass's expression, so the maxima equal the full
-    pass's bit for bit.
+    pass's bit for bit, however the fits share a pass.
 
     Each fit's support is cut into rows of KS_STRIDE values, a pivot first,
     and a last row of the last value alone.  The rows are handled in blocks
     of about KS_BLOCK values so memory does not grow with fits x distinct
     values.
     """
-    last = uniq.size - 1
     n_rows = -(-(last - first) // KS_STRIDE) + 1
     sizes = n_rows * KS_STRIDE
     ends = np.cumsum(sizes)
     below = np.concatenate(([0], cum_counts))[first]
-    # The last value and the values past it read NaN in the rows, whose
-    # brackets never pass the test below; the last row's pivot is set apart.
-    u_rows = _windows(np.concatenate((uniq[:last], np.full(KS_STRIDE, np.nan))))
-    c_rows = _windows(np.concatenate((cum_counts, np.full(KS_STRIDE - 1, cum_counts[-1]))))
+    total = cum_counts[last]
+    # The values past a sample's last one read NaN in the rows, whose
+    # brackets never pass the test below.
+    u_rows, c_rows = _windows(uniq), _windows(cum_counts)
     ks = np.empty(first.size)
     start = 0
     while start < first.size:
@@ -189,15 +211,15 @@ def _ks_scan(uniq: np.ndarray, cum_counts: np.ndarray, first: np.ndarray,
         # reads KS = inf, and z_min = inf keeps its arithmetic finite.
         lost = z_min == 0.0
         z_min[lost] = np.inf
-        fill, scale = below[blk, None], cum_counts[-1] - below[blk, None]
+        fill, scale = below[blk, None], total[blk, None] - below[blk, None]
 
         counts = n_rows[blk]
         fit = np.repeat(np.arange(stop - start), counts)
         tails = np.cumsum(counts) - 1
         heads = tails + 1 - counts
-        pos = np.minimum(first[blk][fit] + KS_STRIDE * (np.arange(fit.size) - heads[fit]), last)
+        pos = first[blk][fit] + KS_STRIDE * (np.arange(fit.size) - heads[fit])
+        pos[tails] = last[blk]
         u = u_rows[pos]
-        u[tails, 0] = uniq[last]
         ecdf = (c_rows[pos] - fill[fit]) / scale[fit]
         f0 = 1.0 - _zeta(a[fit], u[:, 0] + 1.0) / z_min[fit]
         lb = np.maximum.reduceat(np.abs(ecdf[:, 0] - f0), heads)
@@ -251,50 +273,98 @@ def _candidate_indices(uniq: np.ndarray, tail_sizes: np.ndarray,
     return usable
 
 
+def _support(samples, min_tail_size: int, max_candidates: int | None):
+    """A sample's distinct values, their counts, its candidate indices into
+    them and each candidate's tail size; ValueError when it has no
+    candidate."""
+    arr = _as_int_array(samples)
+    uniq, counts = np.unique(arr, return_counts=True)
+    tail_sizes = np.cumsum(counts[::-1])[::-1]
+    usable = _candidate_indices(uniq, tail_sizes, min_tail_size, max_candidates)
+    if usable.size == 0:
+        raise ValueError(
+            f"no candidate x_min leaves a tail of >= {min_tail_size} samples "
+            "with at least 2 distinct values")
+    return uniq, counts, usable, tail_sizes[usable]
+
+
+def _scan(supports: list) -> list[tuple[np.ndarray, ...]]:
+    """Fit every candidate of several samples (each a _support) in one
+    exponent solve and one KS pass; per sample, (candidates, alphas, ks,
+    n_tail).  Each fit depends on its own sample alone."""
+    if not supports:
+        return []
+    values = [s[0].astype(float) for s in supports]
+    laid_values, cum_counts, first, last = _lay_out(
+        values, [s[1] for s in supports], [s[2] for s in supports])
+    x_mins = laid_values[first]
+    log_sums = np.concatenate([np.cumsum((counts * np.log(uniq_f))[::-1])[::-1][usable]
+                               for uniq_f, (_, counts, usable, _) in zip(values, supports)])
+    n_tails = np.concatenate([s[3] for s in supports])
+    alphas = _solve_alpha(log_sums, n_tails, x_mins)
+    ks = _ks_scan(laid_values, cum_counts, first, last, x_mins, alphas)
+    out, lo = [], 0
+    for uniq, _, usable, n_tail in supports:
+        hi = lo + usable.size
+        out.append((uniq[usable], alphas[lo:hi], ks[lo:hi], n_tail))
+        lo = hi
+    return out
+
+
+def _best(cands, alphas, ks, n_tail) -> TailFit | None:
+    """The scan's KS-minimizing fit (ties -> smaller x_min), or None when no
+    candidate has a finite KS distance."""
+    best = int(np.argmin(ks))  # first minimum = smallest x_min on ties
+    if not np.isfinite(ks[best]):
+        return None
+    alpha = float(alphas[best])
+    return TailFit(
+        x_min=int(cands[best]),
+        alpha=alpha,
+        ccdf_exponent=alpha - 1.0,
+        ks_distance=float(ks[best]),
+        p_value=None,
+        n_tail=int(n_tail[best]),
+        levy_stable=0.0 < alpha - 1.0 < LEVY_UPPER,
+        alpha_at_bound=min(alpha - ALPHA_MIN, ALPHA_MAX - alpha) <= ALPHA_XTOL,
+    )
+
+
 def scan_xmin(samples, cfg: GofConfig, *,
               max_candidates: int | None = None):
     """Fit every candidate lower bound and return the full scan.
 
-    Returns (candidates, alphas, ks) as parallel arrays, candidates
-    ascending.  A candidate whose normaliser zeta(alpha, x_min) underflows
-    to 0 reads KS = inf.  select_xmin picks the KS-minimizing row.
+    Returns (candidates, alphas, ks, n_tail) as parallel arrays, candidates
+    ascending; n_tail counts the samples at or above each candidate.  A
+    candidate whose normaliser zeta(alpha, x_min) underflows to 0 reads
+    KS = inf.  select_xmin picks the KS-minimizing row.
     """
-    arr = _as_int_array(samples)
-    uniq, counts = np.unique(arr, return_counts=True)
-    tail_sizes = np.cumsum(counts[::-1])[::-1]
-    usable = _candidate_indices(uniq, tail_sizes, cfg.min_tail_size, max_candidates)
-    if usable.size == 0:
-        raise ValueError(
-            f"no candidate x_min leaves a tail of >= {cfg.min_tail_size} samples "
-            "with at least 2 distinct values")
-
-    uniq_f = uniq.astype(float)
-    suffix_logsum = np.cumsum((counts * np.log(uniq_f))[::-1])[::-1]
-    alphas = _solve_alpha(suffix_logsum[usable], tail_sizes[usable], uniq_f[usable])
-    ks = _ks_scan(uniq_f, np.cumsum(counts), usable, uniq_f[usable], alphas)
-    return uniq[usable], alphas, ks
+    return _scan([_support(samples, cfg.min_tail_size, max_candidates)])[0]
 
 
 def select_xmin(samples, cfg: GofConfig, *,
                 max_candidates: int | None = None) -> TailFit:
     """Pick the lower bound minimizing the KS distance (ties -> smaller
     x_min); ValueError when no candidate has a finite one."""
-    cands, alphas, ks = scan_xmin(samples, cfg, max_candidates=max_candidates)
-    best = int(np.argmin(ks))  # first minimum = smallest x_min on ties
-    if not np.isfinite(ks[best]):
+    fit = _best(*scan_xmin(samples, cfg, max_candidates=max_candidates))
+    if fit is None:
         raise ValueError("no candidate x_min has a finite KS distance")
-    x_min = int(cands[best])
-    alpha = float(alphas[best])
-    return TailFit(
-        x_min=x_min,
-        alpha=alpha,
-        ccdf_exponent=alpha - 1.0,
-        ks_distance=float(ks[best]),
-        p_value=None,
-        n_tail=int(np.count_nonzero(np.asarray(samples) >= x_min)),
-        levy_stable=0.0 < alpha - 1.0 < LEVY_UPPER,
-        alpha_at_bound=min(alpha - ALPHA_MIN, ALPHA_MAX - alpha) <= ALPHA_XTOL,
-    )
+    return fit
+
+
+def select_tails(samples, cfg: GofConfig, max_candidates) -> list[TailFit | None]:
+    """select_xmin of each sample, with its own entry of max_candidates, in
+    one exponent solve and one KS pass over them all.  None stands where
+    select_xmin raises ValueError: an empty sample, one with no candidate,
+    or one with no finite KS distance."""
+    supports = []
+    for sample, cap in zip(samples, max_candidates, strict=True):
+        try:
+            supports.append(_support(sample, cfg.min_tail_size, cap))
+        except ValueError:
+            supports.append(None)
+    scans = iter(_scan([s for s in supports if s is not None]))
+    return [None if s is None else _best(*next(scans)) for s in supports]
 
 
 class DiscretePowerLaw:

@@ -1,14 +1,15 @@
 """Single-fit helpers and full-pass oracles for the estimator and sampler
 tests: the exponent and the KS distance of one tail at a given lower bound,
-the model CDF of a sampler and its far-tail search, the KS pass that
-evaluates every support value, and the bootstrap that draws and refits one
+the model CDF of a sampler and its far-tail search, the KS pass over several
+samples laid end to end and the full pass that evaluates every support value
+of each sample on its own, and the bootstrap that draws and refits one
 replica at a time."""
 
 import numpy as np
 from scipy.special import zeta
 
-from tradenet.powerlaw import (DiscretePowerLaw, _as_int_array, _ks_scan, _solve_alpha,
-                               select_xmin)
+from tradenet.powerlaw import (DiscretePowerLaw, _as_int_array, _ks_scan, _lay_out,
+                               _solve_alpha, select_xmin)
 
 
 def mle_alpha(samples, x_min: int) -> float:
@@ -33,8 +34,9 @@ def ks_distance(samples, x_min: int, alpha: float) -> float:
     if arr.min() < x_min:
         raise ValueError("all samples must be >= x_min")
     uniq, counts = np.unique(arr, return_counts=True)
-    return float(_ks_scan(uniq.astype(float), np.cumsum(counts), np.zeros(1, int),
-                          np.array([x_min], float), np.array([alpha], float))[0])
+    case = (uniq.astype(float), np.cumsum(counts), np.zeros(1, int),
+            np.array([x_min], float), np.array([alpha], float))
+    return float(ks_scan(case)[0])
 
 
 def model_cdf(model, x) -> np.ndarray:
@@ -61,9 +63,25 @@ def far_tail_oracle(model, targets) -> np.ndarray:
     return lo
 
 
-def full_ks_scan(uniq, cum_counts, first, x_mins, alphas) -> np.ndarray:
-    """``powerlaw._ks_scan`` with zeta at every support value of every fit:
-    the supports laid end to end and reduced per fit by maximum.reduceat."""
+def ks_scan(*cases) -> np.ndarray:
+    """``powerlaw._ks_scan`` over the fits of several cases, each one
+    sample's (uniq, cum_counts, first, x_mins, alphas), in one pass with the
+    samples laid end to end by ``powerlaw._lay_out``."""
+    uniq, cum_counts, first, last = _lay_out([case[0] for case in cases],
+                                             [np.diff(case[1], prepend=0) for case in cases],
+                                             [case[2] for case in cases])
+    x_mins, alphas = (np.concatenate([case[k] for case in cases]) for k in (3, 4))
+    return _ks_scan(uniq, cum_counts, first, last, x_mins, alphas)
+
+
+def full_ks_scan(*cases) -> np.ndarray:
+    """``ks_scan`` with zeta at every support value of every fit, each case's
+    sample on its own: its fits' supports laid end to end and reduced per fit
+    by maximum.reduceat."""
+    return np.concatenate([_full_pass(*case) for case in cases])
+
+
+def _full_pass(uniq, cum_counts, first, x_mins, alphas) -> np.ndarray:
     lengths = uniq.size - first
     offsets = np.cumsum(lengths) - lengths
     cum0 = np.concatenate(([0], cum_counts))

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from line_oracle import build_log
 from tradenet.features import (DailySeries, compute_features, daily_series,
                                log_returns, pearson_corr, return_ratio_correlation,
-                               seller_buyer_ratio)
+                               seller_buyer_ratio, tail_samples)
 from tradenet.ingest import StockMeta
-from tradenet.powerlaw import GofConfig
+from tradenet.network import build_network
+from tradenet.powerlaw import GofConfig, fit_tail
 from tradenet.sim import SimConfig, simulate
 
 
@@ -192,6 +193,26 @@ class TestComputeFeatures:
             assert fit is not None and fit.n_tail >= 50
         assert feats.return_ratio_corr is not None
         assert feats.n_days == 120
+
+    @pytest.mark.parametrize("seed, days, traders, trades_per_day, min_tail", [
+        (1, 30, 300, 60.0, 30),   # every statistic fits
+        (2, 4, 200, 30.0, 60),    # one fits, four have no candidate
+        (2, 4, 200, 30.0, 100),   # none fits
+    ])
+    def test_fits_equal_each_statistic_fitted_alone(self, seed, days, traders,
+                                                    trades_per_day, min_tail):
+        """Without a bootstrap the five tails are selected together; each fit
+        equals fit_tail of its own sample, and None where that raises."""
+        res = simulate(SimConfig(rng_seed=seed, n_traders=traders, n_days=days,
+                                 trades_per_day=trades_per_day))
+        cfg = GofConfig(bootstrap_replicas=0, min_tail_size=min_tail)
+        expected = {}
+        for name, (sample, cap) in tail_samples(build_network(res.log)).items():
+            try:
+                expected[name] = fit_tail(sample, cfg, max_candidates=cap)
+            except ValueError:
+                expected[name] = None
+        assert compute_features(res.log, cfg).fits == expected
 
     def test_daily_series_permutation_invariant(self, make_log):
         rows = [("2004-01-05", "09:30:%02d" % i, str(i), f"B{i%3}", f"S{i%2}",

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -8,11 +9,12 @@ from scipy.special import zeta
 
 from brent_oracle import brent_scan_xmin, nll
 from powerlaw_helpers import (far_tail_oracle, full_ks_scan, gof_pvalue_oracle,
-                              ks_distance, mle_alpha, model_cdf)
+                              ks_distance, ks_scan, mle_alpha, model_cdf)
 from tradenet import powerlaw
 from tradenet.powerlaw import (ALPHA_MAX, ALPHA_MIN, ALPHA_XTOL, DiscretePowerLaw,
-                               GofConfig, _ks_scan, _solve_alpha, ccdf_points,
-                               fit_tail, gof_pvalue, scan_xmin, select_xmin)
+                               GofConfig, _solve_alpha, ccdf_points,
+                               fit_tail, gof_pvalue, scan_xmin, select_tails,
+                               select_xmin)
 
 
 class TestMleAlpha:
@@ -92,6 +94,15 @@ class TestKsDistance:
         assert medians[0] > medians[1] > medians[2]
 
 
+def underflowing_replica():
+    """A bootstrap replica, drawn from the fit of a tail at alpha = 1.05,
+    whose scan meets a normaliser that underflows."""
+    x = DiscretePowerLaw(1.05, 1).sample(np.random.default_rng(1), 2000)
+    fit = select_xmin(x, GofConfig(min_tail_size=50))
+    seed = np.random.SeedSequence(3).spawn(1)[0]
+    return DiscretePowerLaw(fit.alpha, 1).sample(np.random.default_rng(seed), 2000)
+
+
 class TestSelectXmin:
     def test_pure_power_law_picks_low_xmin(self):
         model = DiscretePowerLaw(2.5, 1)
@@ -123,7 +134,7 @@ class TestSelectXmin:
         x = np.concatenate([rng.integers(1, 15, size=1500),
                             DiscretePowerLaw(2.2, 15).sample(rng, 800)])
         cfg = GofConfig(min_tail_size=50)
-        cands, alphas, ks = scan_xmin(x, cfg)
+        cands, alphas, ks, _ = scan_xmin(x, cfg)
         fit = select_xmin(x, cfg)
         assert fit.ks_distance == ks.min()
         assert fit.x_min == cands[np.argmin(ks)]
@@ -132,12 +143,9 @@ class TestSelectXmin:
         """A bootstrap replica of a tail at alpha = 1.056 fits alpha = 18.28
         at x_min = 4.5e18, where zeta(alpha, x_min) underflows to 0: that
         candidate reads KS = inf, with no 0 / 0, and is never picked."""
-        x = DiscretePowerLaw(1.05, 1).sample(np.random.default_rng(1), 2000)
         cfg = GofConfig(min_tail_size=50)
-        fit = select_xmin(x, cfg)
-        seed = np.random.SeedSequence(3).spawn(1)[0]
-        replica = DiscretePowerLaw(fit.alpha, 1).sample(np.random.default_rng(seed), 2000)
-        cands, alphas, ks = scan_xmin(replica, cfg)
+        replica = underflowing_replica()
+        cands, alphas, ks, _ = scan_xmin(replica, cfg)
         lost = zeta(alphas, cands.astype(float)) == 0.0
         assert lost.any()
         np.testing.assert_array_equal(np.isinf(ks), lost)
@@ -154,7 +162,7 @@ class TestSelectXmin:
         rng = np.random.default_rng(4)
         x = DiscretePowerLaw(2.5, 1).sample(rng, 2000)
         cfg = GofConfig(min_tail_size=50)
-        cands, _, ks = scan_xmin(x, cfg)
+        cands, _, ks, _ = scan_xmin(x, cfg)
         fit = select_xmin(x, cfg)
         at_min = cands[ks == ks.min()]
         assert fit.x_min == at_min.min()
@@ -217,7 +225,7 @@ class TestSelectXmin:
         estimate is about 6,100, so the likelihood rises all the way to
         ALPHA_MAX.  The scan is checked, not select_xmin, which raises once
         zeta(ALPHA_MAX, base) underflows."""
-        cands, alphas, _ = scan_xmin([base] * 60 + [base + 10**16],
+        cands, alphas, _, _ = scan_xmin([base] * 60 + [base + 10**16],
                                      GofConfig(min_tail_size=50))
         assert cands.tolist() == [base]
         assert ALPHA_MAX - alphas[0] <= ALPHA_XTOL
@@ -251,7 +259,7 @@ class TestBatchedScanMatchesBrent:
             with pytest.raises(ValueError, match="no candidate"):
                 scan_xmin(x, self.CFG, max_candidates=cap)
             return
-        cands, alphas, ks = scan_xmin(x, self.CFG, max_candidates=cap)
+        cands, alphas, ks, _ = scan_xmin(x, self.CFG, max_candidates=cap)
         np.testing.assert_array_equal(cands, ref_cands)
         assert np.abs(alphas - ref_alphas).max() <= 2e-6
         assert np.abs(ks - ref_ks).max() <= 1e-6
@@ -267,7 +275,7 @@ class TestBatchedScanMatchesBrent:
         """Scanning a candidate's tail with min_tail_size = its size leaves it
         the only candidate; its alpha and KS match the full batch exactly."""
         try:
-            cands, alphas, ks = scan_xmin(x, self.CFG)
+            cands, alphas, ks, _ = scan_xmin(x, self.CFG)
         except ValueError:
             return
         for x0, a, d in zip(cands, alphas, ks):
@@ -282,7 +290,7 @@ class TestBatchedScanMatchesBrent:
         matches the oracle and a single-block pass."""
         rng = np.random.default_rng(8)
         x = DiscretePowerLaw(1.3, 1).sample(rng, 5000)
-        cands, alphas, ks = scan_xmin(x, self.CFG)
+        cands, alphas, ks, _ = scan_xmin(x, self.CFG)
         uniq = np.unique(x)
         flat = int((uniq.size - np.searchsorted(uniq, cands)).sum())
         assert flat > 4 * powerlaw.KS_BLOCK
@@ -292,6 +300,66 @@ class TestBatchedScanMatchesBrent:
         assert np.abs(ks - ref_ks).max() <= 1e-6
         monkeypatch.setattr(powerlaw, "KS_BLOCK", flat)
         np.testing.assert_array_equal(scan_xmin(x, self.CFG)[2], ks)
+
+
+@functools.cache
+def awkward_tails():
+    """Named (sample, x_min candidate cap) inputs on which select_xmin raises
+    or takes an unusual path, at min_tail_size 50."""
+    replica = underflowing_replica()
+    cands, alphas, _, _ = scan_xmin(replica, GofConfig(min_tail_size=50))
+    lost = cands[zeta(alphas, cands.astype(float)) == 0.0]
+    rng = np.random.default_rng(5)
+    strength = DiscretePowerLaw(1.5, 1).sample(rng, 3000) * 100 + rng.integers(0, 100, 3000)
+    return {"empty": (np.zeros(0, dtype=np.int64), None),
+            "no candidate": (np.arange(1, 6), None),
+            "underflowing replica": (replica, None),
+            # Its one candidate is the one whose normaliser underflows.
+            "no finite KS": (replica[replica >= lost[0]], None),
+            "capped strength": (strength, 160)}
+
+
+tail_inputs = st.one_of(
+    st.tuples(samples_strategy, st.sampled_from([None, 40, 160])),
+    st.sampled_from(["empty", "no candidate", "underflowing replica", "no finite KS",
+                     "capped strength"]))
+
+
+class TestSelectTails:
+    """select_tails against select_xmin of each sample on its own."""
+
+    CFG = GofConfig(min_tail_size=50)
+
+    def test_awkward_inputs_are_what_they_say(self):
+        tails = awkward_tails()
+        for name, message in (("empty", "empty"), ("no candidate", "no candidate"),
+                              ("no finite KS", "finite KS")):
+            with pytest.raises(ValueError, match=message):
+                select_xmin(tails[name][0], self.CFG)
+        assert np.isinf(scan_xmin(tails["underflowing replica"][0], self.CFG)[2]).any()
+        strength, cap = tails["capped strength"]
+        assert scan_xmin(strength, self.CFG)[0].size > cap
+
+    @settings(max_examples=40)
+    @given(group=st.lists(tail_inputs, min_size=1, max_size=6))
+    @example(group=["capped strength"])
+    @example(group=["no candidate", "no finite KS", "empty"])
+    @example(group=["underflowing replica", "no finite KS", "capped strength",
+                    "no candidate"])
+    def test_matches_select_xmin(self, group):
+        group = [awkward_tails()[g] if isinstance(g, str) else g for g in group]
+        expected = []
+        for sample, cap in group:
+            try:
+                expected.append(select_xmin(sample, self.CFG, max_candidates=cap))
+            except ValueError:
+                expected.append(None)
+        samples, caps = zip(*group)
+        fits = select_tails(samples, self.CFG, caps)
+        assert fits == expected
+        for (sample, _), fit in zip(group, fits):
+            if fit is not None:
+                assert fit.n_tail == np.count_nonzero(sample >= fit.x_min)
 
 
 def ks_case(n_values, top, n_fits, alpha_kind, seed):
@@ -323,6 +391,15 @@ ks_cases = st.builds(
     seed=st.integers(0, 2**32 - 1))
 
 
+ks_groups = st.lists(ks_cases, min_size=1, max_size=6)
+
+
+def beside_an_ordinary_sample(case):
+    """case alone, then before and after an ordinary sample's fits."""
+    ordinary = ks_case(300, 1e6, 20, "fitted", 0)
+    return [(case,), (case, ordinary), (ordinary, case)]
+
+
 def interior_max_case():
     """A tail over 1..20 whose KS maximum lies strictly between pivots: the
     power-law counts with a spike at 5 put the largest gap at 4."""
@@ -339,7 +416,14 @@ class TestBracketedKsPass:
     @settings(max_examples=300)
     @given(case=ks_cases)
     def test_matches_full_pass(self, case):
-        np.testing.assert_array_equal(_ks_scan(*case), full_ks_scan(*case))
+        np.testing.assert_array_equal(ks_scan(case), full_ks_scan(case))
+
+    @settings(max_examples=100)
+    @given(group=ks_groups)
+    def test_samples_laid_end_to_end_match_their_own_passes(self, group):
+        """One pass over several samples gives each fit its own sample's
+        full-pass KS, bit for bit."""
+        np.testing.assert_array_equal(ks_scan(*group), full_ks_scan(*group))
 
     @pytest.mark.parametrize("alpha", [ALPHA_MIN, 1.0001, 2.5, ALPHA_MAX])
     @pytest.mark.parametrize("top", [1e3, 1e12])
@@ -347,30 +431,32 @@ class TestBracketedKsPass:
         for seed in range(10):
             uniq, cum, first, x_mins, _ = ks_case(300, top, 30, "fitted", seed)
             alphas = np.full(first.size, alpha)
-            np.testing.assert_array_equal(_ks_scan(uniq, cum, first, x_mins, alphas),
-                                          full_ks_scan(uniq, cum, first, x_mins, alphas))
+            np.testing.assert_array_equal(ks_scan((uniq, cum, first, x_mins, alphas)),
+                                          full_ks_scan((uniq, cum, first, x_mins, alphas)))
 
     def test_two_value_tails(self):
         for seed in range(20):
             case = ks_case(2, 1e6, 1, "fitted", seed)
-            np.testing.assert_array_equal(_ks_scan(*case), full_ks_scan(*case))
+            np.testing.assert_array_equal(ks_scan(case), full_ks_scan(case))
         uniq, cum = np.array([3.0, 1e12]), np.array([5, 6])
         for alpha in (ALPHA_MIN, 2.0, ALPHA_MAX):
             case = (uniq, cum, np.zeros(1, dtype=np.int64), uniq[:1], np.array([alpha]))
-            np.testing.assert_array_equal(_ks_scan(*case), full_ks_scan(*case))
+            np.testing.assert_array_equal(ks_scan(case), full_ks_scan(case))
 
     def test_values_sharing_a_float(self):
         """Distinct values above 2**53 that round to one float: their model
-        CDF is one value, and no bracket divides by a zero width."""
+        CDF is one value, and no bracket divides by a zero width, alone or
+        laid beside another sample."""
         x = np.concatenate([np.arange(1, 1500), 2**60 + np.arange(3000)])
         uniq, counts = np.unique(x, return_counts=True)
         uniq = uniq.astype(float)
         first = np.array([0, 1000, 1499])
         alphas = np.array([1.0001, 1.5, ALPHA_MIN])
         case = (uniq, np.cumsum(counts), first, uniq[first], alphas)
-        with np.errstate(all="raise"):
-            got = _ks_scan(*case)
-        np.testing.assert_array_equal(got, full_ks_scan(*case))
+        for group in beside_an_ordinary_sample(case):
+            with np.errstate(all="raise"):
+                got = ks_scan(*group)
+            np.testing.assert_array_equal(got, full_ks_scan(*group))
 
     @pytest.mark.parametrize("uniq, heavy", [
         pytest.param(np.concatenate([np.arange(1, 9), 2**60 + spacing * np.arange(9),
@@ -388,7 +474,8 @@ class TestBracketedKsPass:
         or 2,048 wide from 2**60 + 4096 with end CDFs one rounding step
         apart, far more than F's true rise.  The maximum lies inside the
         wide row next to it, so no chord of the narrow row may be extended
-        over that row as it is computed."""
+        over that row as it is computed, alone or laid beside another
+        sample."""
         uniq = uniq.astype(float)
         counts = np.ones(uniq.size, dtype=np.int64)
         counts[heavy] = 10**7
@@ -396,9 +483,10 @@ class TestBracketedKsPass:
         model = 1.0 - zeta(1.02, uniq + 1.0) / zeta(1.02, 1.0)
         assert int(np.argmax(np.abs(cum / cum[-1] - model))) % powerlaw.KS_STRIDE
         case = (uniq, cum, np.zeros(1, dtype=np.int64), uniq[:1], np.array([1.02]))
-        with np.errstate(all="raise"):
-            got = _ks_scan(*case)
-        np.testing.assert_array_equal(got, full_ks_scan(*case))
+        for group in beside_an_ordinary_sample(case):
+            with np.errstate(all="raise"):
+                got = ks_scan(*group)
+            np.testing.assert_array_equal(got, full_ks_scan(*group))
 
     def test_maximum_strictly_between_pivots(self):
         uniq, cum, first, x_mins, alphas = interior_max_case()
@@ -406,9 +494,9 @@ class TestBracketedKsPass:
         gaps = np.abs(ecdf - (1.0 - zeta(2.5, uniq + 1.0) / zeta(2.5, 1.0)))
         peak = int(np.argmax(gaps))
         assert peak % powerlaw.KS_STRIDE and peak != uniq.size - 1
-        got = _ks_scan(uniq, cum, first, x_mins, alphas)
+        got = ks_scan((uniq, cum, first, x_mins, alphas))
         assert got[0] == gaps[peak]
-        np.testing.assert_array_equal(got, full_ks_scan(uniq, cum, first, x_mins, alphas))
+        np.testing.assert_array_equal(got, full_ks_scan((uniq, cum, first, x_mins, alphas)))
 
     def test_interior_maximum_a_hair_above_a_pivot(self):
         """Near alpha = 2.32 the largest gap moves from the pivot at 1 to the
@@ -429,17 +517,20 @@ class TestBracketedKsPass:
             lo, hi = (lo, mid) if gaps(mid)[4] > gaps(mid)[0] else (mid, hi)
         assert lead > 0.0 and int(np.argmax(gaps(hi))) == 4
         alphas = np.full(1, hi)
-        got = _ks_scan(uniq, cum, first, x_mins, alphas)
+        got = ks_scan((uniq, cum, first, x_mins, alphas))
         assert got[0] == gaps(hi)[4]
-        np.testing.assert_array_equal(got, full_ks_scan(uniq, cum, first, x_mins, alphas))
+        np.testing.assert_array_equal(got, full_ks_scan((uniq, cum, first, x_mins, alphas)))
 
     @settings(max_examples=50)
-    @given(case=ks_cases, block=st.integers(1, 64))
-    def test_small_blocks(self, case, block):
-        """Blocks of a few rows put the fits of one scan in many blocks."""
+    @given(group=ks_groups, block=st.integers(1, 64))
+    @example(group=[ks_case(6, 1e3, 2, kind, seed)
+                    for seed, kind in enumerate(["fitted", "uniform", "max"])], block=64)
+    def test_small_blocks(self, group, block):
+        """Blocks of a few rows put the fits of one sample in many blocks,
+        and short fits of several samples in one block."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(powerlaw, "KS_BLOCK", block)
-            np.testing.assert_array_equal(_ks_scan(*case), full_ks_scan(*case))
+            np.testing.assert_array_equal(ks_scan(*group), full_ks_scan(*group))
 
     def test_evaluates_a_fraction_of_the_support(self, monkeypatch):
         """On a realistic scan the brackets leave most support values
@@ -447,7 +538,7 @@ class TestBracketedKsPass:
         rng = np.random.default_rng(3)
         x = np.concatenate([rng.integers(1, 10, 2000),
                             DiscretePowerLaw(2.2, 10).sample(rng, 3000)])
-        cands, alphas, ks = scan_xmin(x, GofConfig(min_tail_size=50))
+        cands, alphas, ks, _ = scan_xmin(x, GofConfig(min_tail_size=50))
         uniq, counts = np.unique(x, return_counts=True)
         uniq = uniq.astype(float)
         first = np.searchsorted(uniq, cands)
@@ -455,7 +546,7 @@ class TestBracketedKsPass:
         real = powerlaw._zeta
         monkeypatch.setattr(powerlaw, "_zeta",
                             lambda a, q: evaluated.append(np.size(q)) or real(a, q))
-        got = _ks_scan(uniq, np.cumsum(counts), first, uniq[first], alphas)
+        got = ks_scan((uniq, np.cumsum(counts), first, uniq[first], alphas))
         np.testing.assert_array_equal(got, ks)
         assert sum(evaluated) < 0.5 * (uniq.size - first).sum()
 
